@@ -25,11 +25,11 @@ from .scalar import ONE, ZERO, Scalar, as_scalar
 from .tables import (
     Table,
     Vec,
+    associator_table,
     first_witness,
-    table_insert,
-    table_sub,
     vec_add_into,
     vec_eq,
+    vec_mul,
     vec_sub,
 )
 
@@ -108,11 +108,11 @@ class Algebra:
         self.unit: Optional[Element] = None
         if unit is not None:
             u = self.element(unit)
-            if not self._is_unit_vec(u.coords):
+            if not table_is_unit(self.structure, dim, u.coords):
                 raise AlgebraError("claimed unit is not a two-sided unit")
             self.unit = u
         elif discover_unit:
-            found = self._discover_unit()
+            found = table_unit(self.structure, dim)
             if found is not None:
                 self.unit = self.element(found)
 
@@ -146,15 +146,7 @@ class Algebra:
     # -- the product ------------------------------------------------------------
 
     def mul_vec(self, x: Mapping[int, Scalar], y: Mapping[int, Scalar]) -> Vec:
-        acc: Vec = {}
-        structure = self.structure
-        for i, xi in x.items():
-            for j, yj in y.items():
-                cell = structure.get((i, j))
-                if not cell:
-                    continue
-                vec_add_into(acc, xi * yj, cell)
-        return {k: v for k, v in acc.items() if v}
+        return vec_mul(self.structure, x, y)
 
     def multiply(self, x: "Element", y: "Element") -> "Element":
         if x.algebra is not self or y.algebra is not self:
@@ -165,46 +157,7 @@ class Algebra:
 
     def associativity_witness(self) -> Optional[tuple[tuple[int, ...], Vec]]:
         """Smallest basis triple where (e_i e_j) e_k != e_i (e_j e_k), if any."""
-        left = table_insert(self.structure, 2, self.structure, 2, 0)
-        right = table_insert(self.structure, 2, self.structure, 2, 1)
-        return first_witness(table_sub(left, right))
-
-    def _is_unit_vec(self, u: Vec) -> bool:
-        for j in range(self.dim):
-            ej = {j: ONE}
-            if not vec_eq(self.mul_vec(u, ej), ej):
-                return False
-            if not vec_eq(self.mul_vec(ej, u), ej):
-                return False
-        return True
-
-    def _discover_unit(self) -> Optional[Vec]:
-        """Solve u*e_j = e_j = e_j*u exactly; None when no unit exists."""
-        # Row (j, c) of the left system: sum_g u_g (e_g e_j)_c = delta_{jc}.
-        left_rows: dict[tuple[int, int], Vec] = {}
-        right_rows: dict[tuple[int, int], Vec] = {}
-        for (g, j), vec in self.structure.items():
-            for c, s in vec.items():
-                left_rows.setdefault((j, c), {})[g] = s
-                right_rows.setdefault((g, c), {})[j] = s
-        red = RowReducer()
-        for rows in (left_rows, right_rows):
-            for j in range(self.dim):
-                diag = rows.get((j, j), {})
-                red.add_row(diag, ONE)
-                if red.inconsistent:
-                    return None
-            for (j, c), row in rows.items():
-                if j != c:
-                    red.add_row(row, ZERO)
-                    if red.inconsistent:
-                        return None
-        if red.inconsistent:
-            return None
-        candidate = red.particular_sparse()
-        if candidate is None or not self._is_unit_vec(candidate):
-            return None
-        return candidate
+        return first_witness(associator_table(self.structure))
 
     # -- cached indexes -----------------------------------------------------------
 
@@ -223,6 +176,42 @@ class Algebra:
 
     def __repr__(self) -> str:
         return f"Algebra({self.name!r}, dim={self.dim})"
+
+
+def table_is_unit(table: Table, dim: int, u: Vec) -> bool:
+    """Whether u is a two-sided unit of the arity-2 ``table``."""
+    for j in range(dim):
+        ej = {j: ONE}
+        if not vec_eq(vec_mul(table, u, ej), ej) or not vec_eq(vec_mul(table, ej, u), ej):
+            return False
+    return True
+
+
+def table_unit(table: Table, dim: int) -> Optional[Vec]:
+    """Solve u*e_j = e_j = e_j*u exactly; None when ``table`` has no unit."""
+    # Row (j, c) of the left system: sum_g u_g (e_g e_j)_c = delta_{jc}.
+    left_rows: dict[tuple[int, int], Vec] = {}
+    right_rows: dict[tuple[int, int], Vec] = {}
+    for (g, j), vec in table.items():
+        for c, s in vec.items():
+            left_rows.setdefault((j, c), {})[g] = s
+            right_rows.setdefault((g, c), {})[j] = s
+    red = RowReducer()
+    for rows in (left_rows, right_rows):
+        for j in range(dim):
+            diag = rows.get((j, j), {})
+            red.add_row(diag, ONE)
+            if red.inconsistent:
+                return None
+        for (j, c), row in rows.items():
+            if j != c:
+                red.add_row(row, ZERO)
+                if red.inconsistent:
+                    return None
+    candidate = red.particular_sparse()
+    if candidate is None or not table_is_unit(table, dim, candidate):
+        return None
+    return candidate
 
 
 def decompose(alg: Algebra, part1: Iterable[int]) -> "Decomposition":

@@ -26,10 +26,10 @@ from .deform import (
     associativity_criterion,
     contraction_product,
     deform,
+    deformed_bracket_witness,
     extend_tensor,
     interpolated_contraction_limit,
     is_nijenhuis,
-    lie_bracket_of,
     lie_nijenhuis_check,
     mixed_associator_witness,
     mu_product,
@@ -52,6 +52,8 @@ from .documents import (
     structure_to_triples,
 )
 from .dynamics import (
+    _check,
+    _labels,
     example_check,
     inner_generator,
     is_bi_hamiltonian,
@@ -59,8 +61,8 @@ from .dynamics import (
 )
 from .errors import AlgebraError, DocumentError, PreconditionError
 from .hochschild import cohomology_dimension
-from .scalar import MINUS_ONE, ScalarError, parse_scalar
-from .tables import table_sub, vec_add_into, vec_eq, vec_sub
+from .scalar import ScalarError, parse_scalar
+from .tables import table_sub
 
 USAGE_ERRORS = (DocumentError, AlgebraError, PreconditionError, ScalarError, OSError)
 
@@ -68,17 +70,6 @@ USAGE_ERRORS = (DocumentError, AlgebraError, PreconditionError, ScalarError, OSE
 def _digest(path: str) -> dict:
     with open(path, "rb") as fh:
         return {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
-
-
-def _labels(alg: Algebra, indices) -> list[str]:
-    return [alg.basis[i] for i in indices]
-
-
-def _check(name: str, ok: bool, witness=None) -> dict:
-    entry = {"name": name, "pass": bool(ok)}
-    if not ok and witness is not None:
-        entry["witness"] = witness
-    return entry
 
 
 def _table_witness(alg: Algebra, witness) -> Optional[list[str]]:
@@ -351,43 +342,12 @@ def _cmd_lie_check(args) -> int:
     inputs: dict = {}
     alg = _load_algebra(args, inputs)
     op = _load_operator(alg, args.operator, inputs, "operator")
-    bracket = lie_bracket_of(deform(op, compute_flags=False))
-    identity_ok = True
-    identity_wit = None
-    for a in range(alg.dim):
-        for b in range(alg.dim):
-            lhs = bracket.table.get((a, b), {})
-            rhs: dict = {}
-            ca, cb = op.columns[a], op.columns[b]
-            for m, c in ca.items():
-                cell = alg.structure.get((m, b))
-                if cell:
-                    vec_add_into(rhs, c, cell)
-                cell = alg.structure.get((b, m))
-                if cell:
-                    vec_add_into(rhs, -c, cell)
-            for m, c in cb.items():
-                cell = alg.structure.get((a, m))
-                if cell:
-                    vec_add_into(rhs, c, cell)
-                cell = alg.structure.get((m, a))
-                if cell:
-                    vec_add_into(rhs, -c, cell)
-            comm = vec_sub(
-                alg.structure.get((a, b), {}), alg.structure.get((b, a), {})
-            )
-            vec_add_into(rhs, MINUS_ONE, op.apply_vec(comm))
-            if not vec_eq(lhs, rhs):
-                identity_ok = False
-                identity_wit = _labels(alg, (a, b))
-                break
-        if not identity_ok:
-            break
+    w = deformed_bracket_witness(op)
     report = {
         "command": "lie-check",
         "inputs": inputs,
         "checks": [
-            _check("deformed_bracket_identity", identity_ok, identity_wit),
+            _check("deformed_bracket_identity", w is None, _table_witness(alg, w)),
             _check("lie_torsion_zero", lie_nijenhuis_check(op)),
         ],
     }

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import Algebra, Decomposition, Element, Operator
+from .algebra import Algebra, Decomposition, Element, Operator, table_is_unit, table_unit
 from .errors import PreconditionError
 from .hochschild import Cochain, coboundary
 from .linalg import Matrix, invert
@@ -30,14 +30,15 @@ from .scalar import MINUS_ONE, ONE, ZERO, as_scalar
 from .tables import (
     Table,
     Vec,
+    associator_table,
     first_witness,
+    mixed_associator_table,
     table_add_into,
-    table_insert,
+    table_alternation,
+    table_compose_into,
     table_sub,
     table_tidy,
     vec_add_into,
-    vec_eq,
-    vec_sub,
 )
 
 __all__ = [
@@ -63,6 +64,7 @@ __all__ = [
     "ExtensionReport",
     "extend_tensor",
     "lie_bracket_of",
+    "deformed_bracket_witness",
     "lie_nijenhuis_check",
     "total_skew_associator",
     "product_sum",
@@ -101,7 +103,7 @@ class Product:
 
     def associativity_witness(self) -> Optional[tuple[tuple[int, ...], Vec]]:
         """Smallest basis triple with a nonzero associator, if any."""
-        return first_witness(_associator_table(self.table))
+        return first_witness(associator_table(self.table))
 
     def ensure_associativity_flag(self) -> bool:
         if self.associative is None:
@@ -109,34 +111,11 @@ class Product:
         return self.associative
 
     def is_unit(self, u: Element) -> bool:
-        ucoords = u.coords
-        for j in range(self.algebra.dim):
-            ej = {j: ONE}
-            if not vec_eq(self._eval_vec(ucoords, ej), ej):
-                return False
-            if not vec_eq(self._eval_vec(ej, ucoords), ej):
-                return False
-        return True
-
-    def _eval_vec(self, x: Vec, y: Vec) -> Vec:
-        acc: Vec = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                cell = self.table.get((i, j))
-                if cell:
-                    vec_add_into(acc, xi * yj, cell)
-        return {k: v for k, v in acc.items() if v}
+        return table_is_unit(self.table, self.algebra.dim, u.coords)
 
     def find_unit(self) -> Optional[Element]:
         """Solve the unit equations for this product; None when no unit exists."""
-        shadow = Algebra(
-            f"{self.algebra.name}/product",
-            self.algebra.dim,
-            self.algebra.basis,
-            self.table,
-            validate=False,
-        )
-        found = shadow._discover_unit()
+        found = table_unit(self.table, self.algebra.dim)
         return Element(self.algebra, found) if found is not None else None
 
 
@@ -152,12 +131,6 @@ def _table_by_second(table: Table) -> dict[int, list[tuple[int, Vec]]]:
     for (a, b), vec in table.items():
         idx.setdefault(b, []).append((a, vec))
     return idx
-
-
-def _associator_table(table: Table) -> Table:
-    left = table_insert(table, 2, table, 2, 0)
-    right = table_insert(table, 2, table, 2, 1)
-    return table_sub(left, right)
 
 
 def mu_product(alg: Algebra) -> Product:
@@ -221,25 +194,18 @@ def deform(n: Operator, compute_flags: bool = True) -> Product:
     return prod
 
 
+def _torsion_table(n: Operator) -> Table:
+    """N o mu_N - mu o (N, N) on the algebra's own product mu."""
+    mu = n.algebra.structure
+    out: Table = {}
+    table_compose_into(out, ONE, _deform_table(mu, n), outer=n.columns)
+    table_compose_into(out, MINUS_ONE, mu, inner=(n.columns, n.columns))
+    return table_tidy(out)
+
+
 def torsion(n: Operator) -> Cochain:
     """T_N(A, B) = N(A o_N B) - N(A) N(B) as an arity-2 cochain."""
-    alg = n.algebra
-    deformed = _deform_table(alg.structure, n)
-    cols = n.columns
-    out: Table = {}
-    for a in range(alg.dim):
-        ca = cols[a]
-        for b in range(alg.dim):
-            vec = deformed.get((a, b))
-            acc: Vec = n.apply_vec(vec) if vec else {}
-            if ca and cols[b]:
-                prod = alg.mul_vec(ca, cols[b])
-                if prod:
-                    vec_add_into(acc, MINUS_ONE, prod)
-            acc = {k: v for k, v in acc.items() if v}
-            if acc:
-                out[(a, b)] = acc
-    return Cochain(alg, 2, out, copy=False)
+    return Cochain(n.algebra, 2, _torsion_table(n), copy=False)
 
 
 def nijenhuis_witness(n: Operator) -> Optional[tuple[tuple[int, ...], Vec]]:
@@ -284,22 +250,12 @@ def associativity_criterion(n: Operator) -> CriterionResult:
     )
 
 
-def _mixed_associator_table(t1: Table, t2: Table) -> Table:
-    """p1(p2(a,b),c) + p2(p1(a,b),c) - p1(a,p2(b,c)) - p2(a,p1(b,c))."""
-    acc: Table = {}
-    table_add_into(acc, ONE, table_insert(t1, 2, t2, 2, 0))
-    table_add_into(acc, ONE, table_insert(t2, 2, t1, 2, 0))
-    table_add_into(acc, MINUS_ONE, table_insert(t1, 2, t2, 2, 1))
-    table_add_into(acc, MINUS_ONE, table_insert(t2, 2, t1, 2, 1))
-    return table_tidy(acc)
-
-
 def mixed_associator_witness(
     p1: Product, p2: Product
 ) -> Optional[tuple[tuple[int, ...], Vec]]:
     if p1.algebra is not p2.algebra:
         raise PreconditionError("products live on different algebras")
-    return first_witness(_mixed_associator_table(p1.table, p2.table))
+    return first_witness(mixed_associator_table(p1.table, p2.table))
 
 
 def mixed_associator_compatible(p1: Product, p2: Product) -> bool:
@@ -332,7 +288,6 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
     if not is_nijenhuis(n):
         raise PreconditionError("operator has nonzero torsion; hierarchy undefined")
     alg = n.algebra
-    d = alg.dim
     powers = [Operator.identity(alg)]
     for _ in range(maxk):
         powers.append(n @ powers[-1])
@@ -340,29 +295,21 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
 
     report: dict = {"max_power": maxk, "nijenhuis": True}
 
-    lemma_ok, lemma_witness = True, None
+    lemma_witness = None
     for r in range(maxk + 1):
+        nr = powers[r].columns if r else None
         for k in range(maxk + 1 - r):
-            high = prods[k + r].table
-            low = prods[k].table
-            nr = powers[r]
-            for a in range(d):
-                ca = nr.columns[a]
-                for b in range(d):
-                    vec = high.get((a, b))
-                    left = nr.apply_vec(vec) if vec else {}
-                    right: Vec = {}
-                    if ca:
-                        cb = nr.columns[b]
-                        for m1, c1 in ca.items():
-                            for m2, c2 in cb.items():
-                                cell = low.get((m1, m2))
-                                if cell:
-                                    vec_add_into(right, c1 * c2, cell)
-                    if not vec_eq(left, right):
-                        lemma_ok = False
-                        if lemma_witness is None:
-                            lemma_witness = (r, k, a, b)
+            # N^r o mu_{N^(k+r)} - mu_{N^k} o (N^r, N^r)
+            acc: Table = {}
+            table_compose_into(acc, ONE, prods[k + r].table, outer=nr)
+            table_compose_into(acc, MINUS_ONE, prods[k].table, inner=(nr, nr))
+            w = first_witness(acc)
+            if w is not None:
+                lemma_witness = (r, k) + w[0]
+                break
+        if lemma_witness is not None:
+            break
+    lemma_ok = lemma_witness is None
     report["power_relation"] = {"pass": lemma_ok, "witness": lemma_witness}
 
     comp_ok, comp_witness = True, None
@@ -387,7 +334,7 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
     compat_ok, compat_witness = True, None
     for k1 in range(maxk + 1):
         for k2 in range(k1 + 1, maxk + 1):
-            w = first_witness(_mixed_associator_table(prods[k1].table, prods[k2].table))
+            w = first_witness(mixed_associator_table(prods[k1].table, prods[k2].table))
             if w is not None:
                 compat_ok = False
                 if compat_witness is None:
@@ -409,29 +356,13 @@ def tensors_compatible(n1: Operator, n2: Operator) -> bool:
         raise PreconditionError("first operator has nonzero torsion")
     if not is_nijenhuis(n2):
         raise PreconditionError("second operator has nonzero torsion")
-    alg = n1.algebra
-    d = alg.dim
-    t1 = _deform_table(alg.structure, n1)
-    t2 = _deform_table(alg.structure, n2)
-    for a in range(d):
-        c1a, c2a = n1.columns[a], n2.columns[a]
-        for b in range(d):
-            lhs: Vec = {}
-            vec = t2.get((a, b))
-            if vec:
-                vec_add_into(lhs, ONE, n1.apply_vec(vec))
-            vec = t1.get((a, b))
-            if vec:
-                vec_add_into(lhs, ONE, n2.apply_vec(vec))
-            rhs: Vec = {}
-            c1b, c2b = n1.columns[b], n2.columns[b]
-            if c1a and c2b:
-                vec_add_into(rhs, ONE, alg.mul_vec(c1a, c2b))
-            if c2a and c1b:
-                vec_add_into(rhs, ONE, alg.mul_vec(c2a, c1b))
-            if not vec_eq(lhs, rhs):
-                return False
-    return True
+    mu = n1.algebra.structure
+    acc: Table = {}
+    table_compose_into(acc, ONE, _deform_table(mu, n2), outer=n1.columns)
+    table_compose_into(acc, ONE, _deform_table(mu, n1), outer=n2.columns)
+    table_compose_into(acc, MINUS_ONE, mu, inner=(n1.columns, n2.columns))
+    table_compose_into(acc, MINUS_ONE, mu, inner=(n2.columns, n1.columns))
+    return first_witness(acc) is None
 
 
 def projection_tensor(dec: Decomposition, l1, l2) -> Operator:
@@ -590,54 +521,31 @@ def theorem5_product(
         raise PreconditionError("all ingredients must live on the split algebra")
     if not dec.part1_closed:
         raise PreconditionError("part1 is not a subalgebra")
-    part1, part2 = set(dec.part1), set(dec.part2)
+    part1 = set(dec.part1)
     for (i, j), vec in circ1.table.items():
         if i not in part1 or j not in part1 or any(k not in part1 for k in vec):
             raise PreconditionError("circ1 is not supported on part1")
-    if first_witness(_associator_table(circ1.table)) is not None:
+    if first_witness(associator_table(circ1.table)) is not None:
         raise PreconditionError("circ1 is not associative on part1")
     _check_part_operator(n1, dec.part1, "n1")
     _check_part_operator(n1p, dec.part1, "n1p")
     _check_part_operator(n2, dec.part2, "n2")
     for op, label in ((n1, "n1"), (n1p, "n1p")):
-        for i in dec.part1:
-            for j in dec.part1:
-                cell = circ1.table.get((i, j), {})
-                lhs = op.apply_vec(cell)
-                rhs = alg.mul_vec(op.columns[i], op.columns[j])
-                if not vec_eq(lhs, rhs):
-                    raise PreconditionError(
-                        f"{label} is not a homomorphism from circ1 to the original product"
-                    )
+        # N o circ1 - mu o (N, N); both vanish off part1 x part1.
+        acc: Table = {}
+        table_compose_into(acc, ONE, circ1.table, outer=op.columns)
+        table_compose_into(acc, MINUS_ONE, alg.structure, inner=(op.columns, op.columns))
+        if first_witness(acc) is not None:
+            raise PreconditionError(
+                f"{label} is not a homomorphism from circ1 to the original product"
+            )
     n2inv = _part_inverse(n2, dec.part2, "n2")
 
-    out: Table = {}
-    for (i, j), vec in circ1.table.items():
-        out[(i, j)] = dict(vec)
-    for i in dec.part1:
-        ci = n1.columns[i]
-        if not ci:
-            continue
-        for j in dec.part2:
-            cj = n2.columns[j]
-            if not cj:
-                continue
-            mixed = alg.mul_vec(ci, cj)
-            cell = n2inv.apply_vec({k: v for k, v in mixed.items() if k in part2})
-            if cell:
-                out[(i, j)] = cell
-    for i in dec.part2:
-        ci = n2.columns[i]
-        if not ci:
-            continue
-        for j in dec.part1:
-            cj = n1p.columns[j]
-            if not cj:
-                continue
-            mixed = alg.mul_vec(ci, cj)
-            cell = n2inv.apply_vec({k: v for k, v in mixed.items() if k in part2})
-            if cell:
-                out[(i, j)] = cell
+    # N2^-1 vanishes off part2, so it also projects onto part2; n1 and n1p
+    # vanish off part1 and n2 off part2, so each term fills one mixed block.
+    out: Table = {t: dict(vec) for t, vec in circ1.table.items()}
+    for inner in ((n1.columns, n2.columns), (n2.columns, n1p.columns)):
+        table_compose_into(out, ONE, alg.structure, outer=n2inv.columns, inner=inner)
     prod = Product(Cochain(alg, 2, table_tidy(out), copy=False))
     prod.ensure_associativity_flag()
     if alg.unit is not None and prod.is_unit(alg.unit):
@@ -673,74 +581,63 @@ def extend_tensor(dec: Decomposition, n1: Operator) -> ExtensionReport:
     if not dec.part1_closed:
         raise PreconditionError("part1 is not a subalgebra")
     _check_part_operator(n1, dec.part1, "n1")
+    # n1 vanishes off part1, so it is its own extension by zero, and its
+    # torsion on part1 x part1 is the torsion of n1 on the subalgebra.
+    tors = _torsion_table(n1)
     part1 = set(dec.part1)
-    # Torsion of n1 restricted to part1 (part1 is closed, so this is intrinsic).
-    for a in dec.part1:
-        for b in dec.part1:
-            ea, eb = {a: ONE}, {b: ONE}
-            deformed: Vec = {}
-            vec_add_into(deformed, ONE, alg.mul_vec(n1.columns[a], eb))
-            vec_add_into(deformed, ONE, alg.mul_vec(ea, n1.columns[b]))
-            vec_add_into(deformed, MINUS_ONE, n1.apply_vec(alg.mul_vec(ea, eb)))
-            tors = vec_sub(
-                n1.apply_vec({k: v for k, v in deformed.items() if v}),
-                alg.mul_vec(n1.columns[a], n1.columns[b]),
-            )
-            if tors:
-                raise PreconditionError("n1 has nonzero torsion on part1")
+    if any(a in part1 and b in part1 for a, b in tors):
+        raise PreconditionError("n1 has nonzero torsion on part1")
 
-    def proj1(vec: Vec) -> Vec:
-        return {k: v for k, v in vec.items() if k in part1}
-
+    mu = alg.structure
+    p1, p2 = dec.projector(1).columns, dec.projector(2).columns
+    n1c, n1sq = n1.columns, (n1 @ n1).columns
+    # Each condition is a sum of coef * outer o mu o inner. N1 vanishes off
+    # part1, so N1 P1 = N1, and the projectors confine each sum to its block.
+    terms = {
+        "square_zero": [(ONE, n1sq, (p2, p2))],
+        "left_mixed": [(ONE, n1c, (n1c, p2)), (MINUS_ONE, n1sq, (p1, p2))],
+        "right_mixed": [(ONE, n1c, (p2, n1c)), (MINUS_ONE, n1sq, (p2, p1))],
+    }
     witnesses: dict = {}
-    cond1 = True
-    for i in dec.part2:
-        for j in dec.part2:
-            prod = alg.mul_vec({i: ONE}, {j: ONE})
-            if n1.apply_vec(n1.apply_vec(proj1(prod))):
-                cond1 = False
-                witnesses.setdefault("square_zero", (i, j))
-    cond2 = True
-    for i in dec.part1:
-        for j in dec.part2:
-            ej = {j: ONE}
-            first = proj1(alg.mul_vec(n1.columns[i], ej))
-            second = n1.apply_vec(proj1(alg.mul_vec({i: ONE}, ej)))
-            if n1.apply_vec(vec_sub(first, second)):
-                cond2 = False
-                witnesses.setdefault("left_mixed", (i, j))
-    cond3 = True
-    for i in dec.part2:
-        for j in dec.part1:
-            ei = {i: ONE}
-            first = proj1(alg.mul_vec(ei, n1.columns[j]))
-            second = n1.apply_vec(proj1(alg.mul_vec(ei, {j: ONE})))
-            if n1.apply_vec(vec_sub(first, second)):
-                cond3 = False
-                witnesses.setdefault("right_mixed", (i, j))
-
-    extended = Operator(
-        alg,
-        [dict(n1.columns[j]) if j in part1 else {} for j in range(alg.dim)],
-    )
-    nij = is_nijenhuis(extended)
+    for name, parts in terms.items():
+        acc: Table = {}
+        for coef, outer, inner in parts:
+            table_compose_into(acc, coef, mu, outer=outer, inner=inner)
+        w = first_witness(acc)
+        if w is not None:
+            witnesses[name] = w[0]
     return ExtensionReport(
-        operator=extended,
-        is_nijenhuis=nij,
-        conditions=(cond1, cond2, cond3),
+        operator=Operator(alg, n1.columns),
+        is_nijenhuis=not tors,
+        conditions=tuple(name not in witnesses for name in terms),
         witnesses=witnesses,
     )
 
 
-def lie_bracket_of(p: Product) -> Cochain:
-    """The commutator [A, B] = A o B - B o A of a product, as a 2-cochain."""
+def _commutator_table(table: Table) -> Table:
     out: Table = {}
-    for (i, j), vec in p.table.items():
+    for (i, j), vec in table.items():
         acc = out.setdefault((i, j), {})
         vec_add_into(acc, ONE, vec)
         acc = out.setdefault((j, i), {})
         vec_add_into(acc, MINUS_ONE, vec)
-    return Cochain(p.algebra, 2, table_tidy(out), copy=False)
+    return table_tidy(out)
+
+
+def lie_bracket_of(p: Product) -> Cochain:
+    """The commutator [A, B] = A o B - B o A of a product, as a 2-cochain."""
+    return Cochain(p.algebra, 2, _commutator_table(p.table), copy=False)
+
+
+def deformed_bracket_witness(n: Operator) -> Optional[tuple[tuple[int, ...], Vec]]:
+    """Smallest basis pair where [A, B]_N != [N A, B] + [A, N B] - N[A, B].
+
+    [.,.]_N is the commutator of the deformed product and [.,.] that of the
+    original one, so the right side is the commutator table deformed by N.
+    """
+    mu = n.algebra.structure
+    bracket = _commutator_table(_deform_table(mu, n))
+    return first_witness(table_sub(bracket, _deform_table(_commutator_table(mu), n)))
 
 
 def lie_nijenhuis_check(n: Operator) -> bool:
@@ -750,21 +647,11 @@ def lie_nijenhuis_check(n: Operator) -> bool:
     right is the one of the original product. Implied by vanishing torsion
     but strictly weaker (it only sees skew-symmetrizations).
     """
-    alg = n.algebra
-    bracket = lie_bracket_of(deform(n, compute_flags=False))
-    d = alg.dim
-    for a in range(d):
-        ca = n.columns[a]
-        for b in range(d):
-            lhs = n.apply_vec(bracket.table.get((a, b), {}))
-            cb = n.columns[b]
-            rhs: Vec = {}
-            if ca and cb:
-                vec_add_into(rhs, ONE, alg.mul_vec(ca, cb))
-                vec_add_into(rhs, MINUS_ONE, alg.mul_vec(cb, ca))
-            if not vec_eq(lhs, rhs):
-                return False
-    return True
+    mu = n.algebra.structure
+    acc: Table = {}
+    table_compose_into(acc, ONE, _commutator_table(_deform_table(mu, n)), outer=n.columns)
+    table_compose_into(acc, MINUS_ONE, _commutator_table(mu), inner=(n.columns, n.columns))
+    return first_witness(acc) is None
 
 
 def total_skew_associator(p: Product) -> Cochain:
@@ -773,20 +660,7 @@ def total_skew_associator(p: Product) -> Cochain:
     Vanishes exactly when the commutator of the product satisfies the Jacobi
     identity (the two sides agree term by term after expansion).
     """
-    assoc = _associator_table(p.table)
-    out: Table = {}
-    for (a, b, c), vec in assoc.items():
-        for key, sign in (
-            ((a, b, c), ONE),
-            ((b, a, c), MINUS_ONE),
-            ((a, c, b), MINUS_ONE),
-            ((c, b, a), MINUS_ONE),
-            ((c, a, b), ONE),
-            ((b, c, a), ONE),
-        ):
-            acc = out.setdefault(key, {})
-            vec_add_into(acc, sign, vec)
-    return Cochain(p.algebra, 3, table_tidy(out), copy=False)
+    return Cochain(p.algebra, 3, table_alternation(associator_table(p.table)), copy=False)
 
 
 def product_sum(p1: Product, p2: Product) -> Product:

@@ -92,8 +92,9 @@ def triples_to_table(raw, dim: int, where: str) -> dict[tuple[int, int], dict[in
             if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < dim:
                 raise DocumentError(f"{where}: structure index {idx!r} out of range")
         cell = table.setdefault((i, j), {})
-        value = _parse_scalar_field(s, where)
-        cell[k] = cell.get(k, as_scalar(0)) + value
+        if k in cell:
+            raise DocumentError(f"{where}: structure triple {[i, j, k]} is repeated")
+        cell[k] = _parse_scalar_field(s, where)
     return table
 
 
@@ -217,6 +218,7 @@ def product_from_doc(alg: Algebra, doc: dict, where: str = "product document") -
     if declared_dim is not None and declared_dim != alg.dim:
         raise DocumentError(f"{where}: dim {declared_dim} does not match {alg.dim}")
     table = triples_to_table(doc["structure"], alg.dim, where)
+    # The flag is only type-checked: it is recomputed where it is used.
     associative = doc.get("associative")
     if associative is not None and not isinstance(associative, bool):
         raise DocumentError(f"{where}: associative flag must be boolean or null")
@@ -226,7 +228,7 @@ def product_from_doc(alg: Algebra, doc: dict, where: str = "product document") -
         if not isinstance(unit, list) or len(unit) != alg.dim:
             raise DocumentError(f"{where}: unit must list {alg.dim} scalars")
         unit_el = alg.element([_parse_scalar_field(v, where) for v in unit])
-    prod = Product(Cochain(alg, 2, table, copy=False), associative=associative, unit=unit_el)
+    prod = Product(Cochain(alg, 2, table, copy=False), unit=unit_el)
     if unit_el is not None and not prod.is_unit(unit_el):
         raise DocumentError(f"{where}: claimed unit is not a unit for the product")
     return prod

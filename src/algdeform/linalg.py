@@ -212,12 +212,16 @@ class RowReducer:
         return sol
 
 
+def _reduced(rows: Iterable[Mapping[int, Scalar]]) -> RowReducer:
+    red = RowReducer()
+    for row in rows:
+        red.add_row(row)
+    return red
+
+
 def rank(m: Matrix) -> int:
     """Exact rank over Q(i)."""
-    red = RowReducer()
-    for row in m.sparse_rows():
-        red.add_row(row)
-    return red.rank
+    return _reduced(m.sparse_rows()).rank
 
 
 def _densify(vec: Mapping[int, Scalar], n: int) -> list[Scalar]:
@@ -229,9 +233,7 @@ def _densify(vec: Mapping[int, Scalar], n: int) -> list[Scalar]:
 
 def kernel_basis(m: Matrix) -> list[list[Scalar]]:
     """Basis of the right null space; dimension = cols - rank."""
-    red = RowReducer()
-    for row in m.sparse_rows():
-        red.add_row(row)
+    red = _reduced(m.sparse_rows())
     return [_densify(v, m.cols) for v in red.kernel_basis_sparse(m.cols)]
 
 
@@ -245,18 +247,11 @@ def solve_affine(m: Matrix, b: Sequence) -> Optional[AffineSolution]:
     """Exact solution set of ``m x = b``: particular + kernel, or None."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    rhs = [as_scalar(x) for x in b]
-    red = RowReducer()
-    for i, row in enumerate(m.sparse_rows()):
-        red.add_row(row, rhs[i])
-    if red.inconsistent:
+    solved = solve_sparse_system(zip(m.sparse_rows(), map(as_scalar, b)), m.cols)
+    if solved is None:
         return None
-    part = red.particular_sparse()
-    assert part is not None
-    return AffineSolution(
-        particular=_densify(part, m.cols),
-        kernel=[_densify(v, m.cols) for v in red.kernel_basis_sparse(m.cols)],
-    )
+    part, kernel = solved
+    return AffineSolution(_densify(part, m.cols), [_densify(v, m.cols) for v in kernel])
 
 
 def solve_sparse_system(
@@ -281,24 +276,15 @@ def invert(m: Matrix) -> Optional[Matrix]:
     """Exact inverse of a square matrix, or None if singular."""
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
+    # The reduced form of [M | I] is [I | M^-1] exactly when M is
+    # invertible; otherwise some pivot lands right of column n.
     n = m.rows
-    aug = [list(m.entries[i]) + [ONE if j == i else ZERO for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_lead = aug[col][col].inverse()
-        aug[col] = [x * inv_lead for x in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r][col]
-            if factor:
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return Matrix(n, n, [row[n:] for row in aug])
+    red = _reduced({**row, n + i: ONE} for i, row in enumerate(m.sparse_rows()))
+    if any(p >= n for p in red.pivots):
+        return None
+    out = Matrix.zeros(n, n)
+    for p, idx in red.pivots.items():
+        for c, v in red.rows[idx].items():
+            if c >= n:
+                out.entries[p][c - n] = v
+    return out

@@ -138,6 +138,9 @@ class Scalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
+        # A real scalar equals its Fraction, so it must hash like it.
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     # -- text -----------------------------------------------------------------

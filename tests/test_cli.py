@@ -454,3 +454,30 @@ def test_reports_are_byte_identical_across_runs(workdir, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert json.loads(first)["inputs"]["algebra"]["sha256"]
+
+
+def test_bihamiltonian_refuses_forged_associative_flag(workdir, capsys, tmp_path):
+    m2 = full_matrix_algebra(2)
+    doc = product_to_doc(deform(transpose_operator(m2)))
+    assert doc["associative"] is False
+    doc["associative"] = True
+    p = tmp_path / "forged.json"
+    p.write_text(json.dumps(doc))
+    argv = [
+        "bihamiltonian",
+        "--algebra", workdir["m2.json"],
+        "--derivation", workdir["ad_h.json"],
+        "--product1", "mu",
+        "--product2", str(p),
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_repeated_structure_triple_is_refused(workdir, capsys, tmp_path):
+    doc = algebra_to_doc(dual_number_algebra())
+    doc["structure"].append(list(doc["structure"][0]))
+    alg_path = tmp_path / "repeated.json"
+    alg_path.write_text(json.dumps(doc))
+    assert main(["cohomology", "--algebra", str(alg_path), "--degree", "0"]) == 2
+    assert "repeated" in capsys.readouterr().err

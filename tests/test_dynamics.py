@@ -241,3 +241,24 @@ def test_example_6_annihilation_small():
 def test_example_check_rejects_unknown_id():
     with pytest.raises(PreconditionError):
         example_check(7)
+
+
+def test_bi_hamiltonian_jacobi_agrees_with_sum_bracket_route():
+    # is_bi_hamiltonian alternates the mixed associator; the public function
+    # alternates the associator of p1 + p2. For associative pairs they agree.
+    pairs = []
+    for dim in (2, 3, 4):
+        alg, a, adag, h = banded_oscillator_algebra(dim)
+        mu = mu_product(alg)
+        k = _diag_element(alg, dim, range(1, dim + 1))
+        pairs.append((commutator_derivation(h, mu), mu, _diagonal_rescaling_product(alg, dim, k)))
+        lam = deform(projection_tensor(triangular_split(alg), 1, Scalar(Fraction(1, 2))))
+        pairs.append((commutator_derivation(h, mu), mu, lam))
+    m2 = full_matrix_algebra(2)
+    pairs.append((Operator.zero(m2), mu_product(m2), deform(projection_tensor(triangular_split(m2), 1, 0))))
+    verdicts = set()
+    for d, p1, p2 in pairs:
+        jacobi = is_bi_hamiltonian(d, p1, p2).sum_bracket_jacobi
+        assert jacobi == sum_bracket_satisfies_jacobi(p1, p2)
+        verdicts.add(jacobi)
+    assert verdicts == {True, False}

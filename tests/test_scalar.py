@@ -101,3 +101,12 @@ def test_field_inverses(a):
 @given(scalars)
 def test_format_parse_round_trip(a):
     assert parse_scalar(str(a)) == a
+
+
+def test_hash_agrees_with_equality_for_real_values():
+    for q in [0, 1, -7, 2 ** 70, Fraction(3, 2), Fraction(-5, 9), Fraction(4, 2)]:
+        assert Scalar(q) == q
+        assert hash(Scalar(q)) == hash(q)
+    assert len({Scalar(1), 1}) == 1
+    assert len({Scalar(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert len({Scalar(1, 1), Scalar(1, -1), Scalar(1)}) == 3
