@@ -22,6 +22,20 @@ The graded bracket uses the standard insertion composition
 
 whose two calibration identities ([product, N] = deformed product and
 [product, product] = 0) are pinned by the regression tests.
+
+Cohomology dimensions need the exact rank of the coboundary on arity-n
+cochains, a d^(n+1) x d^(n+2) matrix. Its rows are never built as cochains:
+
+* the structure constants are multiplied once by D, the common denominator
+  of their real and imaginary parts. The coboundary is linear in them, so
+  D * d has the same rank, and its entries are Gaussian integers;
+* the row of each basis cochain e_t -> e_k is emitted straight from those
+  scaled constants, term by term of the alternating sum above;
+* with a nonzero imaginary part A + iB is realified: the rational rank of
+  [[A, -B], [B, A]] is twice the rank over Q(i);
+* the integer rows stream one at a time into ``linalg.integer_rank``, a
+  fraction-free echelon elimination (after Bareiss 1968) that divides each
+  new pivot row by the gcd of its entries and never back-substitutes.
 """
 
 from __future__ import annotations
@@ -31,14 +45,14 @@ from typing import Optional
 
 from .algebra import Algebra, Element, Operator
 from .errors import PreconditionError, SizeGuardError
-from .linalg import RowReducer
-from .scalar import MINUS_ONE, ONE, as_scalar
+from .linalg import common_denominator, integer_rank, realified, scaled_parts
+from .scalar import MINUS_ONE, ONE, Scalar, as_scalar
 from .tables import (
     Table,
     Vec,
     first_witness,
     table_add_into,
-    table_insert,
+    table_insert_into,
     table_scaled,
     table_sub,
     table_tidy,
@@ -232,31 +246,82 @@ def is_cocycle(c: Cochain) -> bool:
     return coboundary(c).is_zero
 
 
-def _coboundary_rank(alg: Algebra, n: int) -> int:
-    """Exact rank of the coboundary on arity-n cochains."""
-    d = alg.dim
-    red = RowReducer()
-    # Rows live in the flattened image space C^{n+1}: tuples of n+1 basis
-    # indices plus one output coordinate, mixed radix base d.
-    weights = [d ** (n + 1 - i) for i in range(n + 2)]
+def _integer_tables(alg: Algebra) -> list[dict[tuple[int, int], dict[int, int]]]:
+    """D times the structure constants as integer tables, D their common
+    denominator: the real part, then the imaginary part if it is not zero."""
+    structure = alg.structure
+    den = common_denominator(s for vec in structure.values() for s in vec.values())
+    parts = {pair: scaled_parts(vec, den) for pair, vec in structure.items()}
+    tables = [{pair: re for pair, (re, _) in parts.items() if re}]
+    im_table = {pair: im for pair, (_, im) in parts.items() if im}
+    if im_table:
+        tables.append(im_table)
+    return tables
 
-    def flat(t: tuple[int, ...], k: int) -> int:
+
+def _basis_rows(table: dict[tuple[int, int], dict[int, int]], d: int, n: int):
+    """Row of the coboundary of each basis cochain e_t -> e_k, in the order
+    (t, k), with the multiplication ``table`` in place of the product.
+
+    Columns flatten (a_1, ..., a_{n+1}, output coordinate) in mixed radix
+    base d, and the three terms of the alternating sum follow ``coboundary``.
+    """
+    left: dict[int, list[tuple[int, int, int]]] = {}  # k -> (a, m, e_a e_k at m)
+    right: dict[int, list[tuple[int, int, int]]] = {}  # k -> (b, m, e_k e_b at m)
+    pairs: dict[int, list[tuple[int, int, int]]] = {}  # m -> (x, y, e_x e_y at m)
+    for (x, y), vec in table.items():
+        for m, c in vec.items():
+            left.setdefault(y, []).append((x, m, c))
+            right.setdefault(x, []).append((y, m, c))
+            pairs.setdefault(m, []).append((x, y, c))
+
+    def flat(digits: tuple[int, ...]) -> int:
         acc = 0
-        for idx, w in zip(t + (k,), weights):
-            acc += idx * w
+        for idx in digits:
+            acc = acc * d + idx
         return acc
 
+    right_sign = 1 if (n + 1) % 2 == 0 else -1
+    top = d ** (n + 1)
     for t in iter_product(range(d), repeat=n):
+        tflat = flat(t)
+        # f(..., a_i a_{i+1}, ...) puts x and y at digits i-1 and i, of
+        # weights wx and wy: column = hi + x * wx + y * wy + lo + k.
+        middle = []
+        for i in range(1, n + 1):
+            wy = d ** (n + 1 - i)
+            hi = flat(t[: i - 1]) * wy * d * d
+            lo = flat(t[i:]) * d
+            sign = -1 if i % 2 else 1
+            middle.append((hi, wy * d, wy, lo, sign, pairs.get(t[i - 1], ())))
         for k in range(d):
-            basis_cochain = Cochain(alg, n, {t: {k: ONE}}, copy=False)
-            image = coboundary(basis_cochain)
-            row = {
-                flat(t2, k2): v
-                for t2, vec in image.table.items()
-                for k2, v in vec.items()
-            }
-            red.add_row(row)
-    return red.rank
+            row: dict[int, int] = {}
+            for a, m, c in left.get(k, ()):  # a_1 * f(...)
+                col = a * top + tflat * d + m
+                row[col] = row.get(col, 0) + c
+            for hi, wx, wy, lo, sign, hits in middle:
+                base = hi + lo + k
+                for x, y, c in hits:
+                    col = base + x * wx + y * wy
+                    row[col] = row.get(col, 0) + sign * c
+            for b, m, c in right.get(k, ()):  # f(...) * a_{n+1}
+                col = (tflat * d + b) * d + m
+                row[col] = row.get(col, 0) + right_sign * c
+            yield row
+
+
+def _coboundary_rank(alg: Algebra, n: int) -> int:
+    """Exact rank of the coboundary on arity-n cochains.
+
+    The rows are those of D * d over the integer tables of
+    :func:`_integer_tables`, streamed into :func:`integer_rank`; with Gaussian
+    constants each row A + iB is realified and the rank halved.
+    """
+    tables = _integer_tables(alg)
+    rows = [_basis_rows(table, alg.dim, n) for table in tables]
+    if len(rows) == 1:
+        return integer_rank(rows[0])
+    return integer_rank(r for re, im in zip(*rows) for r in realified(re, im)) // 2
 
 
 def cohomology_dimension(alg: Algebra, n: int) -> int:
@@ -276,15 +341,12 @@ def cohomology_dimension(alg: Algebra, n: int) -> int:
     return cocycles - rank_prev
 
 
-def _circle(p: Cochain, q: Cochain) -> Table:
-    """Insertion composition of q into every slot of p, with graded signs."""
-    acc: Table = {}
+def _circle_into(acc: Table, coef: Scalar, p: Cochain, q: Cochain) -> None:
+    """In place: acc += coef * (P o Q), q inserted into every slot of p with
+    graded signs."""
     for i in range(p.arity):
-        exponent = i * (q.arity - 1)
-        sign = MINUS_ONE if exponent % 2 else ONE
-        part = table_insert(p.table, p.arity, q.table, q.arity, i)
-        table_add_into(acc, sign, part)
-    return table_tidy(acc)
+        sign = -coef if i * (q.arity - 1) % 2 else coef
+        table_insert_into(acc, sign, p.table, p.arity, q.table, q.arity, i)
 
 
 def gerstenhaber_bracket(p: Cochain, q: Cochain) -> Cochain:
@@ -295,8 +357,8 @@ def gerstenhaber_bracket(p: Cochain, q: Cochain) -> Cochain:
         raise PreconditionError("arity overflow in bracket")
     if p.arity + q.arity == 0:
         raise PreconditionError("bracket of two arity-0 cochains is not defined")
-    acc = _circle(p, q)
+    acc: Table = {}
+    _circle_into(acc, ONE, p, q)
     exponent = (p.arity - 1) * (q.arity - 1)
-    coef = MINUS_ONE if exponent % 2 == 0 else ONE
-    table_add_into(acc, coef, _circle(q, p))
+    _circle_into(acc, MINUS_ONE if exponent % 2 == 0 else ONE, q, p)
     return Cochain(p.algebra, p.arity + q.arity - 1, table_tidy(acc), copy=False)

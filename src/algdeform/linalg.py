@@ -7,11 +7,17 @@ may be vastly more rows than columns) and the reducer keeps a fully reduced
 echelon basis, which makes rank, kernels and particular solutions cheap to
 read off. Everything is deterministic: pivots are always the smallest
 eligible column.
+
+Rank alone goes another way. :func:`rank` and the cohomology rank scale the
+entries by their common denominator, realify Gaussian rows, and feed the
+integer rows to :func:`integer_rank`, a fraction-free echelon elimination
+that never back-substitutes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .scalar import ONE, ZERO, Scalar, as_scalar
@@ -21,6 +27,10 @@ __all__ = [
     "RowReducer",
     "AffineSolution",
     "rank",
+    "integer_rank",
+    "common_denominator",
+    "scaled_parts",
+    "realified",
     "kernel_basis",
     "solve_affine",
     "solve_sparse_system",
@@ -219,9 +229,87 @@ def _reduced(rows: Iterable[Mapping[int, Scalar]]) -> RowReducer:
     return red
 
 
+def integer_rank(rows: Iterable[Mapping[int, int]]) -> int:
+    """Exact rank over Q of integer rows ``{column: int}``, fed one at a time.
+
+    Fraction-free echelon elimination: a new row is reduced by its leading
+    column only, ``work := a * work - b * pivot_row`` with ``a/b`` the ratio
+    of the two leading entries in lowest terms, until its leading column has
+    no pivot; it is then divided by the gcd of its entries and becomes that
+    column's pivot row (leading entry positive). Stored rows are never
+    touched again, so no rationals and no back-substitution occur.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        work = {c: v for c, v in row.items() if v}
+        while work:
+            p = min(work)
+            prow = pivots.get(p)
+            if prow is None:
+                g = 0
+                for v in work.values():
+                    g = gcd(g, v)
+                    if g == 1:
+                        break
+                if work[p] < 0:
+                    g = -g
+                if g != 1:
+                    work = {c: v // g for c, v in work.items()}
+                pivots[p] = work
+                break
+            a, b = prow[p], work[p]
+            g = gcd(a, b)
+            if g != 1:
+                a, b = a // g, b // g
+            if a != 1:
+                work = {c: a * v for c, v in work.items()}
+            for c, v in prow.items():
+                nv = work.get(c, 0) - b * v
+                if nv:
+                    work[c] = nv
+                else:
+                    del work[c]
+    return len(pivots)
+
+
+def common_denominator(values: Iterable[Scalar]) -> int:
+    """The lcm of the denominators of the real and imaginary parts."""
+    den = 1
+    for s in values:
+        den = lcm(den, s.re.denominator, s.im.denominator)
+    return den
+
+
+def scaled_parts(vec: Mapping, den: int) -> tuple[dict, dict]:
+    """``den`` times the real and the imaginary parts of a sparse scalar
+    vector, as integer vectors without zeros (``den`` must clear every
+    denominator)."""
+    re = {k: s.re.numerator * (den // s.re.denominator) for k, s in vec.items() if s.re}
+    im = {k: s.im.numerator * (den // s.im.denominator) for k, s in vec.items() if s.im}
+    return re, im
+
+
+def realified(re_row: Mapping[int, int], im_row: Mapping[int, int]) -> tuple[dict, dict]:
+    """The two real rows ``[A, -B]`` and ``[B, A]`` of the Gaussian row A + iB.
+
+    Column c of the Gaussian row becomes columns 2c and 2c + 1. Over the
+    rationals the realified matrix has exactly twice the rank over Q(i).
+    """
+    top = {2 * c: v for c, v in re_row.items()}
+    bottom = {2 * c + 1: v for c, v in re_row.items()}
+    for c, v in im_row.items():
+        top[2 * c + 1] = -v
+        bottom[2 * c] = v
+    return top, bottom
+
+
 def rank(m: Matrix) -> int:
-    """Exact rank over Q(i)."""
-    return _reduced(m.sparse_rows()).rank
+    """Exact rank over Q(i), on the integer rows of ``D * m``."""
+    den = common_denominator(v for row in m.entries for v in row)
+    split = [scaled_parts(row, den) for row in m.sparse_rows()]
+    if not any(im for _, im in split):
+        return integer_rank(re for re, _ in split)
+    return integer_rank(r for re, im in split for r in realified(re, im)) // 2
 
 
 def _densify(vec: Mapping[int, Scalar], n: int) -> list[Scalar]:

@@ -43,6 +43,7 @@ __all__ = [
     "table_sub",
     "table_scaled",
     "table_insert",
+    "table_insert_into",
     "table_compose_into",
     "associator_table",
     "mixed_associator_table",
@@ -140,31 +141,39 @@ def table_scaled(coef: Scalar, table: Table) -> Table:
     return out
 
 
-def table_insert(p: Table, p_arity: int, q: Table, q_arity: int, pos: int) -> Table:
-    """The partial composition P(..., Q(...), ...) with Q in slot ``pos``.
+def table_insert_into(
+    acc: Table, coef: Scalar, p: Table, p_arity: int, q: Table, q_arity: int, pos: int
+) -> None:
+    """In place: acc += coef * P(..., Q(...), ...) with Q in slot ``pos``.
 
-    Result arity is ``p_arity + q_arity - 1``. Built by matching nonzero
+    The result has arity ``p_arity + q_arity - 1``. Built by matching nonzero
     outputs of Q against slot ``pos`` of nonzero rows of P, so the cost is
-    proportional to the match count.
+    proportional to the match count. Zeros are left for a later tidy.
     """
     if not (0 <= pos < p_arity):
         raise ValueError(f"slot {pos} out of range for arity {p_arity}")
     by_slot: dict[int, list[tuple[tuple[int, ...], Vec]]] = {}
     for tp, vp in p.items():
         by_slot.setdefault(tp[pos], []).append((tp, vp))
-    out: Table = {}
     for tq, vq in q.items():
         for m, qcoef in vq.items():
             hits = by_slot.get(m)
             if not hits:
                 continue
+            if coef is not ONE:
+                qcoef = coef * qcoef
             for tp, vp in hits:
                 key = tp[:pos] + tq + tp[pos + 1:]
-                row = out.get(key)
+                row = acc.get(key)
                 if row is None:
-                    row = {}
-                    out[key] = row
+                    row = acc[key] = {}
                 vec_add_into(row, qcoef, vp)
+
+
+def table_insert(p: Table, p_arity: int, q: Table, q_arity: int, pos: int) -> Table:
+    """The partial composition P(..., Q(...), ...) with Q in slot ``pos``."""
+    out: Table = {}
+    table_insert_into(out, ONE, p, p_arity, q, q_arity, pos)
     return table_tidy(out)
 
 
@@ -231,16 +240,18 @@ def table_compose_into(
 
 def associator_table(table: Table) -> Table:
     """(e_a e_b) e_c - e_a (e_b e_c) for an arity-2 table."""
-    return table_sub(table_insert(table, 2, table, 2, 0), table_insert(table, 2, table, 2, 1))
+    acc: Table = {}
+    table_insert_into(acc, ONE, table, 2, table, 2, 0)
+    table_insert_into(acc, MINUS_ONE, table, 2, table, 2, 1)
+    return table_tidy(acc)
 
 
 def mixed_associator_table(t1: Table, t2: Table) -> Table:
     """p1(p2(a,b),c) + p2(p1(a,b),c) - p1(a,p2(b,c)) - p2(a,p1(b,c))."""
     acc: Table = {}
-    table_add_into(acc, ONE, table_insert(t1, 2, t2, 2, 0))
-    table_add_into(acc, ONE, table_insert(t2, 2, t1, 2, 0))
-    table_add_into(acc, MINUS_ONE, table_insert(t1, 2, t2, 2, 1))
-    table_add_into(acc, MINUS_ONE, table_insert(t2, 2, t1, 2, 1))
+    for pos, sign in ((0, ONE), (1, MINUS_ONE)):
+        table_insert_into(acc, sign, t1, 2, t2, 2, pos)
+        table_insert_into(acc, sign, t2, 2, t1, 2, pos)
     return table_tidy(acc)
 
 

@@ -4,16 +4,21 @@ The dense side below works from the definitions on coordinate lists, one
 basis pair at a time, and shares nothing with the engine but the scalars and
 the structure constants. Operators are drawn at random (integer or Gaussian
 entries) or built as left, right or inner multiplications, with or without a
-perturbation, so that both verdicts occur.
+perturbation, so that both verdicts occur. The coboundary and the cohomology
+dimensions are compared against the alternating-sum definition, with ranks
+taken by ``sympy``, on the same algebras and on random changes of their basis.
 """
 
 import importlib
+from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from algdeform.algebra import (
+    Algebra,
     Operator,
     dual_number_algebra,
     full_matrix_algebra,
@@ -30,6 +35,7 @@ from algdeform.deform import (
 )
 from algdeform.dynamics import is_derivation
 from algdeform.errors import PreconditionError
+from algdeform.hochschild import Cochain, coboundary, cohomology_dimension
 from algdeform.scalar import ONE, ZERO, Scalar
 
 ALGEBRAS = [
@@ -243,3 +249,144 @@ def test_hierarchy_power_relation_matches_dense(data):
     with mock.patch.object(deform_module, "is_nijenhuis", return_value=True):
         report = verify_hierarchy(Operator.from_matrix_rows(alg, rows), maxk)
     assert report["power_relation"] == {"pass": witness is None, "witness": witness}
+
+
+# -- the coboundary and cohomology ------------------------------------------------
+
+# Coefficients of a change of basis: Gaussian and non-integer ones included,
+# so that the cohomology rank scales by a common denominator and realifies.
+BASIS_COEFFICIENTS = [Scalar(Fraction(re), Fraction(im)) for re, im in (
+    (1, 0), (-1, 0), (2, 0), (Fraction(1, 2), 0), (Fraction(-2, 3), 0),
+    (0, 1), (1, 1), (Fraction(1, 2), -1), (-1, Fraction(1, 3)),
+)]
+
+
+@st.composite
+def algebras(draw):
+    """One of ``ALGEBRAS``, as it is or in the basis f_j = P e_j for a random P.
+
+    P is a product of column additions and a diagonal scaling, so its inverse
+    comes from undoing each step; the new structure constants are
+    P^-1 (P e_a)(P e_b).
+    """
+    alg = draw(st.sampled_from(ALGEBRAS))
+    if not draw(st.booleans()):
+        return alg
+    dense = Dense(alg)
+    d = dense.d
+    coefficient = st.sampled_from(BASIS_COEFFICIENTS)
+    p = [dense.e(j) for j in range(d)]  # row i of P
+    p_inv = [dense.e(j) for j in range(d)]
+    for _ in range(draw(st.integers(1, 3))):
+        x, y = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        c = draw(coefficient)
+        if x == y:
+            continue
+        for row in p:  # column x of P += c * column y
+            row[x] = row[x] + c * row[y]
+        p_inv[y] = sub(p_inv[y], [c * v for v in p_inv[x]])
+    for j in range(d):
+        s = draw(coefficient)
+        for row in p:
+            row[j] = row[j] * s
+        p_inv[j] = [v / s for v in p_inv[j]]
+    assert matmul(p, p_inv) == [dense.e(j) for j in range(d)]
+    columns = [[p[i][j] for i in range(d)] for j in range(d)]
+    structure = {}
+    for a, b in dense.pairs():
+        vec = dense.apply(p_inv, dense.mul(columns[a], columns[b]))
+        if any(vec):
+            structure[(a, b)] = {k: v for k, v in enumerate(vec) if v}
+    event("twisted, Gaussian" if any(
+        v.im for vec in structure.values() for v in vec.values()) else "twisted, real")
+    return Algebra(alg.name + "'", d, [f"f{j}" for j in range(d)], structure)
+
+
+def dense_coboundary(dense, values, n):
+    """(d f)(e_a1, ..., e_a(n+1)) on every basis tuple, from the alternating sum
+
+        a_1 f(a_2, ...) + sum_i (-1)^i f(..., a_i a_(i+1), ...) + (-1)^(n+1) f(...) a_(n+1)
+
+    where ``values`` holds f on every basis n-tuple as a coordinate list.
+    """
+    d = dense.d
+    out = {}
+    for a in product(range(d), repeat=n + 1):
+        e = [dense.e(x) for x in a]
+        acc = dense.mul(e[0], values[a[1:]])
+        for i in range(1, n + 1):
+            merged = dense.mul(e[i - 1], e[i])
+            for j in range(d):
+                if merged[j]:
+                    term = [merged[j] * v for v in values[a[: i - 1] + (j,) + a[i + 1:]]]
+                    acc = sub(acc, term) if i % 2 else add(acc, term)
+        last = dense.mul(values[a[:n]], e[n])
+        acc = add(acc, last) if (n + 1) % 2 == 0 else sub(acc, last)
+        out[a] = acc
+    return out
+
+
+def coboundary_rank(sympy, dense, n):
+    """Rank of d on arity-n cochains, the matrix built entry by entry from the
+    alternating sum: row (a, m) is coordinate m of (d f)(e_a1, ..., e_a(n+1)),
+    column (t, k) is the basis cochain sending e_t to e_k and all else to 0.
+    """
+    from sympy.polys.matrices import DomainMatrix
+
+    d = dense.d
+    entries = {}
+
+    def put(a, m, t, k, v):
+        if v:
+            key = (a, m), (t, k)
+            entries[key] = entries.get(key, ZERO) + v
+
+    for a in product(range(d), repeat=n + 1):
+        for k in range(d):
+            for m in range(d):
+                # a_1 f(a_2, ...): f must be the cochain at t = (a_2, ...).
+                put(a, m, a[1:], k, dense.c[a[0]][k][m])
+                # (-1)^(n+1) f(a_1, ..., a_n) a_(n+1)
+                put(a, m, a[:n], k, (-1) ** (n + 1) * dense.c[k][a[n]][m])
+            # (-1)^i f(..., a_i a_(i+1), ...): coordinate k of e_k, times the
+            # coefficient of e_j in a_i a_(i+1).
+            for i in range(1, n + 1):
+                for j in range(d):
+                    put(a, k, a[: i - 1] + (j,) + a[i + 1:], k,
+                        (-1) ** i * dense.c[a[i - 1]][a[i]][j])
+    rows = {key: r for r, key in enumerate(product(product(range(d), repeat=n + 1), range(d)))}
+    cols = {key: c for c, key in enumerate(product(product(range(d), repeat=n), range(d)))}
+    matrix = sympy.SparseMatrix(len(rows), len(cols), {
+        (rows[r], cols[c]): sympy.Rational(v.re.numerator, v.re.denominator)
+        + sympy.I * sympy.Rational(v.im.numerator, v.im.denominator)
+        for (r, c), v in entries.items() if v
+    })
+    return DomainMatrix.from_Matrix(matrix).rank()
+
+
+@settings(max_examples=20, deadline=None)
+@given(algebras())
+def test_cohomology_dimension_matches_sympy_rank(alg):
+    sympy = pytest.importorskip("sympy")
+    dense = Dense(alg)
+    ranks = [0] + [coboundary_rank(sympy, dense, n) for n in (0, 1, 2)]
+    for n in (0, 1, 2):
+        expected = dense.d ** (n + 1) - ranks[n + 1] - ranks[n]
+        assert cohomology_dimension(alg, n) == expected
+
+
+@SETTINGS
+@given(algebras(), st.integers(0, 2), st.booleans(), st.randoms(use_true_random=False))
+def test_coboundary_matches_dense(alg, n, gaussian, rng):
+    dense = Dense(alg)
+
+    def draw():
+        if rng.random() < 0.5:
+            return ZERO
+        return Scalar(rng.randint(-2, 2), rng.randint(-2, 2) if gaussian else 0)
+
+    values = {t: [draw() for _ in range(dense.d)] for t in product(range(dense.d), repeat=n)}
+    table = {t: {k: v for k, v in enumerate(vec) if v} for t, vec in values.items()}
+    got = coboundary(Cochain(alg, n, table)).table
+    for a, vec in dense_coboundary(dense, values, n).items():
+        assert [got.get(a, {}).get(k, ZERO) for k in range(dense.d)] == vec

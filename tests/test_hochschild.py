@@ -165,6 +165,12 @@ def test_h2_of_matrix_algebra_vanishes():
     assert cohomology_dimension(full_matrix_algebra(2), 2) == 0
 
 
+def test_h2_of_m5_completes_and_vanishes():
+    # 25^4 = 390 625 columns and 15 625 rows: the largest matrix algebra the
+    # size guard admits in degree 2.
+    assert cohomology_dimension(full_matrix_algebra(5), 2) == 0
+
+
 def test_cohomology_guards():
     big, _, _, _ = banded_oscillator_algebra(16)
     with pytest.raises(SizeGuardError):
