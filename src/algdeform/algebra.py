@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import AlgebraError
+from .errors import AlgebraError, check_size
 from .linalg import RowReducer
 from .scalar import ONE, ZERO, Scalar, as_scalar
 from .tables import (
@@ -483,9 +483,14 @@ def _unit_label(n: int, p: int, q: int) -> str:
 
 @lru_cache(maxsize=None)
 def full_matrix_algebra(n: int) -> Algebra:
-    """The algebra of n x n matrices in the matrix-unit basis E_pq."""
+    """The algebra of n x n matrices in the matrix-unit basis E_pq.
+
+    Its n^3 structure constants give n^4 nonzero basis triples in the
+    associativity check, which must fit the size guard.
+    """
     if n < 1:
         raise AlgebraError("matrix algebra needs n >= 1")
+    check_size(f"n^4 for M{n}", n ** 4)
     dim = n * n
     basis = [_unit_label(n, p, q) for p in range(n) for q in range(n)]
     structure = {}

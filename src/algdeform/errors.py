@@ -2,7 +2,18 @@
 
 from __future__ import annotations
 
-__all__ = ["DocumentError", "AlgebraError", "PreconditionError", "SizeGuardError"]
+__all__ = [
+    "DocumentError",
+    "AlgebraError",
+    "PreconditionError",
+    "SizeGuardError",
+    "SIZE_GUARD",
+    "check_size",
+]
+
+# The one size budget: the most basis tuples a single request may make the
+# package visit. Larger requests are refused before anything is allocated.
+SIZE_GUARD = 10 ** 6
 
 
 class DocumentError(ValueError):
@@ -19,3 +30,9 @@ class PreconditionError(ValueError):
 
 class SizeGuardError(PreconditionError):
     """A computation was refused because it exceeds the fixed size budget."""
+
+
+def check_size(what: str, count: int) -> None:
+    """Refuse a request that would visit ``count`` basis tuples (``what``)."""
+    if count > SIZE_GUARD:
+        raise SizeGuardError(f"{what} = {count} exceeds the size guard {SIZE_GUARD}")

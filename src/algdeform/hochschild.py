@@ -44,7 +44,7 @@ from itertools import product as iter_product
 from typing import Optional
 
 from .algebra import Algebra, Element, Operator
-from .errors import PreconditionError, SizeGuardError
+from .errors import SIZE_GUARD, PreconditionError, check_size
 from .linalg import common_denominator, integer_rank, realified, scaled_parts
 from .scalar import MINUS_ONE, ONE, Scalar, as_scalar
 from .tables import (
@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 MAX_ARITY = 3
-COHOMOLOGY_SIZE_GUARD = 10 ** 6
+COHOMOLOGY_SIZE_GUARD = SIZE_GUARD
 
 
 class Cochain:
@@ -328,11 +328,7 @@ def cohomology_dimension(alg: Algebra, n: int) -> int:
     """dim H^n with coefficients in the algebra itself, for n in {0, 1, 2}."""
     if n not in (0, 1, 2):
         raise PreconditionError("cohomology is implemented for degrees 0, 1, 2 only")
-    if alg.dim ** (n + 2) > COHOMOLOGY_SIZE_GUARD:
-        raise SizeGuardError(
-            f"dim^{n + 2} = {alg.dim ** (n + 2)} exceeds the size guard "
-            f"{COHOMOLOGY_SIZE_GUARD}"
-        )
+    check_size(f"dim^{n + 2}", alg.dim ** (n + 2))
     rank_n = _coboundary_rank(alg, n)
     cocycles = alg.dim ** (n + 1) - rank_n
     if n == 0:

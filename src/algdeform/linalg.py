@@ -273,10 +273,10 @@ def integer_rank(rows: Iterable[Mapping[int, int]]) -> int:
 
 
 def common_denominator(values: Iterable[Scalar]) -> int:
-    """The lcm of the denominators of the real and imaginary parts."""
+    """The lcm of the denominators ``d`` of the scalars ``(a + b*i) / d``."""
     den = 1
     for s in values:
-        den = lcm(den, s.re.denominator, s.im.denominator)
+        den = lcm(den, s.d)
     return den
 
 
@@ -284,8 +284,8 @@ def scaled_parts(vec: Mapping, den: int) -> tuple[dict, dict]:
     """``den`` times the real and the imaginary parts of a sparse scalar
     vector, as integer vectors without zeros (``den`` must clear every
     denominator)."""
-    re = {k: s.re.numerator * (den // s.re.denominator) for k, s in vec.items() if s.re}
-    im = {k: s.im.numerator * (den // s.im.denominator) for k, s in vec.items() if s.im}
+    re = {k: s.a * (den // s.d) for k, s in vec.items() if s.a}
+    im = {k: s.b * (den // s.d) for k, s in vec.items() if s.b}
     return re, im
 
 

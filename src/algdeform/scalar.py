@@ -1,8 +1,14 @@
 """Exact scalars: Gaussian rationals (rational real and imaginary parts).
 
 Every computation in this package happens in the field Q(i); there is no
-floating point anywhere. ``Fraction`` keeps numerators coprime with positive
-denominators, so scalars are canonical and equality/hashing are structural.
+floating point anywhere. A :class:`Scalar` is three Python ints ``a, b, d``
+meaning ``(a + b*i) / d``, kept canonical:
+
+    d > 0,    gcd(a, b, d) == 1,    zero is (0, 0, 1).
+
+Canonical triples make equality structural. Each operation restores the
+invariant with at most one three-argument ``math.gcd``, and with none when
+both denominators are 1 (the common case) or when an integer is added.
 
 Text grammar (used by all JSON documents and CLI flags)::
 
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "Scalar",
@@ -34,155 +41,305 @@ class ScalarError(ValueError):
     """Raised for text that does not match the scalar grammar."""
 
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 _SCALAR_RE = _re.compile(
-    r"^(?P<first>[+-]?\d+(?:/\d+)?)"
-    r"(?:(?P<second>[+-]\d+(?:/\d+)?)?(?P<imag>i))?$"
+    r"^(?P<n1>[+-]?\d+)(?:/(?P<d1>\d+))?"
+    r"(?:(?:(?P<n2>[+-]\d+)(?:/(?P<d2>\d+))?)?(?P<imag>i))?$"
 )
 
 
 class Scalar:
-    """An immutable Gaussian rational ``re + im*i``."""
+    """An immutable Gaussian rational ``(a + b*i) / d`` in canonical form."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        """``re + im*i`` from ints or from anything ``Fraction`` accepts."""
+        if type(re) is not int:
+            re = Fraction(re)
+        if type(im) is not int:
+            im = Fraction(im)
+        # Both parts are in lowest terms, so over their lcm gcd(a, b, d) == 1.
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
 
-    @staticmethod
-    def _make(re: Fraction, im: Fraction) -> "Scalar":
-        s = Scalar.__new__(Scalar)
-        s.re = re
-        s.im = im
-        return s
+    # -- parts --------------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     @property
     def is_rational(self) -> bool:
-        return not self.im
+        return not self.b
 
     # -- ring/field operations ----------------------------------------------
+    #
+    # The hot methods build their result in place (``_new`` plus three slot
+    # stores) rather than through a helper call.
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar._make(self.re + other.re, self.im + other.im)
+        if type(other) is Scalar:
+            c, e, f = other.a, other.b, other.d
+        else:
+            t = _triple(other)
+            if t is None:
+                return NotImplemented
+            c, e, f = t
+        d = self.d
+        if d == f:
+            a = self.a + c
+            b = self.b + e
+            if d != 1:
+                g = gcd(a, b, d)
+                if g != 1:
+                    a //= g
+                    b //= g
+                    d //= g
+        elif f == 1:  # adding a multiple of d keeps gcd(a, b, d) == 1
+            a = self.a + c * d
+            b = self.b + e * d
+        elif d == 1:
+            a = self.a * f + c
+            b = self.b * f + e
+            d = f
+        else:
+            a = self.a * f + c * d
+            b = self.b * f + e * d
+            d *= f
+            g = gcd(a, b, d)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
+        s = _new(Scalar)
+        s.a = a
+        s.b = b
+        s.d = d
+        return s
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar._make(self.re - other.re, self.im - other.im)
+        if type(other) is Scalar:
+            c, e, f = other.a, other.b, other.d
+        else:
+            t = _triple(other)
+            if t is None:
+                return NotImplemented
+            c, e, f = t
+        d = self.d
+        if d == f:
+            a = self.a - c
+            b = self.b - e
+            if d != 1:
+                g = gcd(a, b, d)
+                if g != 1:
+                    a //= g
+                    b //= g
+                    d //= g
+        elif f == 1:
+            a = self.a - c * d
+            b = self.b - e * d
+        elif d == 1:
+            a = self.a * f - c
+            b = self.b * f - e
+            d = f
+        else:
+            a = self.a * f - c * d
+            b = self.b * f - e * d
+            d *= f
+            g = gcd(a, b, d)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
+        s = _new(Scalar)
+        s.a = a
+        s.b = b
+        s.d = d
+        return s
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return Scalar._make(other.re - self.re, other.im - self.im)
+        c, _, f = t
+        d = self.d
+        a = c * d - self.a * f
+        b = -self.b * f
+        d *= f
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
+        return _scalar(a, b, d)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # Rational-only fast path; dominant in practice.
-        if not self.im and not other.im:
-            return Scalar._make(self.re * other.re, _F0)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return Scalar._make(a * c - b * d, a * d + b * c)
+        if type(other) is Scalar:
+            c, e, f = other.a, other.b, other.d
+        else:
+            t = _triple(other)
+            if t is None:
+                return NotImplemented
+            c, e, f = t
+        a1, b1 = self.a, self.b
+        d = self.d * f
+        if b1 or e:
+            a = a1 * c - b1 * e
+            b = a1 * e + b1 * c
+            if d != 1:
+                g = gcd(a, b, d)
+                if g != 1:
+                    a //= g
+                    b //= g
+                    d //= g
+        else:
+            a = a1 * c
+            b = 0
+            if d != 1:
+                g = gcd(a, d)
+                if g != 1:
+                    a //= g
+                    d //= g
+        s = _new(Scalar)
+        s.a = a
+        s.b = b
+        s.d = d
+        return s
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            t = _triple(other)
+            if t is None:
+                return NotImplemented
+            other = _scalar(*t)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return other * self.inverse()
+        return _scalar(*t) * self.inverse()
 
     def __neg__(self) -> "Scalar":
-        return Scalar._make(-self.re, -self.im)
+        return _scalar(-self.a, -self.b, self.d)
 
     def __pos__(self) -> "Scalar":
         return self
 
     def conjugate(self) -> "Scalar":
-        return Scalar._make(self.re, -self.im)
+        return _scalar(self.a, -self.b, self.d)
 
     def inverse(self) -> "Scalar":
-        if not self.im:
-            return Scalar._make(_F1 / self.re, _F0)
-        norm = self.re * self.re + self.im * self.im
-        return Scalar._make(self.re / norm, -self.im / norm)
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            if not a:
+                raise ZeroDivisionError("inverse of zero")
+            # gcd(a, d) == 1 already; keep the denominator positive.
+            return _scalar(-d, 0, -a) if a < 0 else _scalar(d, 0, a)
+        # d / (a + b*i) = d * (a - b*i) / (a^2 + b^2), with a^2 + b^2 > 0.
+        n = a * a + b * b
+        a, b = d * a, -d * b
+        g = gcd(a, b, n)
+        if g != 1:
+            a //= g
+            b //= g
+            n //= g
+        return _scalar(a, b, n)
 
     # -- comparison / hashing -------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is Scalar:
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return (self.a, self.b, self.d) == t
 
     def __hash__(self) -> int:
-        # A real scalar equals its Fraction, so it must hash like it.
-        if not self.im:
-            return hash(self.re)
+        # A real scalar equals its int or Fraction, so it must hash like it.
+        if not self.b:
+            return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
         return hash((self.re, self.im))
 
     # -- text -----------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _ratio_text(a, d)
+        if not a:
+            return f"{_ratio_text(b, d)}i"
+        sign = "+" if b > 0 else "-"
+        return f"{_ratio_text(a, d)}{sign}{_ratio_text(abs(b), d)}i"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
 
 
-ZERO = Scalar(0)
-ONE = Scalar(1)
-MINUS_ONE = Scalar(-1)
-I = Scalar(0, 1)
+_new = object.__new__
 
 
-def _coerce(value):
-    if type(value) is Scalar:
-        return value
+def _scalar(a: int, b: int, d: int) -> Scalar:
+    """The Scalar ``(a + b*i) / d`` from a triple already in canonical form."""
+    s = _new(Scalar)
+    s.a = a
+    s.b = b
+    s.d = d
+    return s
+
+
+def _triple(value):
+    """``(a, 0, d)`` of an int or Fraction operand, else None."""
     if isinstance(value, int) or type(value) is Fraction:
-        return Scalar._make(Fraction(value), _F0)
-    if isinstance(value, Scalar):
-        return value
-    return NotImplemented
+        return value.numerator, 0, value.denominator
+    return None
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """``n/d`` in lowest terms, as ``str(Fraction(n, d))`` writes it."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+        if d != 1:
+            return f"{n}/{d}"
+    return str(n)
+
+
+ZERO = _scalar(0, 0, 1)
+ONE = _scalar(1, 0, 1)
+MINUS_ONE = _scalar(-1, 0, 1)
+I = _scalar(0, 1, 1)
 
 
 def as_scalar(value) -> Scalar:
     """Coerce an int, Fraction, Scalar, or grammar string to a Scalar."""
-    if type(value) is Scalar or isinstance(value, Scalar):
+    if isinstance(value, Scalar):
         return value
     if isinstance(value, str):
         return parse_scalar(value)
     if isinstance(value, bool):
         raise ScalarError(f"not a scalar: {value!r}")
     if isinstance(value, int) or type(value) is Fraction:
-        return Scalar._make(Fraction(value), _F0)
+        return _scalar(value.numerator, 0, value.denominator)
     raise ScalarError(f"not a scalar: {value!r}")
 
 
@@ -193,12 +350,25 @@ def parse_scalar(text: str) -> Scalar:
     m = _SCALAR_RE.match(text)
     if m is None:
         raise ScalarError(f"bad scalar syntax: {text!r}")
-    first, second, imag = m.group("first"), m.group("second"), m.group("imag")
-    try:
-        if imag is None:
-            return Scalar._make(Fraction(first), _F0)
-        if second is None:
-            return Scalar._make(_F0, Fraction(first))
-        return Scalar._make(Fraction(first), Fraction(second))
-    except ZeroDivisionError:
-        raise ScalarError(f"zero denominator in scalar: {text!r}") from None
+    n1, d1, n2, d2, imag = m.group("n1", "d1", "n2", "d2", "imag")
+    p, q = int(n1), int(d1) if d1 else 1
+    if imag is None:
+        r, s = 0, 1
+    elif n2 is None:
+        p, q, r, s = 0, 1, p, q
+    else:
+        r, s = int(n2), int(d2) if d2 else 1
+    if not q or not s:
+        raise ScalarError(f"zero denominator in scalar: {text!r}")
+    # p/q + (r/s) i = (p*s + r*q i) / (q*s)
+    if q == s:
+        a, b, d = p, r, q
+    else:
+        a, b, d = p * s, r * q, q * s
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _scalar(a, b, d)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -23,7 +24,7 @@ from algdeform.documents import (
     operator_from_doc,
     operator_to_doc,
 )
-from algdeform.errors import AlgebraError, DocumentError
+from algdeform.errors import SIZE_GUARD, AlgebraError, DocumentError, SizeGuardError, check_size
 from algdeform.scalar import ONE, Scalar
 
 
@@ -269,3 +270,25 @@ def test_no_unit_algebra_discovery():
     doc = {"name": "nil", "dim": 1, "basis": ["n"], "structure": []}
     alg = algebra_from_doc(doc)
     assert alg.unit is None
+
+
+def test_matrix_algebra_beyond_the_size_guard_is_refused_before_allocating():
+    # M_n has n^4 nonzero basis triples: 31^4 = 923 521 fits, 32^4 = 1 048 576 does not.
+    assert 31 ** 4 <= SIZE_GUARD < 32 ** 4
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError):
+            full_matrix_algebra(32)
+        with pytest.raises(SizeGuardError):
+            banded_oscillator_algebra(32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Building M32 would start with 1 024 basis labels and 32 768 table rows.
+    assert peak < 64 * 1024
+
+
+def test_size_guard_bound_is_inclusive():
+    check_size("count", SIZE_GUARD)
+    with pytest.raises(SizeGuardError, match="exceeds the size guard"):
+        check_size("count", SIZE_GUARD + 1)

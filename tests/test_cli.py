@@ -481,3 +481,11 @@ def test_repeated_structure_triple_is_refused(workdir, capsys, tmp_path):
     alg_path.write_text(json.dumps(doc))
     assert main(["cohomology", "--algebra", str(alg_path), "--degree", "0"]) == 2
     assert "repeated" in capsys.readouterr().err
+
+
+def test_example_dim_beyond_the_size_guard_exits_2(capsys):
+    for example_id in ("5", "6"):
+        assert main(["example", "--id", example_id, "--dim", "32"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the size guard" in captured.err

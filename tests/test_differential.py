@@ -4,7 +4,9 @@ The dense side below works from the definitions on coordinate lists, one
 basis pair at a time, and shares nothing with the engine but the scalars and
 the structure constants. Operators are drawn at random (integer or Gaussian
 entries) or built as left, right or inner multiplications, with or without a
-perturbation, so that both verdicts occur. The coboundary and the cohomology
+perturbation, so that both verdicts occur. The deformed table, the associator
+and the mixed associator are compared entry by entry, also on direct sums
+and with Gaussian, non-integer operators. The coboundary and the cohomology
 dimensions are compared against the alternating-sum definition, with ranks
 taken by ``sympy``, on the same algebras and on random changes of their basis.
 """
@@ -27,6 +29,7 @@ from algdeform.algebra import (
 )
 from algdeform.deform import (
     deform,
+    deform_product,
     lie_nijenhuis_check,
     mu_product,
     tensors_compatible,
@@ -37,6 +40,7 @@ from algdeform.dynamics import is_derivation
 from algdeform.errors import PreconditionError
 from algdeform.hochschild import Cochain, coboundary, cohomology_dimension
 from algdeform.scalar import ONE, ZERO, Scalar
+from algdeform.tables import associator_table, mixed_associator_table
 
 ALGEBRAS = [
     full_matrix_algebra(2),
@@ -390,3 +394,117 @@ def test_coboundary_matches_dense(alg, n, gaussian, rng):
     got = coboundary(Cochain(alg, n, table)).table
     for a, vec in dense_coboundary(dense, values, n).items():
         assert [got.get(a, {}).get(k, ZERO) for k in range(dense.d)] == vec
+
+
+# -- deformed tables, associators and mixed associators ---------------------------
+
+
+class DenseProduct(Dense):
+    """A bilinear product as a dense structure cube, evaluated like ``Dense``."""
+
+    def __init__(self, d, prod):
+        self.d = d
+        self.c = [[prod(self.e(i), self.e(j)) for j in range(d)] for i in range(d)]
+
+
+def direct_sum(a1, a2):
+    """A1 x A2, the basis of A1 first; products across the two blocks vanish."""
+    d1 = a1.dim
+    structure = {pair: dict(vec) for pair, vec in a1.structure.items()}
+    for (i, j), vec in a2.structure.items():
+        structure[(i + d1, j + d1)] = {k + d1: v for k, v in vec.items()}
+    basis = [f"{a1.name}.{x}" for x in a1.basis] + [f"{a2.name}.{x}" for x in a2.basis]
+    return Algebra(f"{a1.name}+{a2.name}", d1 + a2.dim, basis, structure)
+
+
+@st.composite
+def small_algebras(draw):
+    """One of ``ALGEBRAS``, or the direct sum of two of them of dimension at most 8."""
+    first = draw(st.sampled_from(ALGEBRAS))
+    if draw(st.booleans()):
+        return first
+    second = draw(st.sampled_from([a for a in ALGEBRAS if first.dim + a.dim <= 8]))
+    event("direct sum")
+    return direct_sum(first, second)
+
+
+@st.composite
+def fractional_operator_rows(draw, dense):
+    """A random matrix, or left or right multiplication by a random element,
+    with Gaussian and non-integer entries (left multiplications are Nijenhuis,
+    so associative deformations occur too)."""
+    d = dense.d
+    entry = st.sampled_from([ZERO] + BASIS_COEFFICIENTS)
+    kind = draw(st.sampled_from(("matrix", "left", "right")))
+    event(kind)
+    if kind == "matrix":
+        return [[draw(entry) for _ in range(d)] for _ in range(d)]
+    k = [draw(entry) for _ in range(d)]
+    cols = [dense.mul(k, dense.e(j)) if kind == "left" else dense.mul(dense.e(j), k)
+            for j in range(d)]
+    return [[cols[j][i] for j in range(d)] for i in range(d)]
+
+
+def table_row(table, key, d):
+    vec = table.get(key, {})
+    return [vec.get(k, ZERO) for k in range(d)]
+
+
+def dense_mixed_associator(p1, p2, a, b, c):
+    """p1(p2(a, b), c) + p2(p1(a, b), c) - p1(a, p2(b, c)) - p2(a, p1(b, c))."""
+    x, y, z = p1.e(a), p1.e(b), p1.e(c)
+    left = add(p1.mul(p2.mul(x, y), z), p2.mul(p1.mul(x, y), z))
+    right = add(p1.mul(x, p2.mul(y, z)), p2.mul(x, p1.mul(y, z)))
+    return sub(left, right)
+
+
+def drawn_fractional(data, count):
+    alg = data.draw(small_algebras())
+    dense = Dense(alg)
+    rows = [data.draw(fractional_operator_rows(dense)) for _ in range(count)]
+    return alg, dense, rows
+
+
+@SETTINGS
+@given(st.data())
+def test_deformed_tables_match_dense(data):
+    """mu_N1 and its deformation (mu_N1)_N2, as the hierarchy builds them."""
+    alg, dense, (r1, r2) = drawn_fractional(data, 2)
+    once = deform(Operator.from_matrix_rows(alg, r1), compute_flags=False)
+    twice = deform_product(once, Operator.from_matrix_rows(alg, r2))
+    p1 = DenseProduct(dense.d, dense.deformed(r1, dense.mul))
+    p2 = DenseProduct(dense.d, dense.deformed(r2, p1.mul))
+    for a, b in dense.pairs():
+        assert table_row(once.table, (a, b), dense.d) == p1.c[a][b]
+        assert table_row(twice.table, (a, b), dense.d) == p2.c[a][b]
+
+
+@SETTINGS
+@given(st.data())
+def test_associator_table_matches_dense(data):
+    alg, dense, (rows,) = drawn_fractional(data, 1)
+    table = deform(Operator.from_matrix_rows(alg, rows), compute_flags=False).table
+    p = DenseProduct(dense.d, dense.deformed(rows, dense.mul))
+    got = associator_table(table)
+    event(f"deformed product associative: {not got}")
+    for a, b, c in product(range(dense.d), repeat=3):
+        x, y, z = p.e(a), p.e(b), p.e(c)
+        expected = sub(p.mul(p.mul(x, y), z), p.mul(x, p.mul(y, z)))
+        assert table_row(got, (a, b, c), dense.d) == expected
+
+
+@SETTINGS
+@given(st.data(), st.booleans())
+def test_mixed_associator_table_matches_dense(data, with_mu):
+    alg, dense, (r1, r2) = drawn_fractional(data, 2)
+    t2 = deform(Operator.from_matrix_rows(alg, r2), compute_flags=False).table
+    p2 = DenseProduct(dense.d, dense.deformed(r2, dense.mul))
+    if with_mu:
+        t1, p1 = alg.structure, DenseProduct(dense.d, dense.mul)
+    else:
+        t1 = deform(Operator.from_matrix_rows(alg, r1), compute_flags=False).table
+        p1 = DenseProduct(dense.d, dense.deformed(r1, dense.mul))
+    got = mixed_associator_table(t1, t2)
+    event(f"compatible: {not got}")
+    for a, b, c in product(range(dense.d), repeat=3):
+        assert table_row(got, (a, b, c), dense.d) == dense_mixed_associator(p1, p2, a, b, c)

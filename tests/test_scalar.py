@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, strategies as st
 
@@ -110,3 +111,89 @@ def test_hash_agrees_with_equality_for_real_values():
     assert len({Scalar(1), 1}) == 1
     assert len({Scalar(Fraction(1, 2)), Fraction(1, 2)}) == 1
     assert len({Scalar(1, 1), Scalar(1, -1), Scalar(1)}) == 3
+
+
+# -- differential: the (a, b, d) core against pairs of Fractions --------------------
+
+integers = st.one_of(st.integers(-12, 12), st.integers(-(2 ** 80), 2 ** 80))
+denominators = st.one_of(st.integers(1, 12), st.integers(1, 2 ** 70))
+rationals = st.builds(Fraction, integers, denominators)
+parts = st.one_of(st.just(Fraction(0)), rationals)
+pairs = st.tuples(parts, parts)  # (re, im), the reference representation
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_inverse(x):
+    norm = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+def ref_text(x):
+    """The text of ``re + im*i`` written from the two Fractions."""
+    re, im = x
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}i"
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
+def assert_is(s, x):
+    """``s`` is the canonical Scalar of the reference pair ``x``."""
+    assert type(s) is Scalar
+    assert type(s.a) is int and type(s.b) is int and type(s.d) is int
+    assert s.d > 0 and gcd(s.a, s.b, s.d) == 1
+    if not (s.a or s.b):
+        assert (s.a, s.b, s.d) == (0, 0, 1)
+    assert (s.re, s.im) == x
+    assert str(s) == ref_text(x)
+
+
+@given(pairs, pairs)
+def test_operations_match_fraction_pairs(x, y):
+    s, t = Scalar(*x), Scalar(*y)
+    assert_is(s, x)
+    assert_is(s + t, (x[0] + y[0], x[1] + y[1]))
+    assert_is(s - t, (x[0] - y[0], x[1] - y[1]))
+    assert_is(s * t, ref_mul(x, y))
+    assert_is(-s, (-x[0], -x[1]))
+    assert_is(s.conjugate(), (x[0], -x[1]))
+    if any(y):
+        assert_is(t.inverse(), ref_inverse(y))
+        assert_is(s / t, ref_mul(x, ref_inverse(y)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            t.inverse()
+
+
+@given(pairs, st.one_of(integers, rationals))
+def test_mixed_operands_match_fraction_pairs(x, q):
+    s, r = Scalar(*x), (Fraction(q), Fraction(0))
+    assert_is(s + q, (x[0] + q, x[1]))
+    assert_is(q + s, (x[0] + q, x[1]))
+    assert_is(s - q, (x[0] - q, x[1]))
+    assert_is(q - s, (q - x[0], -x[1]))
+    assert_is(s * q, ref_mul(x, r))
+    assert_is(q * s, ref_mul(x, r))
+    if q:
+        assert_is(s / q, ref_mul(x, ref_inverse(r)))
+    if any(x):
+        assert_is(q / s, ref_mul(r, ref_inverse(x)))
+    assert (s == q) == (x == r)
+
+
+@given(st.one_of(integers, rationals))
+def test_real_scalars_hash_like_their_value(q):
+    assert Scalar(q) == q and hash(Scalar(q)) == hash(q)
+    assert as_scalar(q) == q and hash(as_scalar(q)) == hash(q)
+
+
+@given(pairs)
+def test_text_round_trip_and_hash(x):
+    s = Scalar(*x)
+    back = parse_scalar(str(s))
+    assert_is(back, x)
+    assert back == s and hash(back) == hash(s)
