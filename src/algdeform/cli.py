@@ -48,7 +48,7 @@ from .documents import (
     product_to_doc,
     algebra_from_doc,
     decomposition_from_doc,
-    read_json,
+    parse_json,
     structure_to_triples,
 )
 from .dynamics import (
@@ -67,9 +67,12 @@ from .tables import table_sub
 USAGE_ERRORS = (DocumentError, AlgebraError, PreconditionError, ScalarError, OSError)
 
 
-def _digest(path: str) -> dict:
+def _read(path: str, inputs: dict, key: str) -> dict:
+    """Parse the document at ``path``; record the sha256 of the bytes parsed."""
     with open(path, "rb") as fh:
-        return {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+        data = fh.read()
+    inputs[key] = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+    return parse_json(data, path)
 
 
 def _table_witness(alg: Algebra, witness) -> Optional[list[str]]:
@@ -80,29 +83,22 @@ def _table_witness(alg: Algebra, witness) -> Optional[list[str]]:
 
 
 def _load_algebra(args, inputs: dict) -> Algebra:
-    doc = read_json(args.algebra)
-    inputs["algebra"] = _digest(args.algebra)
-    return algebra_from_doc(doc, where=args.algebra)
+    return algebra_from_doc(_read(args.algebra, inputs, "algebra"), where=args.algebra)
 
 
 def _load_operator(alg: Algebra, path: str, inputs: dict, key: str) -> Operator:
-    doc = read_json(path)
-    inputs[key] = _digest(path)
-    return operator_from_doc(alg, doc, where=path)
+    return operator_from_doc(alg, _read(path, inputs, key), where=path)
 
 
 def _load_product(alg: Algebra, spec: str, inputs: dict, key: str):
     if spec == "mu":
         inputs[key] = {"builtin": "mu"}
         return mu_product(alg)
-    doc = read_json(spec)
-    inputs[key] = _digest(spec)
-    return product_from_doc(alg, doc, where=spec)
+    return product_from_doc(alg, _read(spec, inputs, key), where=spec)
 
 
 def _load_decomposition(alg: Algebra, args, inputs: dict):
-    doc = read_json(args.decomposition)
-    inputs["decomposition"] = _digest(args.decomposition)
+    doc = _read(args.decomposition, inputs, "decomposition")
     return decomposition_from_doc(alg, doc, where=args.decomposition)
 
 
@@ -137,7 +133,7 @@ def _cmd_check_nijenhuis(args) -> int:
                 None if preserved else element_to_list(op(alg.unit)),
             )
         )
-    return _emit({"command": "check-nijenhuis", "inputs": inputs, "checks": checks})
+    return _emit({"command": args.command, "inputs": inputs, "checks": checks})
 
 
 def _cmd_torsion(args) -> int:
@@ -146,7 +142,7 @@ def _cmd_torsion(args) -> int:
     op = _load_operator(alg, args.operator, inputs, "operator")
     t = torsion(op)
     report = {
-        "command": "torsion",
+        "command": args.command,
         "inputs": inputs,
         "checks": [],
         "outputs": {
@@ -168,7 +164,7 @@ def _cmd_deform(args) -> int:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
     report = {
-        "command": "deform",
+        "command": args.command,
         "inputs": inputs,
         "checks": [],
         "outputs": {"product": doc},
@@ -182,7 +178,7 @@ def _cmd_criterion(args) -> int:
     op = _load_operator(alg, args.operator, inputs, "operator")
     res = associativity_criterion(op)
     report = {
-        "command": "criterion",
+        "command": args.command,
         "inputs": inputs,
         "checks": [_check("booleans_agree", res.agree)],
         "outputs": {
@@ -200,7 +196,7 @@ def _cmd_compat(args) -> int:
     p2 = _load_product(alg, args.product2, inputs, "product2")
     w = mixed_associator_witness(p1, p2)
     report = {
-        "command": "compat",
+        "command": args.command,
         "inputs": inputs,
         "checks": [_check("mixed_associators_cancel", w is None, _table_witness(alg, w))],
     }
@@ -215,7 +211,7 @@ def _cmd_tensors_compat(args) -> int:
     compatible = tensors_compatible(op1, op2)
     matches = compatible == is_nijenhuis(op1 + op2)
     report = {
-        "command": "tensors-compat",
+        "command": args.command,
         "inputs": inputs,
         "checks": [
             _check("compatible", compatible),
@@ -235,7 +231,7 @@ def _cmd_hierarchy(args) -> int:
         entry = rep[key]
         checks.append(_check(key, entry["pass"], entry["witness"]))
     report = {
-        "command": "hierarchy",
+        "command": args.command,
         "inputs": inputs,
         "max_power": args.max_power,
         "checks": checks,
@@ -254,7 +250,7 @@ def _cmd_projection(args) -> int:
         _check("deformed_associative", bool(prod.associative)),
     ]
     report = {
-        "command": "projection",
+        "command": args.command,
         "inputs": inputs,
         "checks": checks,
         "outputs": {
@@ -279,7 +275,7 @@ def _cmd_contraction(args) -> int:
         ),
     ]
     report = {
-        "command": "contraction",
+        "command": args.command,
         "inputs": inputs,
         "checks": checks,
         "outputs": {"product": product_to_doc(prod, name=f"{alg.name}-contraction")},
@@ -299,7 +295,7 @@ def _cmd_theorem5(args) -> int:
     n2 = _load_operator(alg, args.n2, inputs, "n2")
     prod = theorem5_product(dec, circ1, n1, n1p, n2)
     report = {
-        "command": "theorem5",
+        "command": args.command,
         "inputs": inputs,
         "checks": [_check("associative", bool(prod.associative))],
         "outputs": {"product": product_to_doc(prod, name=f"{alg.name}-two-part")},
@@ -314,7 +310,7 @@ def _cmd_extend(args) -> int:
     n1 = _load_operator(alg, args.n1, inputs, "n1")
     rep = extend_tensor(dec, n1)
     report = {
-        "command": "extend",
+        "command": args.command,
         "inputs": inputs,
         "checks": [
             _check(
@@ -344,7 +340,7 @@ def _cmd_lie_check(args) -> int:
     op = _load_operator(alg, args.operator, inputs, "operator")
     w = deformed_bracket_witness(op)
     report = {
-        "command": "lie-check",
+        "command": args.command,
         "inputs": inputs,
         "checks": [
             _check("deformed_bracket_identity", w is None, _table_witness(alg, w)),
@@ -359,7 +355,7 @@ def _cmd_cohomology(args) -> int:
     alg = _load_algebra(args, inputs)
     dim = cohomology_dimension(alg, args.degree)
     report = {
-        "command": "cohomology",
+        "command": args.command,
         "inputs": inputs,
         "degree": args.degree,
         "checks": [],
@@ -375,7 +371,7 @@ def _cmd_derivation_check(args) -> int:
     prod = _load_product(alg, args.product, inputs, "product")
     ok, witness = is_derivation(op, prod)
     report = {
-        "command": "derivation-check",
+        "command": args.command,
         "inputs": inputs,
         "checks": [
             _check("leibniz", ok, _labels(alg, witness) if witness else None)
@@ -397,7 +393,7 @@ def _cmd_inner_generator(args) -> int:
         "ambiguity": [element_to_list(v) for v in rep.ambiguity],
     }
     report = {
-        "command": "inner-generator",
+        "command": args.command,
         "inputs": inputs,
         "checks": [_check("inner", rep.inner)],
         "outputs": outputs,
@@ -416,7 +412,7 @@ def _cmd_bihamiltonian(args) -> int:
         element_to_list(g) if g is not None else None for g in rep.generators
     ]
     report = {
-        "command": "bihamiltonian",
+        "command": args.command,
         "inputs": inputs,
         "checks": [],
         "outputs": {
@@ -435,115 +431,156 @@ def _cmd_bihamiltonian(args) -> int:
 def _cmd_example(args) -> int:
     lambdas = [parse_scalar(s) for s in args.lam] if args.lam else None
     rep = example_check(args.id, dim=args.dim, band=args.band, lambdas=lambdas)
-    rep["command"] = "example"
+    rep["command"] = args.command
     return _emit(rep)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_ALGEBRA = _arg("--algebra", required=True, help="algebra document (JSON)")
+_OPERATOR = _arg("--operator", required=True)
+_DECOMPOSITION = _arg("--decomposition", required=True)
+_PRODUCT = _arg("--product", default="mu", help="product document or 'mu' (default)")
+_PRODUCT1 = _arg("--product1", required=True, help="product document or 'mu'")
+_PRODUCT2 = _arg("--product2", required=True, help="product document or 'mu'")
+
+# Every subcommand: name -> (handler, help, argument specs in --help order).
+COMMANDS = {
+    "check-nijenhuis": (
+        _cmd_check_nijenhuis,
+        "torsion, associativity and unit checks for an operator",
+        [_ALGEBRA, _OPERATOR],
+    ),
+    "torsion": (_cmd_torsion, "export the torsion table", [_ALGEBRA, _OPERATOR]),
+    "deform": (
+        _cmd_deform,
+        "export the deformed product",
+        [_ALGEBRA, _OPERATOR,
+         _arg("--out", help="also write the product document to this path")],
+    ),
+    "criterion": (
+        _cmd_criterion,
+        "deformed associativity versus torsion 2-cocycle",
+        [_ALGEBRA, _OPERATOR],
+    ),
+    "compat": (
+        _cmd_compat,
+        "mixed-associator compatibility of two products",
+        [_ALGEBRA, _PRODUCT1, _PRODUCT2],
+    ),
+    "tensors-compat": (
+        _cmd_tensors_compat,
+        "compatibility of two torsion-free operators",
+        [_ALGEBRA, _OPERATOR, _arg("--operator2", required=True)],
+    ),
+    "hierarchy": (
+        _cmd_hierarchy,
+        "power hierarchy checks for a torsion-free operator",
+        [_ALGEBRA, _OPERATOR, _arg("--max-power", type=int, default=4)],
+    ),
+    "projection": (
+        _cmd_projection,
+        "projection combination l1*P1 + l2*P2 of a two-subalgebra split",
+        [_ALGEBRA, _DECOMPOSITION,
+         _arg("--l1", required=True), _arg("--l2", required=True)],
+    ),
+    "contraction": (
+        _cmd_contraction,
+        "contraction product of a split with subalgebra part1",
+        [_ALGEBRA, _DECOMPOSITION],
+    ),
+    "theorem5": (
+        _cmd_theorem5,
+        "two-part product from a subalgebra product and part maps",
+        [_ALGEBRA, _DECOMPOSITION,
+         _arg("--circ1", required=True, help="product document on part1, or 'mu'"),
+         _arg("--n1", required=True),
+         _arg("--n1p", help="defaults to n1"),
+         _arg("--n2", required=True)],
+    ),
+    "extend": (
+        _cmd_extend,
+        "extend a part1 operator by zero and test the obstructions",
+        [_ALGEBRA, _DECOMPOSITION, _arg("--n1", required=True)],
+    ),
+    "lie-check": (
+        _cmd_lie_check,
+        "commutator identities of the deformed product",
+        [_ALGEBRA, _OPERATOR],
+    ),
+    "cohomology": (
+        _cmd_cohomology,
+        "cohomology dimension in degree 0, 1 or 2",
+        [_ALGEBRA, _arg("--degree", type=int, required=True, choices=(0, 1, 2))],
+    ),
+    "derivation-check": (
+        _cmd_derivation_check,
+        "Leibniz rule for an operator against a product",
+        [_ALGEBRA, _OPERATOR, _PRODUCT],
+    ),
+    "inner-generator": (
+        _cmd_inner_generator,
+        "solve for a generator realizing a derivation as inner",
+        [_ALGEBRA, _OPERATOR, _PRODUCT],
+    ),
+    "bihamiltonian": (
+        _cmd_bihamiltonian,
+        "weak/strong classification of a derivation and two products",
+        [_ALGEBRA, _arg("--derivation", required=True, help="operator document"),
+         _PRODUCT1, _PRODUCT2],
+    ),
+    "example": (
+        _cmd_example,
+        "re-run one of the six worked examples",
+        [_arg("--id", type=int, required=True, choices=(1, 2, 3, 4, 5, 6)),
+         _arg("--dim", type=int, default=16),
+         _arg("--band", type=int, default=1),
+         _arg("--lambda", dest="lam", action="append",
+              help="scalar value; may repeat (oscillator examples only)")],
+    ),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser; given a subcommand name, with only that subparser.
+
+    Building every subparser costs more than most invocations'
+    work, so :func:`main` builds only the one that runs. Its help, errors
+    and exit codes are those of the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="algdeform",
         description="Exact checks for deformations of associative algebras.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = list(COMMANDS)
+    else:
+        # The full choice list keeps the top-level usage line that
+        # "unrecognized arguments" prints; the full parser derives the same
+        # text from its choices, and a metavar there would change its
+        # "required" and "invalid choice" errors.
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}"
+        )
+        names = [command]
+    for name in names:
+        handler, help_text, specs = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        return p
-
-    def with_algebra(p):
-        p.add_argument("--algebra", required=True, help="algebra document (JSON)")
-        return p
-
-    p = with_algebra(add("check-nijenhuis", _cmd_check_nijenhuis,
-                         help="torsion, associativity and unit checks for an operator"))
-    p.add_argument("--operator", required=True)
-
-    p = with_algebra(add("torsion", _cmd_torsion, help="export the torsion table"))
-    p.add_argument("--operator", required=True)
-
-    p = with_algebra(add("deform", _cmd_deform, help="export the deformed product"))
-    p.add_argument("--operator", required=True)
-    p.add_argument("--out", help="also write the product document to this path")
-
-    p = with_algebra(add("criterion", _cmd_criterion,
-                         help="deformed associativity versus torsion 2-cocycle"))
-    p.add_argument("--operator", required=True)
-
-    p = with_algebra(add("compat", _cmd_compat,
-                         help="mixed-associator compatibility of two products"))
-    p.add_argument("--product1", required=True, help="product document or 'mu'")
-    p.add_argument("--product2", required=True, help="product document or 'mu'")
-
-    p = with_algebra(add("tensors-compat", _cmd_tensors_compat,
-                         help="compatibility of two torsion-free operators"))
-    p.add_argument("--operator", required=True)
-    p.add_argument("--operator2", required=True)
-
-    p = with_algebra(add("hierarchy", _cmd_hierarchy,
-                         help="power hierarchy checks for a torsion-free operator"))
-    p.add_argument("--operator", required=True)
-    p.add_argument("--max-power", type=int, default=4)
-
-    p = with_algebra(add("projection", _cmd_projection,
-                         help="projection combination l1*P1 + l2*P2 of a two-subalgebra split"))
-    p.add_argument("--decomposition", required=True)
-    p.add_argument("--l1", required=True)
-    p.add_argument("--l2", required=True)
-
-    p = with_algebra(add("contraction", _cmd_contraction,
-                         help="contraction product of a split with subalgebra part1"))
-    p.add_argument("--decomposition", required=True)
-
-    p = with_algebra(add("theorem5", _cmd_theorem5,
-                         help="two-part product from a subalgebra product and part maps"))
-    p.add_argument("--decomposition", required=True)
-    p.add_argument("--circ1", required=True, help="product document on part1, or 'mu'")
-    p.add_argument("--n1", required=True)
-    p.add_argument("--n1p", help="defaults to n1")
-    p.add_argument("--n2", required=True)
-
-    p = with_algebra(add("extend", _cmd_extend,
-                         help="extend a part1 operator by zero and test the obstructions"))
-    p.add_argument("--decomposition", required=True)
-    p.add_argument("--n1", required=True)
-
-    p = with_algebra(add("lie-check", _cmd_lie_check,
-                         help="commutator identities of the deformed product"))
-    p.add_argument("--operator", required=True)
-
-    p = with_algebra(add("cohomology", _cmd_cohomology,
-                         help="cohomology dimension in degree 0, 1 or 2"))
-    p.add_argument("--degree", type=int, required=True, choices=(0, 1, 2))
-
-    p = with_algebra(add("derivation-check", _cmd_derivation_check,
-                         help="Leibniz rule for an operator against a product"))
-    p.add_argument("--operator", required=True)
-    p.add_argument("--product", default="mu", help="product document or 'mu' (default)")
-
-    p = with_algebra(add("inner-generator", _cmd_inner_generator,
-                         help="solve for a generator realizing a derivation as inner"))
-    p.add_argument("--operator", required=True)
-    p.add_argument("--product", default="mu", help="product document or 'mu' (default)")
-
-    p = with_algebra(add("bihamiltonian", _cmd_bihamiltonian,
-                         help="weak/strong classification of a derivation and two products"))
-    p.add_argument("--derivation", required=True, help="operator document")
-    p.add_argument("--product1", required=True, help="product document or 'mu'")
-    p.add_argument("--product2", required=True, help="product document or 'mu'")
-
-    p = add("example", _cmd_example, help="re-run one of the six worked examples")
-    p.add_argument("--id", type=int, required=True, choices=(1, 2, 3, 4, 5, 6))
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--band", type=int, default=1)
-    p.add_argument("--lambda", dest="lam", action="append",
-                   help="scalar value; may repeat (oscillator examples only)")
+        for flags, kwargs in specs:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Any argv that does not start with a subcommand name (help, no
+    # arguments, an unknown command, an option first) gets the full parser.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
     except USAGE_ERRORS as exc:

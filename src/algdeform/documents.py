@@ -28,7 +28,7 @@ from typing import Optional
 
 from .algebra import Algebra, Decomposition, Element, Operator
 from .deform import Product
-from .errors import DocumentError
+from .errors import DocumentError, check_size
 from .hochschild import Cochain
 from .scalar import Scalar, ScalarError, as_scalar
 from .tables import Table
@@ -46,17 +46,32 @@ __all__ = [
     "triples_to_table",
     "element_to_list",
     "read_json",
+    "parse_json",
 ]
 
 
 def read_json(path: str) -> dict:
+    with open(path, "rb") as fh:
+        return parse_json(fh.read(), path)
+
+
+def parse_json(data: bytes, where: str) -> dict:
+    """The JSON object in ``data``, the bytes of the document at ``where``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        # Strict UTF-8 with universal newlines, as a text-mode open reads it,
+        # so a BOM stays an error and error positions count the same chars.
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        doc = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{where}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path}: invalid JSON ({exc})") from None
+        raise DocumentError(f"{where}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise DocumentError(f"{where}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
-        raise DocumentError(f"{path}: top-level JSON value must be an object")
+        raise DocumentError(f"{where}: top-level JSON value must be an object")
     return doc
 
 
@@ -125,6 +140,7 @@ def algebra_from_doc(doc: dict, where: str = "algebra document") -> Algebra:
         raise DocumentError(f"{where}: name must be a string")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise DocumentError(f"{where}: dim must be a nonnegative integer")
+    check_size(f"{where}: dim^2", dim ** 2)
     basis = doc["basis"]
     if not isinstance(basis, list) or len(basis) != dim or not all(
         isinstance(b, str) for b in basis

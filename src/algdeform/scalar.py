@@ -53,11 +53,14 @@ class Scalar:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        """``re + im*i`` from ints or from anything ``Fraction`` accepts."""
+        """``re + im*i`` from ints, or from any exact value ``Fraction`` accepts.
+
+        Floats and bools are refused with :class:`ScalarError`.
+        """
         if type(re) is not int:
-            re = Fraction(re)
+            re = _exact_part(re)
         if type(im) is not int:
-            im = Fraction(im)
+            im = _exact_part(im)
         # Both parts are in lowest terms, so over their lcm gcd(a, b, d) == 1.
         d = lcm(re.denominator, im.denominator)
         self.a = re.numerator * (d // re.denominator)
@@ -328,6 +331,12 @@ ZERO = _scalar(0, 0, 1)
 ONE = _scalar(1, 0, 1)
 MINUS_ONE = _scalar(-1, 0, 1)
 I = _scalar(0, 1, 1)
+
+
+def _exact_part(value) -> Fraction:
+    if isinstance(value, (bool, float)):
+        raise ScalarError(f"not an exact scalar part: {value!r}")
+    return Fraction(value)
 
 
 def as_scalar(value) -> Scalar:

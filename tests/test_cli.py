@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +15,7 @@ from algdeform.algebra import (
     transpose_operator,
     triangular_split,
 )
-from algdeform.cli import main
+from algdeform.cli import COMMANDS, build_parser, main
 from algdeform.deform import deform, mu_product, projection_tensor
 from algdeform.documents import (
     algebra_from_doc,
@@ -489,3 +494,101 @@ def test_example_dim_beyond_the_size_guard_exits_2(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exceeds the size guard" in captured.err
+
+
+def test_input_digest_is_of_the_bytes_parsed(workdir, capsys):
+    main(["cohomology", "--algebra", workdir["m2.json"], "--degree", "0"])
+    digest = json.loads(capsys.readouterr().out)["inputs"]["algebra"]
+    assert digest["sha256"] == hashlib.sha256(Path(workdir["m2.json"]).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff\xfe{}", "not UTF-8 text"),
+        (b"[" * 200_000, "JSON nested too deeply"),
+        (b"\xef\xbb\xbf{}", "invalid JSON (Unexpected UTF-8 BOM"),
+        (b"{\r\n  x}", "invalid JSON (Expecting property name enclosed in double quotes: "
+                      "line 2 column 3 (char 4))"),
+    ],
+    ids=["not-utf8", "deep", "bom", "crlf"],
+)
+def test_unreadable_document_exits_2(tmp_path, capsys, data, message):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(data)
+    assert main(["cohomology", "--algebra", str(path), "--degree", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: {message}")
+    assert captured.err.count("\n") == 1  # one line, no traceback
+
+
+def test_algebra_document_dim_beyond_the_size_guard_exits_2(tmp_path, capsys):
+    def write(dim, basis_len):
+        doc = {
+            "name": f"D{dim}",
+            "dim": dim,
+            "basis": [f"e{i}" for i in range(basis_len)],
+            "structure": [[i, i, i, "1"] for i in range(basis_len)],
+        }
+        path = tmp_path / f"d{dim}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    argv = ["compat", "--product1", "mu", "--product2", "mu", "--algebra"]
+    assert main(argv + [write(1001, 1001)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "exceeds the size guard" in captured.err
+    # dim 1000 passes the guard and is refused for its short basis list instead.
+    assert main(argv + [write(1000, 1)]) == 2
+    assert "basis must be a list of 1000 labels" in capsys.readouterr().err
+
+
+def _with_required(name):
+    """``name`` with a value for each of its required options."""
+    argv = [name]
+    for flags, kwargs in COMMANDS[name][2]:
+        if kwargs.get("required"):
+            choices = kwargs.get("choices")
+            argv += [flags[0], str(choices[0]) if choices else "x"]
+    return argv
+
+
+def _parser_cases():
+    cases = [[], ["-h"], ["no-such-command"], ["--bogus", "torsion"]]
+    for name in COMMANDS:
+        full = _with_required(name)
+        cases += [[name, "-h"], full[:-2], full + ["--bogus"], full + ["extra"]]
+    return cases
+
+
+@pytest.mark.parametrize("argv", _parser_cases(), ids=lambda argv: " ".join(argv) or "(none)")
+def test_main_parses_like_the_full_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    assert outcome(main) == outcome(build_parser().parse_args)
+
+
+def test_console_entry_point_matches_in_process_main(workdir, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    real = ["check-nijenhuis", "--algebra", workdir["m2.json"], "--operator", workdir["p1.json"]]
+    for argv in (real, ["--help"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "algdeform.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)

@@ -77,6 +77,21 @@ def test_as_scalar():
         as_scalar(True)
 
 
+@pytest.mark.parametrize(
+    "parts", [(0.1,), (1, 0.5), (True,), (1, False), (float("nan"),), (Fraction(1, 2), 2.0)]
+)
+def test_constructor_refuses_floats_and_bools(parts):
+    with pytest.raises(ScalarError):
+        Scalar(*parts)
+
+
+def test_constructor_keeps_ints_and_fractions():
+    s = Scalar(Fraction(6, 4), -3)
+    assert (s.a, s.b, s.d) == (3, -6, 2)
+    assert Scalar(Fraction(1, 3), Fraction(1, 6)) == Scalar(Fraction(2, 6), Fraction(1, 6))
+    assert str(Scalar(7)) == "7"
+
+
 small_fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
 )
