@@ -224,13 +224,39 @@ def test_lie_nijenhuis_check_matches_dense(data):
     assert lie_nijenhuis_check(Operator.from_matrix_rows(alg, rows)) == expected
 
 
+def cube_mul(cube):
+    """The bilinear product whose value on (e_i, e_j) is ``cube[i][j]``."""
+    d = len(cube)
+
+    def mul(x, y):
+        out = [ZERO] * d
+        for i in range(d):
+            if not x[i]:
+                continue
+            for j in range(d):
+                if not y[j]:
+                    continue
+                c = x[i] * y[j]
+                for k, v in enumerate(cube[i][j]):
+                    if v:
+                        out[k] = out[k] + c * v
+        return out
+
+    return mul
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.data())
 def test_hierarchy_power_relation_matches_dense(data):
-    """N^r(A o_{N^(k+r)} B) = N^r(A) o_{N^k} N^r(B), smallest (r, k, a, b) failing.
+    """Every section of the hierarchy report against the dense definitions.
 
-    The hierarchy refuses operators with torsion; the torsion gate is lifted
-    here so that the relation is also exercised where it fails.
+    power_relation: N^r(A o_{N^(k+r)} B) = N^r(A) o_{N^k} N^r(B), smallest
+    (r, k, a, b) failing. composition_law: deforming o_{N^i} by N^k gives
+    o_{N^(i+k)}, first failing (i, k) in i-major order. associativity and
+    pairwise_compatibility: the first failing power (pair), with its smallest
+    failing basis triple. The hierarchy refuses operators with torsion; the
+    torsion gate is lifted here so that every section is also exercised where
+    it fails.
     """
     alg, dense, draw_rows = drawn(data)
     rows = draw_rows()
@@ -253,6 +279,50 @@ def test_hierarchy_power_relation_matches_dense(data):
     with mock.patch.object(deform_module, "is_nijenhuis", return_value=True):
         report = verify_hierarchy(Operator.from_matrix_rows(alg, rows), maxk)
     assert report["power_relation"] == {"pass": witness is None, "witness": witness}
+
+    cubes = [[[p(dense.e(a), dense.e(b)) for b in range(dense.d)] for a in range(dense.d)]
+             for p in prods]
+    muls = [cube_mul(cube) for cube in cubes]
+    witness = None
+    for i in range(maxk + 1):
+        for k in range(maxk + 1 - i):
+            redo = dense.deformed(powers[k], muls[i])
+            if witness is None and any(
+                redo(dense.e(a), dense.e(b)) != cubes[i + k][a][b] for a, b in dense.pairs()
+            ):
+                witness = (i, k)
+    event(f"composition law holds: {witness is None}")
+    assert report["composition_law"] == {"pass": witness is None, "witness": witness}
+
+    triples = list(product(range(dense.d), repeat=3))
+
+    def first_failing(lhs, rhs):
+        for a, b, c in triples:
+            x, y, z = dense.e(a), dense.e(b), dense.e(c)
+            if lhs(x, y, z) != rhs(x, y, z):
+                return (a, b, c)
+        return None
+
+    witness = None
+    for k, m in enumerate(muls):
+        w = first_failing(lambda x, y, z: m(m(x, y), z), lambda x, y, z: m(x, m(y, z)))
+        if witness is None and w is not None:
+            witness = (k, w)
+    event(f"associativity holds: {witness is None}")
+    assert report["associativity"] == {"pass": witness is None, "witness": witness}
+
+    witness = None
+    for k1 in range(maxk + 1):
+        for k2 in range(k1 + 1, maxk + 1):
+            m1, m2 = muls[k1], muls[k2]
+            w = first_failing(
+                lambda x, y, z: add(m1(m2(x, y), z), m2(m1(x, y), z)),
+                lambda x, y, z: add(m1(x, m2(y, z)), m2(x, m1(y, z))),
+            )
+            if witness is None and w is not None:
+                witness = (k1, k2, w)
+    event(f"pairwise compatibility holds: {witness is None}")
+    assert report["pairwise_compatibility"] == {"pass": witness is None, "witness": witness}
 
 
 # -- the coboundary and cohomology ------------------------------------------------
