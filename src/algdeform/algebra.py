@@ -96,7 +96,6 @@ class Algebra:
                 table[(i, j)] = cleaned
         self.structure = table
         self.metadata = dict(metadata or {})
-        self._pairs_by_product: Optional[dict[int, list[tuple[tuple[int, int], Scalar]]]] = None
         if validate:
             witness = self.associativity_witness()
             if witness is not None:
@@ -158,18 +157,6 @@ class Algebra:
     def associativity_witness(self) -> Optional[tuple[tuple[int, ...], Vec]]:
         """Smallest basis triple where (e_i e_j) e_k != e_i (e_j e_k), if any."""
         return first_witness(associator_table(self.structure))
-
-    # -- cached indexes -----------------------------------------------------------
-
-    def pairs_by_product(self) -> dict[int, list[tuple[tuple[int, int], Scalar]]]:
-        """Index m -> [((i, j), coefficient of e_m in e_i e_j)]."""
-        if self._pairs_by_product is None:
-            idx: dict[int, list[tuple[tuple[int, int], Scalar]]] = {}
-            for pair, vec in self.structure.items():
-                for m, s in vec.items():
-                    idx.setdefault(m, []).append((pair, s))
-            self._pairs_by_product = idx
-        return self._pairs_by_product
 
     def decompose(self, part1: Iterable[int]) -> "Decomposition":
         return Decomposition(self, part1)

@@ -26,11 +26,10 @@ from .deform import (
     associativity_criterion,
     contraction_product,
     deform,
-    deformed_bracket_witness,
     extend_tensor,
     interpolated_contraction_limit,
     is_nijenhuis,
-    lie_nijenhuis_check,
+    lie_bracket_checks,
     mixed_associator_witness,
     mu_product,
     nijenhuis_witness,
@@ -338,13 +337,13 @@ def _cmd_lie_check(args) -> int:
     inputs: dict = {}
     alg = _load_algebra(args, inputs)
     op = _load_operator(alg, args.operator, inputs, "operator")
-    w = deformed_bracket_witness(op)
+    w, lie_torsion_zero = lie_bracket_checks(op)
     report = {
         "command": args.command,
         "inputs": inputs,
         "checks": [
             _check("deformed_bracket_identity", w is None, _table_witness(alg, w)),
-            _check("lie_torsion_zero", lie_nijenhuis_check(op)),
+            _check("lie_torsion_zero", lie_torsion_zero),
         ],
     }
     return _emit(report)

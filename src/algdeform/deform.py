@@ -14,6 +14,12 @@ extension / contraction constructions on basis-aligned splittings.
 Identity checks are exhaustive over basis tuples (bilinearity makes that
 sufficient) and exact; every predicate has a witness-producing variant so the
 CLI can report the first failing tuple.
+
+Every table here is a signed sum of compositions built by the kernels of
+``tables``. The deformed product mu o (N, 1) + mu o (1, N) - N o mu is the
+Hochschild coboundary of N, that is [mu, N] (``table_deform_into``); torsion
+and the hierarchy relations compose mu with operators; commutators are
+``table_alternation``.
 """
 
 from __future__ import annotations
@@ -36,9 +42,8 @@ from .tables import (
     table_add_into,
     table_alternation,
     table_compose_into,
-    table_sub,
+    table_deform_into,
     table_tidy,
-    vec_add_into,
 )
 
 __all__ = [
@@ -64,7 +69,7 @@ __all__ = [
     "ExtensionReport",
     "extend_tensor",
     "lie_bracket_of",
-    "deformed_bracket_witness",
+    "lie_bracket_checks",
     "lie_nijenhuis_check",
     "total_skew_associator",
     "product_sum",
@@ -119,20 +124,6 @@ class Product:
         return Element(self.algebra, found) if found is not None else None
 
 
-def _table_by_first(table: Table) -> dict[int, list[tuple[int, Vec]]]:
-    idx: dict[int, list[tuple[int, Vec]]] = {}
-    for (a, b), vec in table.items():
-        idx.setdefault(a, []).append((b, vec))
-    return idx
-
-
-def _table_by_second(table: Table) -> dict[int, list[tuple[int, Vec]]]:
-    idx: dict[int, list[tuple[int, Vec]]] = {}
-    for (a, b), vec in table.items():
-        idx.setdefault(b, []).append((a, vec))
-    return idx
-
-
 def mu_product(alg: Algebra) -> Product:
     """The algebra's own multiplication as a Product (always associative)."""
     return Product(Cochain.product_cochain(alg), associative=True, unit=alg.unit)
@@ -140,32 +131,8 @@ def mu_product(alg: Algebra) -> Product:
 
 def _deform_table(base: Table, n: Operator) -> Table:
     """Table of (A, B) -> N(A)B + A N(B) - N(AB) over the given base product."""
-    d = n.algebra.dim
-    cols = n.columns
-    by_first = _table_by_first(base)
-    by_second = _table_by_second(base)
     out: Table = {}
-    for a in range(d):
-        col = cols[a]
-        if not col:
-            continue
-        for m, coef in col.items():
-            for b, vec in by_first.get(m, ()):  # N(e_a) e_b
-                acc = out.setdefault((a, b), {})
-                vec_add_into(acc, coef, vec)
-    for b in range(d):
-        col = cols[b]
-        if not col:
-            continue
-        for m, coef in col.items():
-            for a, vec in by_second.get(m, ()):  # e_a N(e_b)
-                acc = out.setdefault((a, b), {})
-                vec_add_into(acc, coef, vec)
-    for pair, vec in base.items():  # - N(e_a e_b)
-        image = n.apply_vec(vec)
-        if image:
-            acc = out.setdefault(pair, {})
-            vec_add_into(acc, MINUS_ONE, image)
+    table_deform_into(out, ONE, base, n.columns)
     return table_tidy(out)
 
 
@@ -315,8 +282,11 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
     comp_ok, comp_witness = True, None
     for i in range(maxk + 1):
         for k in range(maxk + 1 - i):
-            redo = _deform_table(prods[i].table, powers[k])
-            if table_sub(redo, prods[i + k].table):
+            # (o_{N^i} deformed by N^k) - o_{N^(i+k)}
+            acc = {}
+            table_deform_into(acc, ONE, prods[i].table, powers[k].columns)
+            table_add_into(acc, MINUS_ONE, prods[i + k].table)
+            if first_witness(acc) is not None:
                 comp_ok = False
                 if comp_witness is None:
                     comp_witness = (i, k)
@@ -614,30 +584,31 @@ def extend_tensor(dec: Decomposition, n1: Operator) -> ExtensionReport:
     )
 
 
-def _commutator_table(table: Table) -> Table:
-    out: Table = {}
-    for (i, j), vec in table.items():
-        acc = out.setdefault((i, j), {})
-        vec_add_into(acc, ONE, vec)
-        acc = out.setdefault((j, i), {})
-        vec_add_into(acc, MINUS_ONE, vec)
-    return table_tidy(out)
-
-
 def lie_bracket_of(p: Product) -> Cochain:
     """The commutator [A, B] = A o B - B o A of a product, as a 2-cochain."""
-    return Cochain(p.algebra, 2, _commutator_table(p.table), copy=False)
+    return Cochain(p.algebra, 2, table_alternation(p.table), copy=False)
 
 
-def deformed_bracket_witness(n: Operator) -> Optional[tuple[tuple[int, ...], Vec]]:
-    """Smallest basis pair where [A, B]_N != [N A, B] + [A, N B] - N[A, B].
+def lie_bracket_checks(n: Operator) -> tuple[Optional[tuple[tuple[int, ...], Vec]], bool]:
+    """Both Lie-side checks of ``n``, from one deformed commutator table.
 
-    [.,.]_N is the commutator of the deformed product and [.,.] that of the
-    original one, so the right side is the commutator table deformed by N.
+    Returns the smallest basis pair where [A, B]_N != [N A, B] + [A, N B] -
+    N[A, B] (None when there is none), and whether N([A,B]_N) = [N(A), N(B)]
+    on all basis pairs. [.,.]_N is the commutator of the deformed product and
+    [.,.] that of the original one, so the right side of the first identity
+    is the commutator table deformed by N.
     """
     mu = n.algebra.structure
-    bracket = _commutator_table(_deform_table(mu, n))
-    return first_witness(table_sub(bracket, _deform_table(_commutator_table(mu), n)))
+    bracket = table_alternation(_deform_table(mu, n))
+    mu_bracket = table_alternation(mu)
+    acc: Table = {}
+    table_add_into(acc, ONE, bracket)
+    table_deform_into(acc, MINUS_ONE, mu_bracket, n.columns)
+    identity_witness = first_witness(acc)
+    acc = {}
+    table_compose_into(acc, ONE, bracket, outer=n.columns)
+    table_compose_into(acc, MINUS_ONE, mu_bracket, inner=(n.columns, n.columns))
+    return identity_witness, first_witness(acc) is None
 
 
 def lie_nijenhuis_check(n: Operator) -> bool:
@@ -647,11 +618,7 @@ def lie_nijenhuis_check(n: Operator) -> bool:
     right is the one of the original product. Implied by vanishing torsion
     but strictly weaker (it only sees skew-symmetrizations).
     """
-    mu = n.algebra.structure
-    acc: Table = {}
-    table_compose_into(acc, ONE, _commutator_table(_deform_table(mu, n)), outer=n.columns)
-    table_compose_into(acc, MINUS_ONE, _commutator_table(mu), inner=(n.columns, n.columns))
-    return first_witness(acc) is None
+    return lie_bracket_checks(n)[1]
 
 
 def total_skew_associator(p: Product) -> Cochain:

@@ -21,7 +21,9 @@ The graded bracket uses the standard insertion composition
     [P, Q] = P o Q - (-1)^{(p-1)(q-1)} Q o P
 
 whose two calibration identities ([product, N] = deformed product and
-[product, product] = 0) are pinned by the regression tests.
+[product, product] = 0) are pinned by the regression tests. Each P o Q is
+a sum of ``tables.table_insert_into`` terms, and so is the coboundary:
+d f = (-1)^(n+1) [mu, f] for f of arity n (Gerstenhaber 1963).
 
 Cohomology dimensions need the exact rank of the coboundary on arity-n
 cochains, a d^(n+1) x d^(n+2) matrix. Its rows are never built as cochains:
@@ -205,40 +207,19 @@ class Cochain:
 
 
 def coboundary(c: Cochain) -> Cochain:
-    """The Hochschild coboundary, with the algebra product acting on both sides."""
+    """The Hochschild coboundary, with the algebra product acting on both sides.
+
+    d f = (-1)^(n+1) [mu, f] for f of arity n, that is
+    (-1)^(n+1) mu o f - f o mu.
+    """
     if c.arity >= MAX_ARITY:
         raise PreconditionError("coboundary output would exceed the supported arity")
     alg = c.algebra
-    n = c.arity
-    d = alg.dim
-    out: Table = {}
-    structure = alg.structure
-    pairs_by = alg.pairs_by_product()
-    right_sign = ONE if (n + 1) % 2 == 0 else MINUS_ONE
-    for t, vec in c.table.items():
-        # a_1 * f(...)
-        for a in range(d):
-            acc = out.setdefault((a,) + t, {})
-            for m, coef in vec.items():
-                cell = structure.get((a, m))
-                if cell:
-                    vec_add_into(acc, coef, cell)
-        # f(..., a_i a_{i+1}, ...)
-        for i in range(1, n + 1):
-            sign = MINUS_ONE if i % 2 else ONE
-            m = t[i - 1]
-            for (x, y), coef in pairs_by.get(m, ()):  # e_x e_y contains e_m
-                key = t[: i - 1] + (x, y) + t[i:]
-                acc = out.setdefault(key, {})
-                vec_add_into(acc, sign * coef, vec)
-        # f(...) * a_{n+1}
-        for b in range(d):
-            acc = out.setdefault(t + (b,), {})
-            for m, coef in vec.items():
-                cell = structure.get((m, b))
-                if cell:
-                    vec_add_into(acc, right_sign * coef, cell)
-    return Cochain(alg, n + 1, table_tidy(out), copy=False)
+    mu = Cochain(alg, 2, alg.structure, copy=False)
+    acc: Table = {}
+    _circle_into(acc, MINUS_ONE if c.arity % 2 == 0 else ONE, mu, c)
+    _circle_into(acc, MINUS_ONE, c, mu)
+    return Cochain(alg, c.arity + 1, table_tidy(acc), copy=False)
 
 
 def is_cocycle(c: Cochain) -> bool:

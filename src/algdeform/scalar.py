@@ -22,6 +22,7 @@ token is forbidden.
 from __future__ import annotations
 
 import re as _re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -53,9 +54,10 @@ class Scalar:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        """``re + im*i`` from ints, or from any exact value ``Fraction`` accepts.
+        """``re + im*i`` from ints, Fractions or real scalar strings.
 
-        Floats and bools are refused with :class:`ScalarError`.
+        A string part goes through :func:`parse_scalar`. Floats, Decimals and
+        bools are refused with :class:`ScalarError`.
         """
         if type(re) is not int:
             re = _exact_part(re)
@@ -334,7 +336,12 @@ I = _scalar(0, 1, 1)
 
 
 def _exact_part(value) -> Fraction:
-    if isinstance(value, (bool, float)):
+    if isinstance(value, str):
+        s = parse_scalar(value)
+        if s.b:
+            raise ScalarError(f"not a real scalar part: {value!r}")
+        return Fraction(s.a, s.d)
+    if isinstance(value, (bool, float, Decimal)):
         raise ScalarError(f"not an exact scalar part: {value!r}")
     return Fraction(value)
 

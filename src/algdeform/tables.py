@@ -7,14 +7,16 @@ of basis vector j.
 
 Every identity check in the package has one shape: two compositions of a
 product table with linear operators agree on every basis tuple. Such a check
-is a signed sum of terms, each built by :func:`table_compose_into` in one of
-two forms (or both at once):
+is a signed sum of terms, each built in place by one of two kernels:
 
-    post-composition    acc += c * N o T
-    slot substitution   acc += c * T o (N1, N2, ...)    (None = identity)
+    table_compose_into  acc += c * N o T o (N1, N2, ...)  (None = identity)
+    table_insert_into   acc += c * P(..., Q(...), ...)    (Q in one slot of P)
 
 and the identity holds exactly when the sum is the zero table;
 :func:`first_witness` returns its lexicographically smallest failing tuple.
+The deformed product T o (N, 1) + T o (1, N) - N o T is three compose terms
+(:func:`table_deform_into`); the associators, and in ``hochschild`` the
+graded bracket and the coboundary d = (-1)^(n+1) [mu, .], are insertions.
 The kernels are flat and dict-based: their cost scales with the number of
 nonzero entries, never with dim**n.
 """
@@ -45,6 +47,7 @@ __all__ = [
     "table_insert",
     "table_insert_into",
     "table_compose_into",
+    "table_deform_into",
     "associator_table",
     "mixed_associator_table",
     "table_alternation",
@@ -58,6 +61,10 @@ def vec_add_into(acc: Vec, coef: Scalar, vec: Mapping[int, Scalar]) -> None:
         for k, v in vec.items():
             cur = acc.get(k)
             acc[k] = v if cur is None else cur + v
+    elif coef is MINUS_ONE:
+        for k, v in vec.items():
+            cur = acc.get(k)
+            acc[k] = -v if cur is None else cur - v
     else:
         for k, v in vec.items():
             cur = acc.get(k)
@@ -78,14 +85,8 @@ def vec_mul(table: Table, x: Mapping[int, Scalar], y: Mapping[int, Scalar]) -> V
 
 def vec_sub(a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> Vec:
     out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        nv = -v if cur is None else cur - v
-        if nv:
-            out[k] = nv
-        elif k in out:
-            del out[k]
-    return out
+    vec_add_into(out, MINUS_ONE, b)
+    return {k: v for k, v in out.items() if v}
 
 
 def vec_eq(a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> bool:
@@ -117,18 +118,7 @@ def table_add_into(acc: Table, coef: Scalar, table: Table) -> None:
 
 def table_sub(a: Table, b: Table) -> Table:
     out: Table = {t: dict(vec) for t, vec in a.items()}
-    for t, vec in b.items():
-        row = out.get(t)
-        if row is None:
-            row = {}
-            out[t] = row
-        for k, v in vec.items():
-            cur = row.get(k)
-            nv = -v if cur is None else cur - v
-            if nv:
-                row[k] = nv
-            elif k in row:
-                del row[k]
+    table_add_into(out, MINUS_ONE, b)
     return table_tidy(out)
 
 
@@ -201,14 +191,16 @@ def table_compose_into(
     inner[s](e_{a_s}), found through each operator's preimage index. Zeros are
     left for a later tidy.
     """
-    slots = None
+    slots = one = None
     if inner is not None and any(op is not None for op in inner):
-        first = next(s for s, op in enumerate(inner) if op is not None)
+        substituted = [s for s, op in enumerate(inner) if op is not None]
         # ``coef`` is folded into the index of the first substituted slot.
         slots = [
-            None if op is None else _preimages(op, coef if s == first else ONE)
+            None if op is None else _preimages(op, coef if s == substituted[0] else ONE)
             for s, op in enumerate(inner)
         ]
+        if len(substituted) == 1:
+            one = substituted[0]
     for t, vec in table.items():
         if outer is not None:
             image: Vec = {}
@@ -223,6 +215,14 @@ def table_compose_into(
                 row = acc[t] = {}
             vec_add_into(row, coef, vec)
             continue
+        if one is not None:  # the other slots keep their index
+            for a, c in slots[one].get(t[one], ()):
+                key = t[:one] + (a,) + t[one + 1:]
+                row = acc.get(key)
+                if row is None:
+                    row = acc[key] = {}
+                vec_add_into(row, c, vec)
+            continue
         hits = [((m, ONE),) if idx is None else idx.get(m) for m, idx in zip(t, slots)]
         if not all(hits):
             continue
@@ -236,6 +236,18 @@ def table_compose_into(
             if row is None:
                 row = acc[key] = {}
             vec_add_into(row, c, vec)
+
+
+def table_deform_into(acc: Table, coef: Scalar, table: Table, cols: Columns) -> None:
+    """In place: acc += coef * (T o (N, 1) + T o (1, N) - N o T), T = ``table``.
+
+    For a product T this is the deformed product N(A)B + A N(B) - N(AB), the
+    Hochschild coboundary of N taken with T. Zeros are left for a later tidy.
+    """
+    table_compose_into(acc, coef, table, inner=(cols, None))
+    table_compose_into(acc, coef, table, inner=(None, cols))
+    neg = MINUS_ONE if coef is ONE else ONE if coef is MINUS_ONE else -coef
+    table_compose_into(acc, neg, table, outer=cols)
 
 
 def associator_table(table: Table) -> Table:

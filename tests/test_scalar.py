@@ -1,4 +1,5 @@
 import pytest
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -83,6 +84,19 @@ def test_as_scalar():
 def test_constructor_refuses_floats_and_bools(parts):
     with pytest.raises(ScalarError):
         Scalar(*parts)
+
+
+@pytest.mark.parametrize(
+    "parts", [("1.5",), (" 2 ",), ("1e-3",), ("2i",), (1, "1/2+i"), (Decimal("1.5"),), (0, Decimal(2))]
+)
+def test_constructor_refuses_text_outside_the_grammar_and_decimals(parts):
+    with pytest.raises(ScalarError):
+        Scalar(*parts)
+
+
+def test_constructor_parses_real_scalar_strings():
+    assert Scalar("1/2", 0) == Scalar(Fraction(1, 2))
+    assert Scalar("-3", "2/4") == Scalar(-3, Fraction(1, 2))
 
 
 def test_constructor_keeps_ints_and_fractions():
