@@ -599,16 +599,19 @@ def lie_bracket_checks(n: Operator) -> tuple[Optional[tuple[tuple[int, ...], Vec
     is the commutator table deformed by N.
     """
     mu = n.algebra.structure
-    bracket = table_alternation(_deform_table(mu, n))
-    mu_bracket = table_alternation(mu)
+    bracket, mu_bracket = table_alternation(_deform_table(mu, n)), table_alternation(mu)
     acc: Table = {}
     table_add_into(acc, ONE, bracket)
     table_deform_into(acc, MINUS_ONE, mu_bracket, n.columns)
-    identity_witness = first_witness(acc)
-    acc = {}
+    return first_witness(acc), _lie_torsion_zero(n, bracket, mu_bracket)
+
+
+def _lie_torsion_zero(n: Operator, bracket: Table, mu_bracket: Table) -> bool:
+    """N o [.,.]_N - [.,.] o (N, N) vanishes, given both commutator tables."""
+    acc: Table = {}
     table_compose_into(acc, ONE, bracket, outer=n.columns)
     table_compose_into(acc, MINUS_ONE, mu_bracket, inner=(n.columns, n.columns))
-    return identity_witness, first_witness(acc) is None
+    return first_witness(acc) is None
 
 
 def lie_nijenhuis_check(n: Operator) -> bool:
@@ -618,7 +621,8 @@ def lie_nijenhuis_check(n: Operator) -> bool:
     right is the one of the original product. Implied by vanishing torsion
     but strictly weaker (it only sees skew-symmetrizations).
     """
-    return lie_bracket_checks(n)[1]
+    mu = n.algebra.structure
+    return _lie_torsion_zero(n, table_alternation(_deform_table(mu, n)), table_alternation(mu))
 
 
 def total_skew_associator(p: Product) -> Cochain:

@@ -192,8 +192,8 @@ def table_compose_into(
     left for a later tidy.
     """
     slots = one = None
-    if inner is not None and any(op is not None for op in inner):
-        substituted = [s for s, op in enumerate(inner) if op is not None]
+    substituted = [s for s, op in enumerate(inner) if op is not None] if inner else ()
+    if substituted:
         # ``coef`` is folded into the index of the first substituted slot.
         slots = [
             None if op is None else _preimages(op, coef if s == substituted[0] else ONE)
