@@ -313,14 +313,6 @@ class Operator:
         return cls(algebra, cols)
 
     @classmethod
-    def from_function(cls, algebra: Algebra, fn) -> "Operator":
-        cols = []
-        for j in range(algebra.dim):
-            img = fn(j)
-            cols.append(img.coords if isinstance(img, Element) else _clean_vec(img))
-        return cls(algebra, cols)
-
-    @classmethod
     def left_multiplication(cls, k: Element) -> "Operator":
         alg = k.algebra
         return cls(alg, [alg.mul_vec(k.coords, {j: ONE}) for j in range(alg.dim)])

@@ -114,17 +114,13 @@ def _cmd_check_nijenhuis(args) -> int:
     alg = _load_algebra(args, inputs)
     op = _load_operator(alg, args.operator, inputs, "operator")
     tw = nijenhuis_witness(op)
-    prod = deform(op)
+    aw = deform(op, compute_flags=False).associativity_witness()
     checks = [
         _check("torsion_zero", tw is None, _table_witness(alg, tw)),
-        _check(
-            "deformed_associative",
-            bool(prod.associative),
-            _table_witness(alg, prod.associativity_witness()),
-        ),
+        _check("deformed_associative", aw is None, _table_witness(alg, aw)),
     ]
     if alg.unit is not None:
-        preserved = prod.unit == alg.unit
+        preserved = op(alg.unit) == alg.unit
         checks.append(
             _check(
                 "unit_preserved",

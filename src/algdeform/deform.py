@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from .algebra import Algebra, Decomposition, Element, Operator, table_is_unit, table_unit
 from .errors import PreconditionError
 from .hochschild import Cochain, coboundary
-from .linalg import Matrix, invert
+from .linalg import inverse_columns
 from .scalar import MINUS_ONE, ONE, ZERO, as_scalar
 from .tables import (
     Table,
@@ -456,18 +456,16 @@ def _part_inverse(op: Operator, part: Sequence[int], name: str) -> Operator:
     """Inverse of an operator on the span of ``part`` (zero elsewhere)."""
     idx = list(part)
     pos = {j: t for t, j in enumerate(idx)}
-    m = Matrix.zeros(len(idx), len(idx))
+    rows: list[Vec] = [{} for _ in idx]
     for t, j in enumerate(idx):
         for i, v in op.columns[j].items():
-            m.entries[pos[i]][t] = v
-    minv = invert(m)
-    if minv is None:
+            rows[pos[i]][t] = v
+    inv = inverse_columns(rows)
+    if inv is None:
         raise PreconditionError(f"{name} is not invertible on its part")
     cols: list[Vec] = [{} for _ in range(op.algebra.dim)]
-    for t, j in enumerate(idx):
-        cols[j] = {
-            idx[s]: minv.entries[s][t] for s in range(len(idx)) if minv.entries[s][t]
-        }
+    for t, col in enumerate(inv):
+        cols[idx[t]] = {idx[s]: v for s, v in sorted(col.items())}
     return Operator(op.algebra, cols)
 
 

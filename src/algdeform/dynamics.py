@@ -51,7 +51,7 @@ from .deform import (
 from .errors import PreconditionError
 from .hochschild import Cochain
 from .linalg import RowReducer, solve_sparse_system
-from .scalar import MINUS_ONE, ONE, Scalar, as_scalar
+from .scalar import MINUS_ONE, ONE, ZERO, Scalar, as_scalar
 from .tables import (
     Table,
     Vec,
@@ -136,11 +136,19 @@ def inner_generator(d: Operator, p: Product) -> DerivationReport:
             row[y] = row.get(y, as_scalar(0)) - s
     red = RowReducer()
     seen = set()
+    fed = set()  # equal (row, rhs) pairs are fed once, keyed by integer triples
+
+    def feed(row: Vec, rhs: Scalar = ZERO) -> None:
+        pair = (frozenset((k, v.a, v.b, v.d) for k, v in row.items()), rhs.a, rhs.b, rhs.d)
+        if pair not in fed:
+            fed.add(pair)
+            red.add_row(row, rhs)
+
     for j in range(dim):
         for c, rhs in d.columns[j].items():
             key = (j, c)
             seen.add(key)
-            red.add_row(rows.get(key, {}), rhs)
+            feed(rows.get(key, {}), rhs)
             if red.inconsistent:
                 break
         if red.inconsistent:
@@ -148,7 +156,7 @@ def inner_generator(d: Operator, p: Product) -> DerivationReport:
     if not red.inconsistent:
         for key, row in rows.items():
             if key not in seen:
-                red.add_row(row)
+                feed(row)
     leibniz, lw = is_derivation(d, p)
     if red.inconsistent:
         return DerivationReport(leibniz, lw, False, None, [])

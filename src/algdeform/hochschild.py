@@ -33,21 +33,21 @@ cochains, a d^(n+1) x d^(n+2) matrix. Its rows are never built as cochains:
   D * d has the same rank, and its entries are Gaussian integers;
 * the row of each basis cochain e_t -> e_k is emitted straight from those
   scaled constants, term by term of the alternating sum above;
-* with a nonzero imaginary part A + iB is realified: the rational rank of
-  [[A, -B], [B, A]] is twice the rank over Q(i);
-* the integer rows stream one at a time into ``linalg.integer_rank``, a
-  fraction-free echelon elimination (after Bareiss 1968) that divides each
-  new pivot row by the gcd of its entries and never back-substitutes.
+* the integer rows, with their imaginary parts when the constants have
+  any, stream one at a time into a ``linalg.RowReducer``, the package's
+  one fraction-free echelon elimination (after Bareiss 1968). Only the rank
+  is asked for, so it never back-substitutes.
 """
 
 from __future__ import annotations
 
 from itertools import product as iter_product
+from math import lcm
 from typing import Optional
 
 from .algebra import Algebra, Element, Operator
 from .errors import SIZE_GUARD, PreconditionError, check_size
-from .linalg import common_denominator, integer_rank, realified, scaled_parts
+from .linalg import RowReducer, scaled_parts
 from .scalar import MINUS_ONE, ONE, Scalar, as_scalar
 from .tables import (
     Table,
@@ -109,16 +109,6 @@ class Cochain:
         """The multiplication of the algebra itself, as a 2-cochain."""
         return cls(algebra, 2, algebra.structure, copy=True)
 
-    @classmethod
-    def from_function(cls, algebra: Algebra, arity: int, fn) -> "Cochain":
-        table: Table = {}
-        for t in iter_product(range(algebra.dim), repeat=arity):
-            img = fn(*t)
-            vec = img.coords if isinstance(img, Element) else img
-            if vec:
-                table[t] = dict(vec)
-        return cls(algebra, arity, table, copy=False)
-
     # -- evaluation -----------------------------------------------------------
 
     def value(self, *indices: int) -> Vec:
@@ -146,19 +136,6 @@ class Cochain:
             if not dead and coef:
                 vec_add_into(acc, coef, vec)
         return Element(self.algebra, {k: v for k, v in acc.items() if v})
-
-    # -- views ---------------------------------------------------------------
-
-    def as_element(self) -> Element:
-        if self.arity != 0:
-            raise PreconditionError("only arity-0 cochains are elements")
-        return Element(self.algebra, dict(self.table.get((), {})))
-
-    def as_operator(self) -> Operator:
-        if self.arity != 1:
-            raise PreconditionError("only arity-1 cochains are operators")
-        cols = [dict(self.table.get((j,), {})) for j in range(self.algebra.dim)]
-        return Operator(self.algebra, cols)
 
     # -- linear structure -------------------------------------------------------
 
@@ -231,7 +208,7 @@ def _integer_tables(alg: Algebra) -> list[dict[tuple[int, int], dict[int, int]]]
     """D times the structure constants as integer tables, D their common
     denominator: the real part, then the imaginary part if it is not zero."""
     structure = alg.structure
-    den = common_denominator(s for vec in structure.values() for s in vec.values())
+    den = lcm(1, *{s.d for vec in structure.values() for s in vec.values()})
     parts = {pair: scaled_parts(vec, den) for pair, vec in structure.items()}
     tables = [{pair: re for pair, (re, _) in parts.items() if re}]
     im_table = {pair: im for pair, (_, im) in parts.items() if im}
@@ -292,17 +269,12 @@ def _basis_rows(table: dict[tuple[int, int], dict[int, int]], d: int, n: int):
 
 
 def _coboundary_rank(alg: Algebra, n: int) -> int:
-    """Exact rank of the coboundary on arity-n cochains.
-
-    The rows are those of D * d over the integer tables of
-    :func:`_integer_tables`, streamed into :func:`integer_rank`; with Gaussian
-    constants each row A + iB is realified and the rank halved.
-    """
-    tables = _integer_tables(alg)
-    rows = [_basis_rows(table, alg.dim, n) for table in tables]
-    if len(rows) == 1:
-        return integer_rank(rows[0])
-    return integer_rank(r for re, im in zip(*rows) for r in realified(re, im)) // 2
+    """Exact rank of the coboundary on arity-n cochains: the rows of D * d
+    over the integer tables of :func:`_integer_tables`, Gaussian integer
+    rows when the constants have an imaginary part."""
+    red = RowReducer()
+    red.add_integer_rows(*(_basis_rows(table, alg.dim, n) for table in _integer_tables(alg)))
+    return red.rank
 
 
 def cohomology_dimension(alg: Algebra, n: int) -> int:

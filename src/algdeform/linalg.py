@@ -1,41 +1,41 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Dense :class:`Matrix` plus rank / kernel / affine-solve, all via exact
-Gaussian elimination. The workhorse is :class:`RowReducer`, an incremental
-Gauss-Jordan on sparse rows: callers feed equation rows one at a time (there
-may be vastly more rows than columns) and the reducer keeps a fully reduced
-echelon basis, which makes rank, kernels and particular solutions cheap to
-read off. Everything is deterministic: pivots are always the smallest
-eligible column.
+Dense :class:`Matrix` plus rank, kernel, affine solve and inverse, all on one
+exact elimination, :class:`RowReducer`, fed sparse rows one at a time:
 
-Rank alone goes another way. :func:`rank` and the cohomology rank scale the
-entries by their common denominator, realify Gaussian rows, and feed the
-integer rows to :func:`integer_rank`, a fraction-free echelon elimination
-that never back-substitutes.
+* each row is scaled by its own common denominator, so only integers are
+  eliminated; a right-hand side rides along after every other column;
+* from the first imaginary part on, every row A + iB, stored or new, is
+  realified into ``[A, -B]`` and ``[B, A]``: x_c = u_c + i v_c becomes the
+  real unknowns 2c and 2c + 1, and the rank doubles;
+* elimination is fraction-free, after Bareiss (1968): a new row is reduced
+  by its leading column only, ``work := a * work - b * pivot_row`` with
+  ``a/b`` the ratio of the leading entries in lowest terms, until no pivot
+  row leads there; divided by its content it becomes that column's pivot row.
+
+The stored rows are an echelon basis, which gives the rank. Solutions are
+read from the reduced echelon form, made by one back-substitution when first
+asked for. That form is unique, so particular solutions (free variables
+zero) and kernel bases (one per free column) do not depend on row order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from itertools import repeat
+from math import gcd, inf, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .scalar import ONE, ZERO, Scalar, as_scalar
+from .scalar import ONE, ZERO, Scalar, _scalar, as_scalar
 
 __all__ = [
-    "Matrix",
-    "RowReducer",
-    "AffineSolution",
-    "rank",
-    "integer_rank",
-    "common_denominator",
-    "scaled_parts",
-    "realified",
-    "kernel_basis",
-    "solve_affine",
-    "solve_sparse_system",
-    "invert",
+    "Matrix", "RowReducer", "AffineSolution", "rank", "scaled_parts", "kernel_basis",
+    "solve_affine", "solve_sparse_system", "inverse_columns", "invert",
 ]
+
+# The right-hand side's column: after every other column, so it holds a
+# pivot only once the system is inconsistent.
+_RHS = inf
 
 
 class Matrix:
@@ -71,15 +71,6 @@ class Matrix:
         for i in range(n):
             m.entries[i][i] = ONE
         return m
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.entries[i][j]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols, self.rows,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -128,98 +119,180 @@ class Matrix:
 
 
 class RowReducer:
-    """Incremental reduced row echelon form over Q(i) on sparse rows.
+    """Incremental exact row reduction over Q(i) on sparse rows.
 
-    Rows are dicts ``{column: scalar}``. Each accepted pivot row is normalized
-    to leading coefficient 1 and eliminated from all other rows, so the stored
-    rows are always a reduced echelon basis. An optional right-hand-side
-    scalar per row is carried through the elimination, which turns the reducer
-    into an exact affine solver; an inconsistent system is detected the moment
-    a row reduces to zero with a nonzero right-hand side.
+    Rows are dicts ``{column: scalar}`` with an optional right-hand side.
+    :attr:`inconsistent` holds from the moment a row reduces to a nonzero
+    right-hand side alone; :attr:`pivots` maps pivot columns to stored rows.
     """
 
     def __init__(self) -> None:
-        self.rows: list[dict[int, Scalar]] = []
-        self.rhs: list[Scalar] = []
-        self.pivots: dict[int, int] = {}  # column -> row index
-        self.inconsistent = False
+        self.pivots: dict[float, dict] = {}
+        self.realified = False
+        self._reduced = 0  # the number of pivots when last back-substituted
+
+    @property
+    def rows(self) -> list[dict]:
+        return list(self.pivots.values())
+
+    @property
+    def inconsistent(self) -> bool:
+        return _RHS in self.pivots
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        real_rank = len(self.pivots) - (_RHS in self.pivots)
+        return real_rank // 2 if self.realified else real_rank
 
     def add_row(self, row: Mapping[int, Scalar], rhs: Scalar = ZERO) -> bool:
-        """Reduce ``row`` against the basis; returns True if the rank grew."""
-        work = {c: v for c, v in row.items() if v}
-        # Eliminating a pivot column only introduces entries in non-pivot
-        # columns (the basis is fully reduced), so one pass over the pivot
-        # columns present at entry suffices.
-        for c in sorted(c for c in work if c in self.pivots):
-            coef = work.get(c)
-            if not coef:
+        """Reduce ``row`` with right-hand side ``rhs``; True if the rank grew."""
+        den = lcm(rhs.d, *{s.d for s in row.values()})
+        re, im = scaled_parts(row, den)
+        scale = den // rhs.d
+        return self._add_parts(re, im, rhs.a * scale, rhs.b * scale)
+
+    def add_integer_rows(self, re_rows: Iterable[Mapping[int, int]],
+                         im_rows: Optional[Iterable[Mapping[int, int]]] = None) -> None:
+        """Reduce the Gaussian integer rows ``re + i*im``, imaginary parts
+        paired in order (or none), all with right-hand side zero."""
+        if im_rows is None and not self.realified:
+            self._insert(re_rows)  # one loop: no per-row call
+        else:
+            for re, im in zip(re_rows, im_rows or repeat({})):
+                self._add_parts(re, im, 0, 0)
+
+    def _add_parts(self, re: Mapping, im: Mapping, rhs_re: int, rhs_im: int) -> bool:
+        """Reduce the Gaussian integer row ``re + i*im`` with right-hand side
+        ``rhs_re + i*rhs_im``; True if the rank grew."""
+        if not (im or rhs_im or self.realified):
+            return self._insert(({**re, _RHS: rhs_re} if rhs_re else re,))
+        if not self.realified:
+            self._realify()
+        top = {2 * c: v for c, v in re.items()}
+        bottom = {2 * c + 1: v for c, v in re.items()}
+        for c, v in im.items():
+            top[2 * c + 1] = -v
+            bottom[2 * c] = v
+        top[_RHS], bottom[_RHS] = rhs_re, rhs_im
+        return self._insert((top, bottom))
+
+    def _insert(self, rows: Iterable[Mapping]) -> bool:
+        """Eliminate each row against the stored rows and store what is left;
+        True if a row was stored in a column other than the right-hand side's."""
+        pivots = self.pivots
+        grew = False
+        for row in rows:
+            work = {c: v for c, v in row.items() if v}
+            while work:
+                p = min(work)
+                prow = pivots.get(p)
+                if prow is None:
+                    pivots[p] = _primitive(work, p)
+                    grew = grew or p != _RHS
+                    break
+                work = _cleared(work, prow, p)
+        return grew
+
+    def _realify(self) -> None:
+        """Realify the stored rows: a real row R becomes [R, 0] and [0, R]."""
+        pivots = {}
+        for p, row in self.pivots.items():
+            pivots[2 * p] = {2 * c: v for c, v in row.items()}
+            if p != _RHS:
+                pivots[2 * p + 1] = {2 * c + 1: v for c, v in row.items() if c != _RHS}
+        self.pivots = pivots
+        self.realified = True
+
+    def _reduce(self) -> None:
+        """Back-substitute the stored rows into the reduced echelon form."""
+        pivots = self.pivots
+        if self._reduced == len(pivots):
+            return
+        # Rows below are reduced first, so clearing one pivot column touches
+        # only non-pivot columns and the other pivot entries stay as found.
+        for p in sorted(pivots, reverse=True):
+            work = pivots[p]
+            hits = [q for q in work if q != p and q in pivots]
+            if hits:
+                for q in hits:
+                    work = _cleared(work, pivots[q], q)
+                pivots[p] = _primitive(work, p)
+        self._reduced = len(pivots)
+
+    def _is_pivot(self, c: int) -> bool:
+        return (2 * c if self.realified else c) in self.pivots
+
+    def _column(self, c: float, sign: int = 1) -> dict[int, Scalar]:
+        """``sign`` times column ``c`` of the reduced echelon form over Q(i),
+        as ``{pivot column: entry}`` without zeros."""
+        self._reduce()
+        key = 2 * c if self.realified else c  # 2 * _RHS == _RHS
+        out = {}
+        for p, top in self.pivots.items():
+            if p == _RHS:
                 continue
-            idx = self.pivots[c]
-            prow = self.rows[idx]
-            for cc, v in prow.items():
-                cur = work.get(cc, ZERO) - coef * v
-                if cur:
-                    work[cc] = cur
-                elif cc in work:
-                    del work[cc]
-            if self.rhs[idx]:
-                rhs = rhs - coef * self.rhs[idx]
-        if not work:
-            if rhs:
-                self.inconsistent = True
-            return False
-        p = min(work)
-        lead = work[p]
-        if lead != ONE:
-            inv = lead.inverse()
-            work = {c: v * inv for c, v in work.items()}
-            rhs = rhs * inv
-        # Inter-reduce: clear the new pivot column from every stored row.
-        for i, other in enumerate(self.rows):
-            factor = other.get(p)
-            if factor is None or not factor:
-                continue
-            for cc, v in work.items():
-                cur = other.get(cc, ZERO) - factor * v
-                if cur:
-                    other[cc] = cur
-                elif cc in other:
-                    del other[cc]
-            if rhs:
-                self.rhs[i] = self.rhs[i] - factor * rhs
-        self.pivots[p] = len(self.rows)
-        self.rows.append(work)
-        self.rhs.append(rhs)
-        return True
+            if not self.realified:
+                a = top.get(key)
+                if a:
+                    out[p] = _entry(sign * a, 0, top[p], top[p])
+            elif not p % 2:
+                bottom = self.pivots[p + 1]
+                a, b = top.get(key, 0), bottom.get(key, 0)
+                if a or b:
+                    out[p // 2] = _entry(sign * a, sign * b, top[p], bottom[p + 1])
+        return out
 
     def kernel_basis_sparse(self, ncols: int) -> list[dict[int, Scalar]]:
         """Basis of the right null space, one vector per free column."""
         basis = []
         for f in range(ncols):
-            if f in self.pivots:
-                continue
-            vec = {f: ONE}
-            for p, idx in self.pivots.items():
-                v = self.rows[idx].get(f)
-                if v:
-                    vec[p] = -v
-            basis.append(vec)
+            if not self._is_pivot(f):
+                vec = {f: ONE}
+                vec.update(self._column(f, -1))
+                basis.append(vec)
         return basis
 
     def particular_sparse(self) -> Optional[dict[int, Scalar]]:
         """A particular solution (free variables zero), or None if inconsistent."""
-        if self.inconsistent:
-            return None
-        sol: dict[int, Scalar] = {}
-        for p, idx in self.pivots.items():
-            v = self.rhs[idx]
-            if v:
-                sol[p] = v
-        return sol
+        return None if self.inconsistent else self._column(_RHS)
+
+
+def _cleared(work: dict, prow: Mapping, c: float) -> dict:
+    """``a * work - b * prow``, ``a/b = prow[c]/work[c]`` in lowest terms and
+    ``a > 0``: column ``c`` cleared without fractions (``work`` may change)."""
+    a, b = prow[c], work[c]
+    g = gcd(a, b)
+    if g != 1:
+        a, b = a // g, b // g
+    if a != 1:
+        work = {k: a * v for k, v in work.items()}
+    for k, v in prow.items():
+        nv = work.get(k, 0) - b * v
+        if nv:
+            work[k] = nv
+        else:
+            del work[k]
+    return work
+
+
+def _primitive(work: dict, lead: float) -> dict:
+    """``work`` divided by the gcd of its entries, with ``work[lead] > 0``."""
+    g = 0
+    for v in work.values():  # most rows are primitive: stop at the first gcd 1
+        g = gcd(g, v)
+        if g == 1:
+            break
+    if work[lead] < 0:
+        g = -g
+    return work if g == 1 else {k: v // g for k, v in work.items()}
+
+
+def _entry(a: int, b: int, d1: int, d2: int) -> Scalar:
+    """The Scalar ``a/d1 + (b/d2) i`` for positive ``d1``, ``d2``."""
+    if d1 != d2:
+        a, b, d1 = a * d2, b * d1, d1 * d2
+    g = gcd(a, b, d1)
+    return _scalar(a // g, b // g, d1 // g)
 
 
 def _reduced(rows: Iterable[Mapping[int, Scalar]]) -> RowReducer:
@@ -229,94 +302,21 @@ def _reduced(rows: Iterable[Mapping[int, Scalar]]) -> RowReducer:
     return red
 
 
-def integer_rank(rows: Iterable[Mapping[int, int]]) -> int:
-    """Exact rank over Q of integer rows ``{column: int}``, fed one at a time.
-
-    Fraction-free echelon elimination: a new row is reduced by its leading
-    column only, ``work := a * work - b * pivot_row`` with ``a/b`` the ratio
-    of the two leading entries in lowest terms, until its leading column has
-    no pivot; it is then divided by the gcd of its entries and becomes that
-    column's pivot row (leading entry positive). Stored rows are never
-    touched again, so no rationals and no back-substitution occur.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        work = {c: v for c, v in row.items() if v}
-        while work:
-            p = min(work)
-            prow = pivots.get(p)
-            if prow is None:
-                g = 0
-                for v in work.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if work[p] < 0:
-                    g = -g
-                if g != 1:
-                    work = {c: v // g for c, v in work.items()}
-                pivots[p] = work
-                break
-            a, b = prow[p], work[p]
-            g = gcd(a, b)
-            if g != 1:
-                a, b = a // g, b // g
-            if a != 1:
-                work = {c: a * v for c, v in work.items()}
-            for c, v in prow.items():
-                nv = work.get(c, 0) - b * v
-                if nv:
-                    work[c] = nv
-                else:
-                    del work[c]
-    return len(pivots)
-
-
-def common_denominator(values: Iterable[Scalar]) -> int:
-    """The lcm of the denominators ``d`` of the scalars ``(a + b*i) / d``."""
-    den = 1
-    for s in values:
-        den = lcm(den, s.d)
-    return den
-
-
 def scaled_parts(vec: Mapping, den: int) -> tuple[dict, dict]:
-    """``den`` times the real and the imaginary parts of a sparse scalar
-    vector, as integer vectors without zeros (``den`` must clear every
-    denominator)."""
+    """``den`` times the real and the imaginary parts of a sparse scalar vector,
+    as integer vectors without zeros (``den`` must clear every denominator)."""
     re = {k: s.a * (den // s.d) for k, s in vec.items() if s.a}
     im = {k: s.b * (den // s.d) for k, s in vec.items() if s.b}
     return re, im
 
 
-def realified(re_row: Mapping[int, int], im_row: Mapping[int, int]) -> tuple[dict, dict]:
-    """The two real rows ``[A, -B]`` and ``[B, A]`` of the Gaussian row A + iB.
-
-    Column c of the Gaussian row becomes columns 2c and 2c + 1. Over the
-    rationals the realified matrix has exactly twice the rank over Q(i).
-    """
-    top = {2 * c: v for c, v in re_row.items()}
-    bottom = {2 * c + 1: v for c, v in re_row.items()}
-    for c, v in im_row.items():
-        top[2 * c + 1] = -v
-        bottom[2 * c] = v
-    return top, bottom
-
-
 def rank(m: Matrix) -> int:
-    """Exact rank over Q(i), on the integer rows of ``D * m``."""
-    den = common_denominator(v for row in m.entries for v in row)
-    split = [scaled_parts(row, den) for row in m.sparse_rows()]
-    if not any(im for _, im in split):
-        return integer_rank(re for re, _ in split)
-    return integer_rank(r for re, im in split for r in realified(re, im)) // 2
+    """Exact rank over Q(i)."""
+    return _reduced(m.sparse_rows()).rank
 
 
 def _densify(vec: Mapping[int, Scalar], n: int) -> list[Scalar]:
-    out = [ZERO] * n
-    for c, v in vec.items():
-        out[c] = v
-    return out
+    return [vec.get(c, ZERO) for c in range(n)]
 
 
 def kernel_basis(m: Matrix) -> list[list[Scalar]]:
@@ -345,34 +345,32 @@ def solve_affine(m: Matrix, b: Sequence) -> Optional[AffineSolution]:
 def solve_sparse_system(
     rows: Iterable[tuple[Mapping[int, Scalar], Scalar]], ncols: int
 ) -> Optional[tuple[dict[int, Scalar], list[dict[int, Scalar]]]]:
-    """Solve a (possibly huge) sparse system given as (row, rhs) pairs.
-
-    Returns ``(particular, kernel_basis)`` in sparse form, or None when the
-    system is inconsistent.
-    """
+    """``(particular, kernel_basis)`` in sparse form of a (possibly huge)
+    system of (row, rhs) pairs, or None when it is inconsistent."""
     red = RowReducer()
     for row, rhs in rows:
         red.add_row(row, rhs)
     if red.inconsistent:
         return None
-    part = red.particular_sparse()
-    assert part is not None
-    return part, red.kernel_basis_sparse(ncols)
+    return red.particular_sparse(), red.kernel_basis_sparse(ncols)
+
+
+def inverse_columns(rows: Sequence[Mapping[int, Scalar]]) -> Optional[list[dict[int, Scalar]]]:
+    """Sparse columns of the inverse of the square matrix with these sparse
+    rows, or None if it is singular: the reduced form of [M | I] is
+    [I | M^-1] exactly when M is invertible."""
+    n = len(rows)
+    red = _reduced({**row, n + i: ONE} for i, row in enumerate(rows))
+    if not all(red._is_pivot(c) for c in range(n)):
+        return None
+    return [red._column(n + t) for t in range(n)]
 
 
 def invert(m: Matrix) -> Optional[Matrix]:
     """Exact inverse of a square matrix, or None if singular."""
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
-    # The reduced form of [M | I] is [I | M^-1] exactly when M is
-    # invertible; otherwise some pivot lands right of column n.
-    n = m.rows
-    red = _reduced({**row, n + i: ONE} for i, row in enumerate(m.sparse_rows()))
-    if any(p >= n for p in red.pivots):
+    cols = inverse_columns(list(m.sparse_rows()))
+    if cols is None:
         return None
-    out = Matrix.zeros(n, n)
-    for p, idx in red.pivots.items():
-        for c, v in red.rows[idx].items():
-            if c >= n:
-                out.entries[p][c - n] = v
-    return out
+    return Matrix.from_rows([[col.get(s, ZERO) for col in cols] for s in range(m.rows)])

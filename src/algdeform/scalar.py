@@ -43,8 +43,8 @@ class ScalarError(ValueError):
 
 
 _SCALAR_RE = _re.compile(
-    r"^(?P<n1>[+-]?\d+)(?:/(?P<d1>\d+))?"
-    r"(?:(?:(?P<n2>[+-]\d+)(?:/(?P<d2>\d+))?)?(?P<imag>i))?$"
+    r"(?P<n1>[+-]?\d+)(?:/(?P<d1>\d+))?"
+    r"(?:(?:(?P<n2>[+-]\d+)(?:/(?P<d2>\d+))?)?(?P<imag>i))?"
 )
 
 
@@ -83,10 +83,6 @@ class Scalar:
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.b
 
     # -- ring/field operations ----------------------------------------------
     #
@@ -363,7 +359,7 @@ def parse_scalar(text: str) -> Scalar:
     """Parse a scalar token such as ``3/2``, ``-1``, ``2i`` or ``1/2-3i``."""
     if not isinstance(text, str):
         raise ScalarError(f"expected a scalar string, got {text!r}")
-    m = _SCALAR_RE.match(text)
+    m = _SCALAR_RE.fullmatch(text)
     if m is None:
         raise ScalarError(f"bad scalar syntax: {text!r}")
     n1, d1, n2, d2, imag = m.group("n1", "d1", "n2", "d2", "imag")

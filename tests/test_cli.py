@@ -488,6 +488,18 @@ def test_repeated_structure_triple_is_refused(workdir, capsys, tmp_path):
     assert "repeated" in capsys.readouterr().err
 
 
+def test_structure_scalar_with_a_trailing_newline_exits_2(tmp_path, capsys):
+    doc = algebra_to_doc(dual_number_algebra())
+    assert doc["structure"][0][3] == "1"
+    doc["structure"][0][3] = "1\n"
+    alg_path = tmp_path / "newline.json"
+    alg_path.write_text(json.dumps(doc))
+    assert main(["cohomology", "--algebra", str(alg_path), "--degree", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad scalar syntax" in captured.err
+
+
 def test_example_dim_beyond_the_size_guard_exits_2(capsys):
     for example_id in ("5", "6"):
         assert main(["example", "--id", example_id, "--dim", "32"]) == 2

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import event, given, settings, strategies as st
 
 from algdeform.linalg import (
     Matrix,
@@ -12,6 +13,8 @@ from algdeform.linalg import (
     solve_affine,
 )
 from algdeform.scalar import I, ONE, ZERO, Scalar
+
+SYSTEMS = settings(max_examples=60, deadline=None)
 
 
 def test_rank_identity():
@@ -166,3 +169,115 @@ def test_cross_validation_against_sympy():
         assert len(kernel_basis(m)) == len(sm.nullspace())
         if r == c:
             assert (invert(m) is None) == (sm.det() == 0)
+
+
+# -- the solve path against sympy's reduced row echelon form --------------------------
+
+
+@st.composite
+def systems(draw, square=False):
+    """``(m, b)``: a random matrix over Q, Q with fractions or Q(i), with zero
+    rows and rows that are combinations of earlier rows, and a right-hand
+    side that is either ``m x`` for a random ``x`` or arbitrary. Square
+    matrices have fewer zero and combined rows, so that most are invertible."""
+    kind = draw(st.sampled_from(["integer", "fraction", "gaussian"]))
+    num = st.integers(-4, 4)
+    den = st.integers(1, 1) if kind == "integer" else st.integers(1, 5)
+    part = st.builds(Fraction, num, den)
+    imag = part if kind == "gaussian" else st.just(0)
+    scalar = st.one_of(st.just(ZERO), st.builds(Scalar, part, imag))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if square:
+        cols = rows = min(rows, 5)
+    shapes = ["random"] * (10 if square else 2) + ["zero", "combination"]
+    entries = []
+    for _ in range(rows):
+        shape = draw(st.sampled_from(shapes))
+        if shape == "zero" or (shape == "combination" and not entries):
+            entries.append([ZERO] * cols)
+        elif shape == "combination":
+            coefs = [draw(scalar) for _ in entries]
+            entries.append([
+                sum((c * row[j] for c, row in zip(coefs, entries)), ZERO) for j in range(cols)
+            ])
+        else:
+            entries.append([draw(scalar) for _ in range(cols)])
+    m = Matrix(rows, cols, entries)
+    if draw(st.booleans()):
+        b = m.times_vector([draw(scalar) for _ in range(cols)])
+    else:
+        b = [draw(scalar) for _ in range(rows)]
+    return m, b
+
+
+def _to_sympy(sympy, s):
+    return sympy.Rational(s.a, s.d) + sympy.I * sympy.Rational(s.b, s.d)
+
+
+def _from_sympy(x):
+    re, im = x.as_real_imag()
+    return Scalar(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+def _sympy_rref(sympy, m, b=None):
+    """The reduced row echelon form of ``m`` (or of ``[m | b]``) and its pivots."""
+    cols = m.cols + (b is not None)
+    grid = [row + ([b[i]] if b is not None else []) for i, row in enumerate(m.entries)]
+    sm = sympy.Matrix(m.rows, cols, lambda i, j: _to_sympy(sympy, grid[i][j]))
+    rref, pivots = sm.rref()
+    return [[_from_sympy(rref[i, j]) for j in range(cols)] for i in range(len(pivots))], pivots
+
+
+@SYSTEMS
+@given(systems())
+def test_solve_affine_matches_sympy_rref(system):
+    sympy = pytest.importorskip("sympy")
+    m, b = system
+    rref, pivots = _sympy_rref(sympy, m, b)
+    sol = solve_affine(m, b)
+    if m.cols in pivots:  # a pivot in the right-hand side column
+        event("inconsistent")
+        assert sol is None
+        return
+    event("consistent")
+    expected = [ZERO] * m.cols
+    for i, p in enumerate(pivots):
+        expected[p] = rref[i][m.cols]
+    assert sol.particular == expected
+    assert sol.kernel == kernel_basis(m)
+
+
+@SYSTEMS
+@given(systems())
+def test_kernel_basis_matches_sympy_rref(system):
+    sympy = pytest.importorskip("sympy")
+    m, _ = system
+    rref, pivots = _sympy_rref(sympy, m)
+    expected = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        vec = [ZERO] * m.cols
+        vec[f] = ONE
+        for i, p in enumerate(pivots):
+            vec[p] = -rref[i][f]
+        expected.append(vec)
+    assert kernel_basis(m) == expected
+    assert rank(m) == len(pivots)
+
+
+@SYSTEMS
+@given(systems(square=True))
+def test_invert_matches_sympy_inverse(system):
+    sympy = pytest.importorskip("sympy")
+    square, _ = system
+    n = square.rows
+    sm = sympy.Matrix(n, n, lambda i, j: _to_sympy(sympy, square.entries[i][j]))
+    if sm.det() == 0:
+        event("singular")
+        assert invert(square) is None
+        return
+    event("invertible")
+    inverse = sm.inv()
+    expected = [[_from_sympy(sympy.expand(inverse[i, j])) for j in range(n)] for i in range(n)]
+    assert invert(square) == Matrix(n, n, expected)

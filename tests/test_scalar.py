@@ -35,6 +35,17 @@ def test_no_whitespace_inside_token():
         parse_scalar("1/2 -3i")
 
 
+@pytest.mark.parametrize("text", ["2\n", "1/2\n", "2i\n", "1/2-3i\n"])
+def test_parse_refuses_a_trailing_newline(text):
+    with pytest.raises(ScalarError):
+        parse_scalar(text)
+
+
+def test_constructor_refuses_a_trailing_newline():
+    with pytest.raises(ScalarError):
+        Scalar("1/2\n")
+
+
 def test_arithmetic():
     a = Scalar(1, 2)
     b = Scalar(3, -1)
