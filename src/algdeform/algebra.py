@@ -25,8 +25,8 @@ from .scalar import ONE, ZERO, Scalar, as_scalar
 from .tables import (
     Table,
     Vec,
-    associator_table,
-    first_witness,
+    associator_terms,
+    sum_witness,
     vec_add_into,
     vec_eq,
     vec_mul,
@@ -156,7 +156,7 @@ class Algebra:
 
     def associativity_witness(self) -> Optional[tuple[tuple[int, ...], Vec]]:
         """Smallest basis triple where (e_i e_j) e_k != e_i (e_j e_k), if any."""
-        return first_witness(associator_table(self.structure))
+        return sum_witness(self.dim, associator_terms(self.structure))
 
     def decompose(self, part1: Iterable[int]) -> "Decomposition":
         return Decomposition(self, part1)

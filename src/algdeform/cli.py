@@ -60,8 +60,8 @@ from .dynamics import (
 )
 from .errors import AlgebraError, DocumentError, PreconditionError
 from .hochschild import cohomology_dimension
-from .scalar import ScalarError, parse_scalar
-from .tables import table_sub
+from .scalar import MINUS_ONE, ONE, ScalarError, parse_scalar
+from .tables import Compose, sum_witness
 
 USAGE_ERRORS = (DocumentError, AlgebraError, PreconditionError, ScalarError, OSError)
 
@@ -266,7 +266,8 @@ def _cmd_contraction(args) -> int:
         _check("associative", prod.associativity_witness() is None),
         _check(
             "limit_interpolation_matches",
-            not table_sub(limit.table, prod.table),
+            sum_witness(alg.dim, [Compose(ONE, limit.table), Compose(MINUS_ONE, prod.table)])
+            is None,
         ),
     ]
     report = {

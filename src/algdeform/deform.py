@@ -34,15 +34,19 @@ from .hochschild import Cochain, coboundary
 from .linalg import inverse_columns
 from .scalar import MINUS_ONE, ONE, ZERO, as_scalar
 from .tables import (
+    Compose,
+    Sweep,
     Table,
     Vec,
     associator_table,
-    first_witness,
-    mixed_associator_table,
+    associator_terms,
+    deform_terms,
+    mixed_associator_terms,
+    sum_witness,
     table_add_into,
     table_alternation,
     table_compose_into,
-    table_deform_into,
+    table_of,
     table_tidy,
 )
 
@@ -108,7 +112,7 @@ class Product:
 
     def associativity_witness(self) -> Optional[tuple[tuple[int, ...], Vec]]:
         """Smallest basis triple with a nonzero associator, if any."""
-        return first_witness(associator_table(self.table))
+        return sum_witness(self.algebra.dim, associator_terms(self.table))
 
     def ensure_associativity_flag(self) -> bool:
         if self.associative is None:
@@ -131,9 +135,7 @@ def mu_product(alg: Algebra) -> Product:
 
 def _deform_table(base: Table, n: Operator) -> Table:
     """Table of (A, B) -> N(A)B + A N(B) - N(AB) over the given base product."""
-    out: Table = {}
-    table_deform_into(out, ONE, base, n.columns)
-    return table_tidy(out)
+    return table_of(deform_terms(ONE, base, n.columns))
 
 
 def deform_product(base: Product, n: Operator) -> Product:
@@ -164,10 +166,10 @@ def deform(n: Operator, compute_flags: bool = True) -> Product:
 def _torsion_table(n: Operator) -> Table:
     """N o mu_N - mu o (N, N) on the algebra's own product mu."""
     mu = n.algebra.structure
-    out: Table = {}
-    table_compose_into(out, ONE, _deform_table(mu, n), outer=n.columns)
-    table_compose_into(out, MINUS_ONE, mu, inner=(n.columns, n.columns))
-    return table_tidy(out)
+    return table_of([
+        Compose(ONE, _deform_table(mu, n), outer=n.columns),
+        Compose(MINUS_ONE, mu, inner=(n.columns, n.columns)),
+    ])
 
 
 def torsion(n: Operator) -> Cochain:
@@ -222,7 +224,7 @@ def mixed_associator_witness(
 ) -> Optional[tuple[tuple[int, ...], Vec]]:
     if p1.algebra is not p2.algebra:
         raise PreconditionError("products live on different algebras")
-    return first_witness(mixed_associator_table(p1.table, p2.table))
+    return sum_witness(p1.algebra.dim, mixed_associator_terms(p1.table, p2.table))
 
 
 def mixed_associator_compatible(p1: Product, p2: Product) -> bool:
@@ -255,6 +257,7 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
     if not is_nijenhuis(n):
         raise PreconditionError("operator has nonzero torsion; hierarchy undefined")
     alg = n.algebra
+    sweep = Sweep(alg.dim)  # one integer form per power and product
     powers = [Operator.identity(alg)]
     for _ in range(maxk):
         powers.append(n @ powers[-1])
@@ -267,10 +270,10 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
         nr = powers[r].columns if r else None
         for k in range(maxk + 1 - r):
             # N^r o mu_{N^(k+r)} - mu_{N^k} o (N^r, N^r)
-            acc: Table = {}
-            table_compose_into(acc, ONE, prods[k + r].table, outer=nr)
-            table_compose_into(acc, MINUS_ONE, prods[k].table, inner=(nr, nr))
-            w = first_witness(acc)
+            w = sweep.witness([
+                Compose(ONE, prods[k + r].table, outer=nr),
+                Compose(MINUS_ONE, prods[k].table, inner=(nr, nr)),
+            ])
             if w is not None:
                 lemma_witness = (r, k) + w[0]
                 break
@@ -283,10 +286,8 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
     for i in range(maxk + 1):
         for k in range(maxk + 1 - i):
             # (o_{N^i} deformed by N^k) - o_{N^(i+k)}
-            acc = {}
-            table_deform_into(acc, ONE, prods[i].table, powers[k].columns)
-            table_add_into(acc, MINUS_ONE, prods[i + k].table)
-            if first_witness(acc) is not None:
+            terms = deform_terms(ONE, prods[i].table, powers[k].columns)
+            if sweep.witness(terms + [Compose(MINUS_ONE, prods[i + k].table)]) is not None:
                 comp_ok = False
                 if comp_witness is None:
                     comp_witness = (i, k)
@@ -294,7 +295,7 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
 
     assoc_ok, assoc_witness = True, None
     for k in range(maxk + 1):
-        w = prods[k].associativity_witness()
+        w = sweep.witness(associator_terms(prods[k].table))
         if w is not None:
             assoc_ok = False
             if assoc_witness is None:
@@ -304,7 +305,7 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
     compat_ok, compat_witness = True, None
     for k1 in range(maxk + 1):
         for k2 in range(k1 + 1, maxk + 1):
-            w = first_witness(mixed_associator_table(prods[k1].table, prods[k2].table))
+            w = sweep.witness(mixed_associator_terms(prods[k1].table, prods[k2].table))
             if w is not None:
                 compat_ok = False
                 if compat_witness is None:
@@ -327,12 +328,12 @@ def tensors_compatible(n1: Operator, n2: Operator) -> bool:
     if not is_nijenhuis(n2):
         raise PreconditionError("second operator has nonzero torsion")
     mu = n1.algebra.structure
-    acc: Table = {}
-    table_compose_into(acc, ONE, _deform_table(mu, n2), outer=n1.columns)
-    table_compose_into(acc, ONE, _deform_table(mu, n1), outer=n2.columns)
-    table_compose_into(acc, MINUS_ONE, mu, inner=(n1.columns, n2.columns))
-    table_compose_into(acc, MINUS_ONE, mu, inner=(n2.columns, n1.columns))
-    return first_witness(acc) is None
+    return sum_witness(n1.algebra.dim, [
+        Compose(ONE, _deform_table(mu, n2), outer=n1.columns),
+        Compose(ONE, _deform_table(mu, n1), outer=n2.columns),
+        Compose(MINUS_ONE, mu, inner=(n1.columns, n2.columns)),
+        Compose(MINUS_ONE, mu, inner=(n2.columns, n1.columns)),
+    ]) is None
 
 
 def projection_tensor(dec: Decomposition, l1, l2) -> Operator:
@@ -493,17 +494,18 @@ def theorem5_product(
     for (i, j), vec in circ1.table.items():
         if i not in part1 or j not in part1 or any(k not in part1 for k in vec):
             raise PreconditionError("circ1 is not supported on part1")
-    if first_witness(associator_table(circ1.table)) is not None:
+    if sum_witness(alg.dim, associator_terms(circ1.table)) is not None:
         raise PreconditionError("circ1 is not associative on part1")
     _check_part_operator(n1, dec.part1, "n1")
     _check_part_operator(n1p, dec.part1, "n1p")
     _check_part_operator(n2, dec.part2, "n2")
     for op, label in ((n1, "n1"), (n1p, "n1p")):
         # N o circ1 - mu o (N, N); both vanish off part1 x part1.
-        acc: Table = {}
-        table_compose_into(acc, ONE, circ1.table, outer=op.columns)
-        table_compose_into(acc, MINUS_ONE, alg.structure, inner=(op.columns, op.columns))
-        if first_witness(acc) is not None:
+        terms = [
+            Compose(ONE, circ1.table, outer=op.columns),
+            Compose(MINUS_ONE, alg.structure, inner=(op.columns, op.columns)),
+        ]
+        if sum_witness(alg.dim, terms) is not None:
             raise PreconditionError(
                 f"{label} is not a homomorphism from circ1 to the original product"
             )
@@ -562,16 +564,14 @@ def extend_tensor(dec: Decomposition, n1: Operator) -> ExtensionReport:
     # Each condition is a sum of coef * outer o mu o inner. N1 vanishes off
     # part1, so N1 P1 = N1, and the projectors confine each sum to its block.
     terms = {
-        "square_zero": [(ONE, n1sq, (p2, p2))],
-        "left_mixed": [(ONE, n1c, (n1c, p2)), (MINUS_ONE, n1sq, (p1, p2))],
-        "right_mixed": [(ONE, n1c, (p2, n1c)), (MINUS_ONE, n1sq, (p2, p1))],
+        "square_zero": [Compose(ONE, mu, n1sq, (p2, p2))],
+        "left_mixed": [Compose(ONE, mu, n1c, (n1c, p2)), Compose(MINUS_ONE, mu, n1sq, (p1, p2))],
+        "right_mixed": [Compose(ONE, mu, n1c, (p2, n1c)), Compose(MINUS_ONE, mu, n1sq, (p2, p1))],
     }
     witnesses: dict = {}
+    sweep = Sweep(alg.dim)
     for name, parts in terms.items():
-        acc: Table = {}
-        for coef, outer, inner in parts:
-            table_compose_into(acc, coef, mu, outer=outer, inner=inner)
-        w = first_witness(acc)
+        w = sweep.witness(parts)
         if w is not None:
             witnesses[name] = w[0]
     return ExtensionReport(
@@ -598,18 +598,17 @@ def lie_bracket_checks(n: Operator) -> tuple[Optional[tuple[tuple[int, ...], Vec
     """
     mu = n.algebra.structure
     bracket, mu_bracket = table_alternation(_deform_table(mu, n)), table_alternation(mu)
-    acc: Table = {}
-    table_add_into(acc, ONE, bracket)
-    table_deform_into(acc, MINUS_ONE, mu_bracket, n.columns)
-    return first_witness(acc), _lie_torsion_zero(n, bracket, mu_bracket)
+    sweep = Sweep(n.algebra.dim)
+    terms = [Compose(ONE, bracket)] + deform_terms(MINUS_ONE, mu_bracket, n.columns)
+    return sweep.witness(terms), _lie_torsion_zero(sweep, n, bracket, mu_bracket)
 
 
-def _lie_torsion_zero(n: Operator, bracket: Table, mu_bracket: Table) -> bool:
+def _lie_torsion_zero(sweep: Sweep, n: Operator, bracket: Table, mu_bracket: Table) -> bool:
     """N o [.,.]_N - [.,.] o (N, N) vanishes, given both commutator tables."""
-    acc: Table = {}
-    table_compose_into(acc, ONE, bracket, outer=n.columns)
-    table_compose_into(acc, MINUS_ONE, mu_bracket, inner=(n.columns, n.columns))
-    return first_witness(acc) is None
+    return sweep.witness([
+        Compose(ONE, bracket, outer=n.columns),
+        Compose(MINUS_ONE, mu_bracket, inner=(n.columns, n.columns)),
+    ]) is None
 
 
 def lie_nijenhuis_check(n: Operator) -> bool:
@@ -620,7 +619,8 @@ def lie_nijenhuis_check(n: Operator) -> bool:
     but strictly weaker (it only sees skew-symmetrizations).
     """
     mu = n.algebra.structure
-    return _lie_torsion_zero(n, table_alternation(_deform_table(mu, n)), table_alternation(mu))
+    bracket, mu_bracket = table_alternation(_deform_table(mu, n)), table_alternation(mu)
+    return _lie_torsion_zero(Sweep(n.algebra.dim), n, bracket, mu_bracket)
 
 
 def total_skew_associator(p: Product) -> Cochain:

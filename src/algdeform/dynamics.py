@@ -53,14 +53,14 @@ from .hochschild import Cochain
 from .linalg import RowReducer, solve_sparse_system
 from .scalar import MINUS_ONE, ONE, ZERO, Scalar, as_scalar
 from .tables import (
+    Compose,
     Table,
     Vec,
-    first_witness,
+    deform_terms,
     mixed_associator_table,
-    table_add_into,
+    sum_witness,
     table_alternation,
     table_compose_into,
-    table_deform_into,
     table_insert_into,
     vec_eq,
     vec_sub,
@@ -86,9 +86,7 @@ def is_derivation(d: Operator, p: Product) -> tuple[bool, Optional[tuple[int, in
     if d.algebra is not p.algebra:
         raise PreconditionError("operator and product live on different algebras")
     # D o p - p o (D, 1) - p o (1, D): the product deformed by D, negated
-    acc: Table = {}
-    table_deform_into(acc, MINUS_ONE, p.table, d.columns)
-    w = first_witness(acc)
+    w = sum_witness(d.algebra.dim, deform_terms(MINUS_ONE, p.table, d.columns))
     return (True, None) if w is None else (False, w[0])
 
 
@@ -387,11 +385,9 @@ def _example_3(n: int = 3) -> dict:
     checks.append(_check("matches_displayed_formula", *_match_on_basis(alg, prod, expected)))
 
     # prod minus the product deformed by K_diag = L_K P1
-    acc: Table = {}
-    table_add_into(acc, ONE, prod.table)
     k_diag = Operator.left_multiplication(k) @ dec.projector(1)
-    table_deform_into(acc, MINUS_ONE, alg.structure, k_diag.columns)
-    w = first_witness(acc)
+    terms = [Compose(ONE, prod.table)] + deform_terms(MINUS_ONE, alg.structure, k_diag.columns)
+    w = sum_witness(alg.dim, terms)
     checks.append(_check("differs_from_deform_of_K_diag", w is not None))
     if w is not None:
         pair = w[0]

@@ -43,8 +43,8 @@ class ScalarError(ValueError):
 
 
 _SCALAR_RE = _re.compile(
-    r"(?P<n1>[+-]?\d+)(?:/(?P<d1>\d+))?"
-    r"(?:(?:(?P<n2>[+-]\d+)(?:/(?P<d2>\d+))?)?(?P<imag>i))?"
+    r"(?P<n1>[+-]?[0-9]+)(?:/(?P<d1>[0-9]+))?"
+    r"(?:(?:(?P<n2>[+-][0-9]+)(?:/(?P<d2>[0-9]+))?)?(?P<imag>i))?"
 )
 
 
@@ -274,10 +274,11 @@ class Scalar:
         return (self.a, self.b, self.d) == t
 
     def __hash__(self) -> int:
-        # A real scalar equals its int or Fraction, so it must hash like it.
+        # A real scalar equals its int or Fraction, so it must hash like it; a
+        # Gaussian one equals only a Scalar, whose canonical triple is unique.
         if not self.b:
             return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     # -- text -----------------------------------------------------------------
 

@@ -23,8 +23,11 @@ nonzero entries, never with dim**n.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Mapping, Optional, Sequence
+from math import lcm
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .scalar import MINUS_ONE, ONE, Scalar
 
@@ -47,11 +50,19 @@ __all__ = [
     "table_insert",
     "table_insert_into",
     "table_compose_into",
-    "table_deform_into",
+    "Insert",
+    "Compose",
+    "Term",
+    "table_of",
+    "deform_terms",
+    "associator_terms",
+    "mixed_associator_terms",
     "associator_table",
     "mixed_associator_table",
     "table_alternation",
     "first_witness",
+    "Sweep",
+    "sum_witness",
 ]
 
 
@@ -153,7 +164,10 @@ def table_insert_into(
             if coef is not ONE:
                 qcoef = coef * qcoef
             for tp, vp in hits:
-                key = tp[:pos] + tq + tp[pos + 1:]
+                if p_arity != 2:
+                    key = tp[:pos] + tq + tp[pos + 1:]
+                else:
+                    key = tq + (tp[1],) if pos == 0 else (tp[0],) + tq
                 row = acc.get(key)
                 if row is None:
                     row = acc[key] = {}
@@ -216,8 +230,12 @@ def table_compose_into(
             vec_add_into(row, coef, vec)
             continue
         if one is not None:  # the other slots keep their index
+            pair = len(t) == 2
             for a, c in slots[one].get(t[one], ()):
-                key = t[:one] + (a,) + t[one + 1:]
+                if pair:
+                    key = (a, t[1]) if one == 0 else (t[0], a)
+                else:
+                    key = t[:one] + (a,) + t[one + 1:]
                 row = acc.get(key)
                 if row is None:
                     row = acc[key] = {}
@@ -238,33 +256,79 @@ def table_compose_into(
             vec_add_into(row, c, vec)
 
 
-def table_deform_into(acc: Table, coef: Scalar, table: Table, cols: Columns) -> None:
-    """In place: acc += coef * (T o (N, 1) + T o (1, N) - N o T), T = ``table``.
+class Insert(NamedTuple):
+    """The term coef * P(Q(a, b), c) (``pos`` 0) or coef * P(a, Q(b, c)) (``pos`` 1).
+
+    P and Q are arity-2 tables; the term has arity 3.
+    """
+
+    coef: Scalar
+    p: Table
+    q: Table
+    pos: int
+
+
+class Compose(NamedTuple):
+    """The term coef * outer o table o (inner[0], inner[1]); None is the identity.
+
+    ``table`` has arity 2, and so has the term.
+    """
+
+    coef: Scalar
+    table: Table
+    outer: Optional[Columns] = None
+    inner: Optional[Sequence[Optional[Columns]]] = None
+
+
+Term = Union[Insert, Compose]
+
+
+def table_of(terms: Sequence[Term]) -> Table:
+    """The signed sum of ``terms``, built in full by the two kernels."""
+    acc: Table = {}
+    for term in terms:
+        if type(term) is Insert:
+            table_insert_into(acc, term.coef, term.p, 2, term.q, 2, term.pos)
+        else:
+            table_compose_into(acc, term.coef, term.table, term.outer, term.inner)
+    return table_tidy(acc)
+
+
+def deform_terms(coef: Scalar, table: Table, cols: Columns) -> list[Compose]:
+    """coef * (T o (N, 1) + T o (1, N) - N o T) for T = ``table``, N = ``cols``.
 
     For a product T this is the deformed product N(A)B + A N(B) - N(AB), the
-    Hochschild coboundary of N taken with T. Zeros are left for a later tidy.
+    Hochschild coboundary of N taken with T.
     """
-    table_compose_into(acc, coef, table, inner=(cols, None))
-    table_compose_into(acc, coef, table, inner=(None, cols))
     neg = MINUS_ONE if coef is ONE else ONE if coef is MINUS_ONE else -coef
-    table_compose_into(acc, neg, table, outer=cols)
+    return [
+        Compose(coef, table, inner=(cols, None)),
+        Compose(coef, table, inner=(None, cols)),
+        Compose(neg, table, outer=cols),
+    ]
+
+
+def associator_terms(table: Table) -> list[Insert]:
+    """(e_a e_b) e_c - e_a (e_b e_c) for an arity-2 table."""
+    return [Insert(ONE, table, table, 0), Insert(MINUS_ONE, table, table, 1)]
+
+
+def mixed_associator_terms(t1: Table, t2: Table) -> list[Insert]:
+    """p1(p2(a,b),c) + p2(p1(a,b),c) - p1(a,p2(b,c)) - p2(a,p1(b,c))."""
+    return [
+        Insert(ONE, t1, t2, 0),
+        Insert(ONE, t2, t1, 0),
+        Insert(MINUS_ONE, t1, t2, 1),
+        Insert(MINUS_ONE, t2, t1, 1),
+    ]
 
 
 def associator_table(table: Table) -> Table:
-    """(e_a e_b) e_c - e_a (e_b e_c) for an arity-2 table."""
-    acc: Table = {}
-    table_insert_into(acc, ONE, table, 2, table, 2, 0)
-    table_insert_into(acc, MINUS_ONE, table, 2, table, 2, 1)
-    return table_tidy(acc)
+    return table_of(associator_terms(table))
 
 
 def mixed_associator_table(t1: Table, t2: Table) -> Table:
-    """p1(p2(a,b),c) + p2(p1(a,b),c) - p1(a,p2(b,c)) - p2(a,p1(b,c))."""
-    acc: Table = {}
-    for pos, sign in ((0, ONE), (1, MINUS_ONE)):
-        table_insert_into(acc, sign, t1, 2, t2, 2, pos)
-        table_insert_into(acc, sign, t2, 2, t1, 2, pos)
-    return table_tidy(acc)
+    return table_of(mixed_associator_terms(t1, t2))
 
 
 def table_alternation(table: Table) -> Table:
@@ -291,3 +355,205 @@ def first_witness(table: Table) -> tuple[tuple[int, ...], Vec] | None:
         return None
     key = min(table)
     return key, table[key]
+
+
+# -- the witness engine ---------------------------------------------------------------
+#
+# A form is a table, or an operator's columns, scaled to integers by the
+# common denominator d of its entries: (d, rows, parts), rows being
+# [(key, [(k, re, im), ...])]. Its parts split the rows into the real and the
+# imaginary entries, [(phase, [(key, [(k, v), ...])], {role: index})]: a part
+# of phase p stands for i**p times its integers.
+
+_PHASE = ((0, 1), (1, 1), (0, -1), (1, -1))  # i**p = sign * (1, i)[target]
+_ROWS, _FLAT, _OUT, _COLS, _PRE = range(5)
+
+
+def _int_form(items) -> tuple:
+    items = list(items)
+    d = lcm(*{v.d for _, vec in items for v in vec.values()})
+    if d == 1:
+        rows = [(t, [(k, v.a, v.b) for k, v in vec.items()]) for t, vec in items]
+    else:
+        rows = [(t, [(k, v.a * (d // v.d), v.b * (d // v.d)) for k, v in vec.items()])
+                for t, vec in items]
+    return _with_parts(d, rows)
+
+
+def _with_parts(d: int, rows: list) -> tuple:
+    re = [(t, es) for t, entries in rows if (es := [(k, r) for k, r, _ in entries if r])]
+    if any(i for _, entries in rows for _, _, i in entries):
+        im = [(t, es) for t, entries in rows if (es := [(k, i) for k, _, i in entries if i])]
+    else:
+        im = []
+    return d, rows, [(phase, part, {}) for phase, part in ((0, re), (1, im)) if part]
+
+
+def _composed(rows: list, cols: dict) -> list:
+    """Integer rows of outer o table: each row's vector mapped by ``cols``."""
+    out = []
+    for t, entries in rows:
+        image: dict[int, list[int]] = {}
+        for k, vr, vi in entries:
+            for m, cr, ci in cols.get(k, ()):
+                cell = image.get(m)
+                if cell is None:
+                    image[m] = [vr * cr - vi * ci, vr * ci + vi * cr]
+                else:
+                    cell[0] += vr * cr - vi * ci
+                    cell[1] += vr * ci + vi * cr
+        entries = [(m, r, i) for m, (r, i) in image.items() if r or i]
+        if entries:
+            out.append((t, entries))
+    return out
+
+
+def _index(role: int, part: list, dim: int):
+    """One part of a table or operator, indexed for its role in a sweep."""
+    if role == _COLS:  # column a of an operator
+        cols: list = [()] * dim
+        for a, entries in part:
+            cols[a] = entries
+        return cols
+    idx: dict = {}
+    for t, entries in part:
+        if role == _ROWS:  # (a, m) -> a: [(m, entries)]
+            idx.setdefault(t[0], []).append((t[1], entries))
+        elif role == _FLAT:  # (m, c) -> m: [(c*dim + k, v)]
+            base = t[1] * dim
+            idx.setdefault(t[0], []).extend((base + k, v) for k, v in entries)
+        else:  # _OUT: (b, c) -> m: [((b*dim + c)*dim, v)]; _PRE: column a -> m: [(a*dim, v)]
+            base = (t[0] * dim + t[1]) * dim if role == _OUT else t * dim
+            for m, v in entries:
+                idx.setdefault(m, []).append((base, v))
+    return idx
+
+
+class Sweep:
+    """The witness engine for basis indices below ``dim``.
+
+    :meth:`witness` returns ``first_witness(table_of(terms))`` without
+    building the table. Every table and operator is scaled once to integers
+    and indexed by first slot and by output coordinate. These forms are kept
+    for the life of the sweep, so one sweep serves many sums over the same
+    tables, which must not change meanwhile.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self._forms: dict = {}  # id -> (the object, keeping its id taken; its form)
+
+    def _form(self, obj) -> tuple:
+        """The form of a table or of operator columns; None is the identity."""
+        hit = self._forms.get(id(obj))
+        if hit is None:
+            if obj is None:
+                form = _with_parts(1, [(a, [(a, 1, 0)]) for a in range(self.dim)])
+            else:
+                form = _int_form(obj.items() if isinstance(obj, dict) else enumerate(obj))
+            hit = self._forms[id(obj)] = (obj, form)
+        return hit[1]
+
+    def witness(self, terms: Sequence[Term]) -> tuple[tuple[int, ...], Vec] | None:
+        """The smallest failing tuple of the sum of ``terms`` and its residual.
+
+        All terms are :class:`Insert` (arity 3) or all are :class:`Compose`
+        (arity 2). The terms are brought to one common integer scale and
+        summed in plain ints, the real and the imaginary parts apart; only
+        the reported residual is divided back into Scalars. The first slot
+        ``a`` is swept in ascending order: only the rows (a, ...) are summed,
+        and the first ``a`` with a nonzero row gives the witness.
+        """
+        if len({type(term) for term in terms}) > 1:
+            raise ValueError("insert terms have arity 3, compose terms arity 2")
+        dim, form = self.dim, self._form
+        specs = []  # (kind, denominator, coef, ((role, form), ...))
+        for term in terms:
+            if type(term) is Insert:
+                fp, fq = form(term.p), form(term.q)
+                if term.pos == 0:
+                    roles = ((_ROWS, fq), (_FLAT, fp))
+                elif term.pos == 1:
+                    roles = ((_ROWS, fp), (_OUT, fq))
+                else:
+                    raise ValueError(f"slot {term.pos} out of range for arity 2")
+                specs.append((term.pos, fp[0] * fq[0], term.coef, roles))
+                continue
+            ft = form(term.table)
+            if term.outer is not None:  # built for this sum only
+                fo = form(term.outer)
+                ft = _with_parts(ft[0] * fo[0], _composed(ft[1], dict(fo[1])))
+            n1, n2 = [form(op) for op in term.inner or (None, None)]
+            roles = ((_COLS, n1), (_ROWS, ft), (_PRE, n2))
+            specs.append((2, ft[0] * n1[0] * n2[0], term.coef, roles))
+        if not specs:
+            return None
+        scale = lcm(*(den * coef.d for _, den, coef, _ in specs))
+
+        jobs = []  # (kind, integer factor, 0 real / 1 imaginary, indexes)
+        for kind, den, coef, roles in specs:
+            s = scale // (den * coef.d)
+            mults = [(phase, m * s) for phase, m in ((0, coef.a), (1, coef.b)) if m]
+            for combo in product(*(f[2] for _, f in roles)):
+                idx = []
+                for (role, _), (_, part, indexes) in zip(roles, combo):
+                    ix = indexes.get(role)
+                    if ix is None:
+                        ix = indexes[role] = _index(role, part, dim)
+                    idx.append(ix)
+                phase = sum(p for p, _, _ in combo)
+                for p, m in mults:
+                    target, sign = _PHASE[(phase + p) % 4]
+                    jobs.append((kind, sign * m, target, idx))
+
+        accs = (defaultdict(int), defaultdict(int))
+        dd = dim * dim
+        for a in range(dim):
+            for kind, f, target, idx in jobs:
+                acc = accs[target]
+                if kind == 0:  # P(Q(a, b), c): Q rows (a, b), P rows (m, c)
+                    q_rows, p_flat = idx
+                    for b, entries in q_rows.get(a, ()):
+                        base = b * dd
+                        for m, q in entries:
+                            flat = p_flat.get(m)
+                            if flat:
+                                q *= f
+                                for ck, p in flat:
+                                    acc[base + ck] += q * p
+                elif kind == 1:  # P(a, Q(b, c)): P rows (a, m), Q rows (b, c) by output m
+                    p_rows, q_out = idx
+                    for m, entries in p_rows.get(a, ()):
+                        for bc, q in q_out.get(m, ()):
+                            q *= f
+                            for k, p in entries:
+                                acc[bc + k] += q * p
+                else:  # outer o T o (N1, N2): N1 column a, T rows (m1, m2), N2 preimages of m2
+                    cols, t_rows, pre = idx
+                    for m1, v1 in cols[a]:
+                        rows = t_rows.get(m1)
+                        if rows:
+                            v1 *= f
+                            for m2, entries in rows:
+                                for a2, v2 in pre.get(m2, ()):
+                                    v2 *= v1
+                                    for k, v in entries:
+                                        acc[a2 + k] += v2 * v
+            re, im = accs
+            if any(re.values()) or any(im.values()):
+                rest = min(key for acc in accs for key, v in acc.items() if v) // dim
+                residual: Vec = {}
+                for key in range(rest * dim, rest * dim + dim):
+                    r, i = re.get(key, 0), im.get(key, 0)
+                    if r or i:
+                        residual[key - rest * dim] = Scalar(Fraction(r, scale), Fraction(i, scale))
+                tail = divmod(rest, dim) if specs[0][0] < 2 else (rest,)
+                return (a, *tail), residual
+            re.clear()
+            im.clear()
+        return None
+
+
+def sum_witness(dim: int, terms: Sequence[Term]) -> tuple[tuple[int, ...], Vec] | None:
+    """``first_witness(table_of(terms))`` from a fresh :class:`Sweep`."""
+    return Sweep(dim).witness(terms)

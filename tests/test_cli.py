@@ -604,3 +604,16 @@ def test_console_entry_point_matches_in_process_main(workdir, capsys, monkeypatc
         except SystemExit as exc:
             code = exc.code
         assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("text", ["１", "١/٢"])
+def test_structure_scalar_with_non_ascii_digits_exits_2(text, tmp_path, capsys):
+    doc = algebra_to_doc(dual_number_algebra())
+    assert doc["structure"][0][3] == "1"
+    doc["structure"][0][3] = text
+    alg_path = tmp_path / "digits.json"
+    alg_path.write_text(json.dumps(doc))
+    assert main(["cohomology", "--algebra", str(alg_path), "--degree", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad scalar syntax" in captured.err

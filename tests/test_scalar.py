@@ -237,3 +237,17 @@ def test_text_round_trip_and_hash(x):
     back = parse_scalar(str(s))
     assert_is(back, x)
     assert back == s and hash(back) == hash(s)
+
+
+@pytest.mark.parametrize("text", ["١/٢", "３", "1/٢", "٣i", "1+２i", "-１"])
+def test_parse_refuses_digits_outside_ascii(text):
+    with pytest.raises(ScalarError):
+        parse_scalar(text)
+
+
+@given(pairs.filter(lambda x: x[1] != 0), st.one_of(integers, rationals))
+def test_gaussian_scalars_hash_by_their_value(x, q):
+    s = Scalar(*x)
+    for same in (parse_scalar(str(s)), s + 1 - 1, s * 2 / 2, Scalar(x[0], x[1])):
+        assert same == s and hash(same) == hash(s)
+    assert hash(Scalar(q)) == hash(q)
