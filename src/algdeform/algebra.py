@@ -23,10 +23,10 @@ from .errors import AlgebraError, check_size
 from .linalg import RowReducer
 from .scalar import ONE, ZERO, Scalar, as_scalar
 from .tables import (
+    Sweep,
     Table,
     Vec,
     associator_terms,
-    sum_witness,
     vec_add_into,
     vec_eq,
     vec_mul,
@@ -156,7 +156,7 @@ class Algebra:
 
     def associativity_witness(self) -> Optional[tuple[tuple[int, ...], Vec]]:
         """Smallest basis triple where (e_i e_j) e_k != e_i (e_j e_k), if any."""
-        return sum_witness(self.dim, associator_terms(self.structure))
+        return Sweep(self.dim).witness(associator_terms(self.structure))
 
     def decompose(self, part1: Iterable[int]) -> "Decomposition":
         return Decomposition(self, part1)

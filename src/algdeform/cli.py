@@ -61,7 +61,7 @@ from .dynamics import (
 from .errors import AlgebraError, DocumentError, PreconditionError
 from .hochschild import cohomology_dimension
 from .scalar import MINUS_ONE, ONE, ScalarError, parse_scalar
-from .tables import Compose, sum_witness
+from .tables import Compose, Sweep
 
 USAGE_ERRORS = (DocumentError, AlgebraError, PreconditionError, ScalarError, OSError)
 
@@ -266,7 +266,7 @@ def _cmd_contraction(args) -> int:
         _check("associative", prod.associativity_witness() is None),
         _check(
             "limit_interpolation_matches",
-            sum_witness(alg.dim, [Compose(ONE, limit.table), Compose(MINUS_ONE, prod.table)])
+            Sweep(alg.dim).witness([Compose(ONE, limit.table), Compose(MINUS_ONE, prod.table)])
             is None,
         ),
     ]

@@ -15,11 +15,12 @@ Identity checks are exhaustive over basis tuples (bilinearity makes that
 sufficient) and exact; every predicate has a witness-producing variant so the
 CLI can report the first failing tuple.
 
-Every table here is a signed sum of compositions built by the kernels of
-``tables``. The deformed product mu o (N, 1) + mu o (1, N) - N o mu is the
-Hochschild coboundary of N, that is [mu, N] (``table_deform_into``); torsion
-and the hierarchy relations compose mu with operators; commutators are
-``table_alternation``.
+Every table here is a signed sum of ``tables`` terms. The deformed product
+mu o (N, 1) + mu o (1, N) - N o mu is the Hochschild coboundary of N, that is
+[mu, N] (``deform_terms``); torsion and the hierarchy relations compose mu
+with operators; commutators are ``table_alternation``. Checks that only test
+a sum for zero read it with ``tables.Sweep``; ``verify_hierarchy`` keeps one
+sweep for all its sums, so each power and product is scaled once.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .tables import (
     associator_terms,
     deform_terms,
     mixed_associator_terms,
-    sum_witness,
     table_add_into,
     table_alternation,
     table_compose_into,
@@ -112,7 +112,7 @@ class Product:
 
     def associativity_witness(self) -> Optional[tuple[tuple[int, ...], Vec]]:
         """Smallest basis triple with a nonzero associator, if any."""
-        return sum_witness(self.algebra.dim, associator_terms(self.table))
+        return Sweep(self.algebra.dim).witness(associator_terms(self.table))
 
     def ensure_associativity_flag(self) -> bool:
         if self.associative is None:
@@ -224,7 +224,7 @@ def mixed_associator_witness(
 ) -> Optional[tuple[tuple[int, ...], Vec]]:
     if p1.algebra is not p2.algebra:
         raise PreconditionError("products live on different algebras")
-    return sum_witness(p1.algebra.dim, mixed_associator_terms(p1.table, p2.table))
+    return Sweep(p1.algebra.dim).witness(mixed_associator_terms(p1.table, p2.table))
 
 
 def mixed_associator_compatible(p1: Product, p2: Product) -> bool:
@@ -328,7 +328,7 @@ def tensors_compatible(n1: Operator, n2: Operator) -> bool:
     if not is_nijenhuis(n2):
         raise PreconditionError("second operator has nonzero torsion")
     mu = n1.algebra.structure
-    return sum_witness(n1.algebra.dim, [
+    return Sweep(n1.algebra.dim).witness([
         Compose(ONE, _deform_table(mu, n2), outer=n1.columns),
         Compose(ONE, _deform_table(mu, n1), outer=n2.columns),
         Compose(MINUS_ONE, mu, inner=(n1.columns, n2.columns)),
@@ -494,7 +494,8 @@ def theorem5_product(
     for (i, j), vec in circ1.table.items():
         if i not in part1 or j not in part1 or any(k not in part1 for k in vec):
             raise PreconditionError("circ1 is not supported on part1")
-    if sum_witness(alg.dim, associator_terms(circ1.table)) is not None:
+    sweep = Sweep(alg.dim)
+    if sweep.witness(associator_terms(circ1.table)) is not None:
         raise PreconditionError("circ1 is not associative on part1")
     _check_part_operator(n1, dec.part1, "n1")
     _check_part_operator(n1p, dec.part1, "n1p")
@@ -505,7 +506,7 @@ def theorem5_product(
             Compose(ONE, circ1.table, outer=op.columns),
             Compose(MINUS_ONE, alg.structure, inner=(op.columns, op.columns)),
         ]
-        if sum_witness(alg.dim, terms) is not None:
+        if sweep.witness(terms) is not None:
             raise PreconditionError(
                 f"{label} is not a homomorphism from circ1 to the original product"
             )

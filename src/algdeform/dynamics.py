@@ -54,11 +54,11 @@ from .linalg import RowReducer, solve_sparse_system
 from .scalar import MINUS_ONE, ONE, ZERO, Scalar, as_scalar
 from .tables import (
     Compose,
+    Sweep,
     Table,
     Vec,
     deform_terms,
     mixed_associator_table,
-    sum_witness,
     table_alternation,
     table_compose_into,
     table_insert_into,
@@ -86,7 +86,7 @@ def is_derivation(d: Operator, p: Product) -> tuple[bool, Optional[tuple[int, in
     if d.algebra is not p.algebra:
         raise PreconditionError("operator and product live on different algebras")
     # D o p - p o (D, 1) - p o (1, D): the product deformed by D, negated
-    w = sum_witness(d.algebra.dim, deform_terms(MINUS_ONE, p.table, d.columns))
+    w = Sweep(d.algebra.dim).witness(deform_terms(MINUS_ONE, p.table, d.columns))
     return (True, None) if w is None else (False, w[0])
 
 
@@ -218,13 +218,15 @@ def is_bi_hamiltonian(d: Operator, p1: Product, p2: Product) -> BiHamiltonianRep
     rep1 = inner_generator(d, p1)
     rep2 = inner_generator(d, p2)
     # Both products are associative, so the associator of p1 + p2 is their
-    # mixed associator, and Jacobi for the sum bracket is its alternation.
-    mixed = mixed_associator_table(p1.table, p2.table)
+    # mixed associator, and Jacobi for the sum bracket is its alternation;
+    # the table is built only when the mixed associator does not vanish.
+    compatible = mixed_associator_witness(p1, p2) is None
     return BiHamiltonianReport(
         inner_first=rep1.inner,
         inner_second=rep2.inner,
-        sum_bracket_jacobi=not table_alternation(mixed),
-        products_compatible=not mixed,
+        sum_bracket_jacobi=compatible
+        or not table_alternation(mixed_associator_table(p1.table, p2.table)),
+        products_compatible=compatible,
         generators=(rep1.generator, rep2.generator),
         ambiguities=(rep1.ambiguity, rep2.ambiguity),
     )
@@ -387,7 +389,7 @@ def _example_3(n: int = 3) -> dict:
     # prod minus the product deformed by K_diag = L_K P1
     k_diag = Operator.left_multiplication(k) @ dec.projector(1)
     terms = [Compose(ONE, prod.table)] + deform_terms(MINUS_ONE, alg.structure, k_diag.columns)
-    w = sum_witness(alg.dim, terms)
+    w = Sweep(alg.dim).witness(terms)
     checks.append(_check("differs_from_deform_of_K_diag", w is not None))
     if w is not None:
         pair = w[0]

@@ -15,8 +15,8 @@ Text grammar (used by all JSON documents and CLI flags)::
     RAT    := INT | INT "/" POSINT
     SCALAR := RAT | RAT "i" | RAT ("+"|"-") UNSIGNED-RAT "i"
 
-Examples: ``3/2``, ``-1``, ``2i``, ``1/2-3i``. Whitespace inside a scalar
-token is forbidden.
+Examples: ``3/2``, ``-1``, ``2i``, ``1/2-3i``. Digits are ASCII ``0-9``;
+whitespace inside a scalar token is forbidden.
 """
 
 from __future__ import annotations

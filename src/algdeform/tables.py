@@ -7,18 +7,36 @@ of basis vector j.
 
 Every identity check in the package has one shape: two compositions of a
 product table with linear operators agree on every basis tuple. Such a check
-is a signed sum of terms, each built in place by one of two kernels:
+is a signed sum of terms, written once as data:
 
-    table_compose_into  acc += c * N o T o (N1, N2, ...)  (None = identity)
-    table_insert_into   acc += c * P(..., Q(...), ...)    (Q in one slot of P)
+    Compose(c, T, N, (N1, N2))  c * N o T o (N1, N2)   (None = identity)
+    Insert(c, P, Q, pos)        c * P(Q(a, b), c) or c * P(a, Q(b, c))
 
-and the identity holds exactly when the sum is the zero table;
-:func:`first_witness` returns its lexicographically smallest failing tuple.
-The deformed product T o (N, 1) + T o (1, N) - N o T is three compose terms
-(:func:`table_deform_into`); the associators, and in ``hochschild`` the
-graded bracket and the coboundary d = (-1)^(n+1) [mu, .], are insertions.
-The kernels are flat and dict-based: their cost scales with the number of
-nonzero entries, never with dim**n.
+:func:`deform_terms` gives the deformed product T o (N, 1) + T o (1, N) -
+N o T as three compose terms, :func:`associator_terms` and
+:func:`mixed_associator_terms` the associators as insertions. A sum of terms
+is read in one of two ways:
+
+- :func:`table_of` builds it with the two Scalar kernels, which also build
+  every table the package outputs (in ``hochschild`` the graded bracket and
+  the coboundary d = (-1)^(n+1) [mu, .] are insertions of any arity):
+
+      table_compose_into  acc += c * N o T o (N1, N2, ...)
+      table_insert_into   acc += c * P(..., Q(...), ...)  (Q in one slot of P)
+
+  and :func:`first_witness` returns its lexicographically smallest failing
+  tuple, with the residual vector there.
+- :class:`Sweep` returns that same witness without building the table, for
+  checks that only test it. Each table and operator is scaled once to
+  integers by its common denominator, and the terms to one common scale; a
+  nonzero scale cannot change a zero test. The first slot is swept in
+  ascending order and only its rows are accumulated, in plain ints with the
+  real and the imaginary parts apart; the first nonzero row is the witness,
+  and only its residual is divided back into Scalars.
+
+Both are flat and dict-based: their cost scales with the number of nonzero
+entries, never with dim**n, and a sweep holds one first-slot row block at a
+time.
 """
 
 from __future__ import annotations
@@ -62,7 +80,6 @@ __all__ = [
     "table_alternation",
     "first_witness",
     "Sweep",
-    "sum_witness",
 ]
 
 
@@ -553,7 +570,3 @@ class Sweep:
             im.clear()
         return None
 
-
-def sum_witness(dim: int, terms: Sequence[Term]) -> tuple[tuple[int, ...], Vec] | None:
-    """``first_witness(table_of(terms))`` from a fresh :class:`Sweep`."""
-    return Sweep(dim).witness(terms)

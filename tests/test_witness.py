@@ -1,7 +1,7 @@
 """The witness engine against the tables it avoids building.
 
-``tables.sum_witness`` (and a reused ``tables.Sweep``) must return what
-``first_witness`` returns on the materialised sum: the lexicographically
+``tables.Sweep.witness``, from a fresh or from a reused sweep, must return
+what ``first_witness`` returns on the materialised sum: the lexicographically
 smallest failing tuple and the residual vector there, as ``{index: Scalar}``.
 Tables are drawn at random, so most are not associative, with fractional,
 negative and purely imaginary entries; operators have denominators too.
@@ -24,7 +24,6 @@ from algdeform.tables import (
     first_witness,
     mixed_associator_table,
     mixed_associator_terms,
-    sum_witness,
     table_of,
 )
 
@@ -60,7 +59,7 @@ def problems(draw):
 
 def assert_same(dim, terms, materialised):
     expected = first_witness(materialised)
-    got = sum_witness(dim, terms)
+    got = Sweep(dim).witness(terms)
     assert got == expected
     event("witness" if got else "zero")
     if got is not None:
@@ -121,7 +120,7 @@ def test_zero_sums_have_no_witness():
         (2, []),
         (9, associator_terms(full_matrix_algebra(3).structure)),
     ]:
-        assert sum_witness(dim, terms) is None
+        assert Sweep(dim).witness(terms) is None
 
 
 def test_real_table_witness_and_residual():
@@ -129,7 +128,7 @@ def test_real_table_witness_and_residual():
     alg = upper_triangular_algebra(3)
     swap = [{5: ONE}, {1: ONE}, {2: ONE}, {3: ONE}, {4: ONE}, {0: Scalar(Fraction(1, 2))}]
     prod = table_of(deform_terms(ONE, alg.structure, swap))
-    witness = sum_witness(alg.dim, associator_terms(prod))
+    witness = Sweep(alg.dim).witness(associator_terms(prod))
     assert witness is not None and witness == first_witness(associator_table(prod))
     assert all(not v.b for v in witness[1].values())
 
@@ -137,6 +136,6 @@ def test_real_table_witness_and_residual():
 def test_terms_must_share_one_arity_and_slot():
     t = {(0, 0): {0: ONE}}
     with pytest.raises(ValueError):
-        sum_witness(1, [Insert(ONE, t, t, 0), Compose(ONE, t)])
+        Sweep(1).witness([Insert(ONE, t, t, 0), Compose(ONE, t)])
     with pytest.raises(ValueError):
-        sum_witness(1, [Insert(ONE, t, t, 2)])
+        Sweep(1).witness([Insert(ONE, t, t, 2)])
