@@ -42,12 +42,11 @@ time.
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .scalar import MINUS_ONE, ONE, Scalar
+from .scalar import MINUS_ONE, ONE, Scalar, _scalar
 
 Vec = dict[int, Scalar]
 Table = dict[tuple[int, ...], Vec]
@@ -377,52 +376,25 @@ def first_witness(table: Table) -> tuple[tuple[int, ...], Vec] | None:
 # -- the witness engine ---------------------------------------------------------------
 #
 # A form is a table, or an operator's columns, scaled to integers by the
-# common denominator d of its entries: (d, rows, parts), rows being
-# [(key, [(k, re, im), ...])]. Its parts split the rows into the real and the
-# imaginary entries, [(phase, [(key, [(k, v), ...])], {role: index})]: a part
-# of phase p stands for i**p times its integers.
+# common denominator d of its entries and split into its real and imaginary
+# parts: (d, [(phase, [(key, [(k, v), ...]), ...], {role: index}), ...]). A
+# part of phase p stands for i**p times its integers; each role of a part in
+# a sweep (rows by first slot, by output, ...) is indexed once.
 
 _PHASE = ((0, 1), (1, 1), (0, -1), (1, -1))  # i**p = sign * (1, i)[target]
 _ROWS, _FLAT, _OUT, _COLS, _PRE = range(5)
+_IDENTITY = (1, [(0, None, {})])  # a slot left alone; its index is None
 
 
 def _int_form(items) -> tuple:
     items = list(items)
-    d = lcm(*{v.d for _, vec in items for v in vec.values()})
-    if d == 1:
-        rows = [(t, [(k, v.a, v.b) for k, v in vec.items()]) for t, vec in items]
-    else:
-        rows = [(t, [(k, v.a * (d // v.d), v.b * (d // v.d)) for k, v in vec.items()])
-                for t, vec in items]
-    return _with_parts(d, rows)
-
-
-def _with_parts(d: int, rows: list) -> tuple:
-    re = [(t, es) for t, entries in rows if (es := [(k, r) for k, r, _ in entries if r])]
-    if any(i for _, entries in rows for _, _, i in entries):
-        im = [(t, es) for t, entries in rows if (es := [(k, i) for k, _, i in entries if i])]
-    else:
-        im = []
-    return d, rows, [(phase, part, {}) for phase, part in ((0, re), (1, im)) if part]
-
-
-def _composed(rows: list, cols: dict) -> list:
-    """Integer rows of outer o table: each row's vector mapped by ``cols``."""
-    out = []
-    for t, entries in rows:
-        image: dict[int, list[int]] = {}
-        for k, vr, vi in entries:
-            for m, cr, ci in cols.get(k, ()):
-                cell = image.get(m)
-                if cell is None:
-                    image[m] = [vr * cr - vi * ci, vr * ci + vi * cr]
-                else:
-                    cell[0] += vr * cr - vi * ci
-                    cell[1] += vr * ci + vi * cr
-        entries = [(m, r, i) for m, (r, i) in image.items() if r or i]
-        if entries:
-            out.append((t, entries))
-    return out
+    values = [v for _, vec in items for v in vec.values()]
+    d = lcm(*{v.d for v in values})
+    re = [(t, es) for t, vec in items if (es := [(k, v.a * (d // v.d)) for k, v in vec.items() if v.a])]
+    im = []
+    if any(v.b for v in values):
+        im = [(t, es) for t, vec in items if (es := [(k, v.b * (d // v.d)) for k, v in vec.items() if v.b])]
+    return d, [(phase, part, {}) for phase, part in ((0, re), (1, im)) if part]
 
 
 def _index(role: int, part: list, dim: int):
@@ -462,12 +434,11 @@ class Sweep:
 
     def _form(self, obj) -> tuple:
         """The form of a table or of operator columns; None is the identity."""
+        if obj is None:
+            return _IDENTITY
         hit = self._forms.get(id(obj))
         if hit is None:
-            if obj is None:
-                form = _with_parts(1, [(a, [(a, 1, 0)]) for a in range(self.dim)])
-            else:
-                form = _int_form(obj.items() if isinstance(obj, dict) else enumerate(obj))
+            form = _int_form(obj.items() if isinstance(obj, dict) else enumerate(obj))
             hit = self._forms[id(obj)] = (obj, form)
         return hit[1]
 
@@ -496,13 +467,10 @@ class Sweep:
                     raise ValueError(f"slot {term.pos} out of range for arity 2")
                 specs.append((term.pos, fp[0] * fq[0], term.coef, roles))
                 continue
-            ft = form(term.table)
-            if term.outer is not None:  # built for this sum only
-                fo = form(term.outer)
-                ft = _with_parts(ft[0] * fo[0], _composed(ft[1], dict(fo[1])))
+            ft, fo = form(term.table), form(term.outer)
             n1, n2 = [form(op) for op in term.inner or (None, None)]
-            roles = ((_COLS, n1), (_ROWS, ft), (_PRE, n2))
-            specs.append((2, ft[0] * n1[0] * n2[0], term.coef, roles))
+            roles = ((_COLS, n1), (_ROWS, ft), (_PRE, n2), (_COLS, fo))
+            specs.append((2, ft[0] * n1[0] * n2[0] * fo[0], term.coef, roles))
         if not specs:
             return None
         scale = lcm(*(den * coef.d for _, den, coef, _ in specs))
@@ -511,11 +479,11 @@ class Sweep:
         for kind, den, coef, roles in specs:
             s = scale // (den * coef.d)
             mults = [(phase, m * s) for phase, m in ((0, coef.a), (1, coef.b)) if m]
-            for combo in product(*(f[2] for _, f in roles)):
+            for combo in product(*(f[1] for _, f in roles)):
                 idx = []
                 for (role, _), (_, part, indexes) in zip(roles, combo):
                     ix = indexes.get(role)
-                    if ix is None:
+                    if ix is None and part is not None:
                         ix = indexes[role] = _index(role, part, dim)
                     idx.append(ix)
                 phase = sum(p for p, _, _ in combo)
@@ -545,17 +513,23 @@ class Sweep:
                             q *= f
                             for k, p in entries:
                                 acc[bc + k] += q * p
-                else:  # outer o T o (N1, N2): N1 column a, T rows (m1, m2), N2 preimages of m2
-                    cols, t_rows, pre = idx
-                    for m1, v1 in cols[a]:
+                else:  # N o T o (N1, N2): N1 column a, T rows (m1, m2), N2 preimages of m2
+                    cols, t_rows, pre, outer = idx
+                    for m1, v1 in ((a, 1),) if cols is None else cols[a]:
                         rows = t_rows.get(m1)
                         if rows:
                             v1 *= f
                             for m2, entries in rows:
-                                for a2, v2 in pre.get(m2, ()):
+                                for a2, v2 in ((m2 * dim, 1),) if pre is None else pre.get(m2, ()):
                                     v2 *= v1
-                                    for k, v in entries:
-                                        acc[a2 + k] += v2 * v
+                                    if outer is None:
+                                        for k, v in entries:
+                                            acc[a2 + k] += v2 * v
+                                    else:  # column k of N
+                                        for k, v in entries:
+                                            v *= v2
+                                            for m, x in outer[k]:
+                                                acc[a2 + m] += v * x
             re, im = accs
             if any(re.values()) or any(im.values()):
                 rest = min(key for acc in accs for key, v in acc.items() if v) // dim
@@ -563,7 +537,8 @@ class Sweep:
                 for key in range(rest * dim, rest * dim + dim):
                     r, i = re.get(key, 0), im.get(key, 0)
                     if r or i:
-                        residual[key - rest * dim] = Scalar(Fraction(r, scale), Fraction(i, scale))
+                        g = gcd(r, i, scale)
+                        residual[key - rest * dim] = _scalar(r // g, i // g, scale // g)
                 tail = divmod(rest, dim) if specs[0][0] < 2 else (rest,)
                 return (a, *tail), residual
             re.clear()
