@@ -180,10 +180,7 @@ def table_insert_into(
             if coef is not ONE:
                 qcoef = coef * qcoef
             for tp, vp in hits:
-                if p_arity != 2:
-                    key = tp[:pos] + tq + tp[pos + 1:]
-                else:
-                    key = tq + (tp[1],) if pos == 0 else (tp[0],) + tq
+                key = tp[:pos] + tq + tp[pos + 1:]
                 row = acc.get(key)
                 if row is None:
                     row = acc[key] = {}
