@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import combinations, permutations, product
 from math import gcd, lcm
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .scalar import MINUS_ONE, ONE, Scalar, _scalar
 
@@ -69,7 +69,6 @@ __all__ = [
     "table_compose_into",
     "Insert",
     "Compose",
-    "Term",
     "table_of",
     "deform_terms",
     "associator_terms",
@@ -269,34 +268,32 @@ def table_compose_into(
             vec_add_into(row, c, vec)
 
 
-class Insert(NamedTuple):
+class Insert:
     """The term coef * P(Q(a, b), c) (``pos`` 0) or coef * P(a, Q(b, c)) (``pos`` 1).
 
     P and Q are arity-2 tables; the term has arity 3.
     """
 
-    coef: Scalar
-    p: Table
-    q: Table
-    pos: int
+    __slots__ = ("coef", "p", "q", "pos")
+
+    def __init__(self, coef: Scalar, p: Table, q: Table, pos: int):
+        self.coef, self.p, self.q, self.pos = coef, p, q, pos
 
 
-class Compose(NamedTuple):
+class Compose:
     """The term coef * outer o table o (inner[0], inner[1]); None is the identity.
 
     ``table`` has arity 2, and so has the term.
     """
 
-    coef: Scalar
-    table: Table
-    outer: Optional[Columns] = None
-    inner: Optional[Sequence[Optional[Columns]]] = None
+    __slots__ = ("coef", "table", "outer", "inner")
+
+    def __init__(self, coef: Scalar, table: Table, outer: Optional[Columns] = None,
+                 inner: Optional[Sequence[Optional[Columns]]] = None):
+        self.coef, self.table, self.outer, self.inner = coef, table, outer, inner
 
 
-Term = Union[Insert, Compose]
-
-
-def table_of(terms: Sequence[Term]) -> Table:
+def table_of(terms: Sequence[Insert | Compose]) -> Table:
     """The signed sum of ``terms``, built in full by the two kernels."""
     acc: Table = {}
     for term in terms:
@@ -439,7 +436,7 @@ class Sweep:
             hit = self._forms[id(obj)] = (obj, form)
         return hit[1]
 
-    def witness(self, terms: Sequence[Term]) -> tuple[tuple[int, ...], Vec] | None:
+    def witness(self, terms: Sequence[Insert | Compose]) -> tuple[tuple[int, ...], Vec] | None:
         """The smallest failing tuple of the sum of ``terms`` and its residual.
 
         All terms are :class:`Insert` (arity 3) or all are :class:`Compose`
