@@ -178,12 +178,20 @@ def torsion(n: Operator) -> Cochain:
 
 
 def nijenhuis_witness(n: Operator) -> Optional[tuple[tuple[int, ...], Vec]]:
-    return torsion(n).witness()
+    """The torsion's witness, swept with N o mu_N expanded into compositions
+    of mu: no table is built, the deformed product's included."""
+    mu, cols = n.algebra.structure, n.columns
+    return Sweep(n.algebra.dim).witness([
+        Compose(ONE, mu, cols, (cols, None)),
+        Compose(ONE, mu, cols, (None, cols)),
+        Compose(MINUS_ONE, mu, (n @ n).columns),
+        Compose(MINUS_ONE, mu, inner=(cols, cols)),
+    ])
 
 
 def is_nijenhuis(n: Operator) -> bool:
     """True iff the torsion of ``n`` vanishes identically."""
-    return torsion(n).is_zero
+    return nijenhuis_witness(n) is None
 
 
 @dataclass(frozen=True)
@@ -265,9 +273,11 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
 
     report: dict = {"max_power": maxk, "nijenhuis": True}
 
+    # Zero by construction, so skipped: r = 0 below (mu_{N^k} minus itself)
+    # and k = 0 in the composition law (T o (1, 1) + T o (1, 1) - 1 o T - T).
     lemma_witness = None
-    for r in range(maxk + 1):
-        nr = powers[r].columns if r else None
+    for r in range(1, maxk + 1):
+        nr = powers[r].columns
         for k in range(maxk + 1 - r):
             # N^r o mu_{N^(k+r)} - mu_{N^k} o (N^r, N^r)
             w = sweep.witness([
@@ -284,7 +294,7 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
 
     comp_ok, comp_witness = True, None
     for i in range(maxk + 1):
-        for k in range(maxk + 1 - i):
+        for k in range(1, maxk + 1 - i):
             # (o_{N^i} deformed by N^k) - o_{N^(i+k)}
             terms = deform_terms(ONE, prods[i].table, powers[k].columns)
             if sweep.witness(terms + [Compose(MINUS_ONE, prods[i + k].table)]) is not None:

@@ -86,6 +86,22 @@ def _parse_scalar_field(value, where: str) -> Scalar:
     raise DocumentError(f"{where}: expected a scalar string, got {value!r}")
 
 
+def _scalar_reader(where: str):
+    """:func:`_parse_scalar_field` for the fields of one list: each distinct
+    string is parsed once, ints and bools are checked every time."""
+    parsed: dict[str, Scalar] = {}
+
+    def read(value) -> Scalar:
+        if type(value) is not str:
+            return _parse_scalar_field(value, where)
+        s = parsed.get(value)
+        if s is None:
+            s = parsed[value] = _parse_scalar_field(value, where)
+        return s
+
+    return read
+
+
 def structure_to_triples(table: Table) -> list[list]:
     triples = []
     for (i, j), vec in table.items():
@@ -96,6 +112,7 @@ def structure_to_triples(table: Table) -> list[list]:
 
 
 def triples_to_table(raw, dim: int, where: str) -> dict[tuple[int, int], dict[int, Scalar]]:
+    read = _scalar_reader(where)
     if not isinstance(raw, list):
         raise DocumentError(f"{where}: structure must be a list of [i, j, k, scalar]")
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
@@ -109,7 +126,7 @@ def triples_to_table(raw, dim: int, where: str) -> dict[tuple[int, int], dict[in
         cell = table.setdefault((i, j), {})
         if k in cell:
             raise DocumentError(f"{where}: structure triple {[i, j, k]} is repeated")
-        cell[k] = _parse_scalar_field(s, where)
+        cell[k] = read(s)
     return table
 
 
@@ -152,7 +169,7 @@ def algebra_from_doc(doc: dict, where: str = "algebra document") -> Algebra:
     if unit is not None:
         if not isinstance(unit, list) or len(unit) != dim:
             raise DocumentError(f"{where}: unit must list {dim} scalars")
-        unit_vec = [_parse_scalar_field(v, where) for v in unit]
+        unit_vec = list(map(_scalar_reader(where), unit))
     return Algebra(
         name,
         dim,
@@ -185,7 +202,8 @@ def operator_from_doc(alg: Algebra, doc: dict, where: str = "operator document")
         or any(not isinstance(r, list) or len(r) != alg.dim for r in matrix)
     ):
         raise DocumentError(f"{where}: matrix must be {alg.dim}x{alg.dim}")
-    rows = [[_parse_scalar_field(v, where) for v in r] for r in matrix]
+    read = _scalar_reader(where)
+    rows = [list(map(read, r)) for r in matrix]
     return Operator.from_matrix_rows(alg, rows)
 
 
@@ -243,7 +261,7 @@ def product_from_doc(alg: Algebra, doc: dict, where: str = "product document") -
     if unit is not None:
         if not isinstance(unit, list) or len(unit) != alg.dim:
             raise DocumentError(f"{where}: unit must list {alg.dim} scalars")
-        unit_el = alg.element([_parse_scalar_field(v, where) for v in unit])
+        unit_el = alg.element(list(map(_scalar_reader(where), unit)))
     prod = Product(Cochain(alg, 2, table, copy=False), unit=unit_el)
     if unit_el is not None and not prod.is_unit(unit_el):
         raise DocumentError(f"{where}: claimed unit is not a unit for the product")

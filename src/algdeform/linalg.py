@@ -11,12 +11,19 @@ exact elimination, :class:`RowReducer`, fed sparse rows one at a time:
 * elimination is fraction-free, after Bareiss (1968): a new row is reduced
   by its leading column only, ``work := a * work - b * pivot_row`` with
   ``a/b`` the ratio of the leading entries in lowest terms, until no pivot
-  row leads there; divided by its content it becomes that column's pivot row.
+  row leads there; divided by its content it becomes that column's pivot row;
+* the sparser row keeps the pivot, as in Markowitz (1957): a working row
+  with fewer nonzeros than the pivot row of its leading column replaces it,
+  and the old pivot row is eliminated in its place. The pivot columns are
+  still the lowest ones, so the rank, the pivot set and the order of the
+  pivot keys do not change; only the fill-in does.
 
 The stored rows are an echelon basis, which gives the rank. Solutions are
 read from the reduced echelon form, made by one back-substitution when first
-asked for. That form is unique, so particular solutions (free variables
-zero) and kernel bases (one per free column) do not depend on row order.
+asked for, and again after a row is added or a pivot row replaced. That form
+is unique, so particular solutions (free variables zero) and kernel bases
+(one per free column) do not depend on row order or on which rows were kept.
+Rows enter without zero entries: one check per row drops any it is given.
 """
 
 from __future__ import annotations
@@ -129,7 +136,7 @@ class RowReducer:
     def __init__(self) -> None:
         self.pivots: dict[float, dict] = {}
         self.realified = False
-        self._reduced = 0  # the number of pivots when last back-substituted
+        self._reduced = 0  # pivots when last back-substituted; -1 after a swap
 
     @property
     def rows(self) -> list[dict]:
@@ -173,7 +180,10 @@ class RowReducer:
         for c, v in im.items():
             top[2 * c + 1] = -v
             bottom[2 * c] = v
-        top[_RHS], bottom[_RHS] = rhs_re, rhs_im
+        if rhs_re:
+            top[_RHS] = rhs_re
+        if rhs_im:
+            bottom[_RHS] = rhs_im
         return self._insert((top, bottom))
 
     def _insert(self, rows: Iterable[Mapping]) -> bool:
@@ -182,7 +192,9 @@ class RowReducer:
         pivots = self.pivots
         grew = False
         for row in rows:
-            work = {c: v for c, v in row.items() if v}
+            work = dict(row)
+            if 0 in work.values():
+                work = {c: v for c, v in row.items() if v}
             while work:
                 p = min(work)
                 prow = pivots.get(p)
@@ -190,6 +202,10 @@ class RowReducer:
                     pivots[p] = _primitive(work, p)
                     grew = grew or p != _RHS
                     break
+                if len(work) < len(prow):  # the sparser row keeps the pivot
+                    pivots[p], work = _primitive(work, p), prow
+                    prow = pivots[p]
+                    self._reduced = -1
                 work = _cleared(work, prow, p)
         return grew
 

@@ -4,6 +4,7 @@ from itertools import product as iproduct
 import pytest
 
 from algdeform.algebra import (
+    Algebra,
     Operator,
     banded_oscillator_algebra,
     dual_number_algebra,
@@ -20,6 +21,7 @@ from algdeform.hochschild import (
 )
 from algdeform.linalg import Matrix, kernel_basis, rank
 from algdeform.scalar import Scalar
+from algdeform.tables import vec_mul
 
 
 def random_element(rng, alg, span=3):
@@ -286,3 +288,34 @@ def test_cohomology_on_algebras_with_known_answers():
         assert cohomology_dimension(alg, 0) == 1
         assert cohomology_dimension(alg, 1) == 0
         assert cohomology_dimension(alg, 2) == 0
+
+
+def _twisted_m3(additions, order=range(9)):
+    """M3 in the basis f_j = P e_j, P the column additions col_x += c * col_y
+    in turn, with basis index j then renamed ``order[j]``."""
+    m3 = full_matrix_algebra(3)
+    p = [{i: Scalar(1)} for i in range(9)]  # column j of P
+    p_inv = [{i: Scalar(1)} for i in range(9)]  # row i of P^-1
+    for x, y, c in additions:
+        for i, v in p[y].items():
+            p[x][i] = p[x].get(i, Scalar(0)) + Scalar(c) * v
+        for i, v in p_inv[x].items():
+            p_inv[y][i] = p_inv[y].get(i, Scalar(0)) - Scalar(c) * v
+    structure = {}
+    for a, b in iproduct(range(9), repeat=2):
+        prod = vec_mul(m3.structure, p[a], p[b])
+        vec = {order[k]: sum((row.get(i, Scalar(0)) * v for i, v in prod.items()), Scalar(0))
+               for k, row in enumerate(p_inv)}
+        structure[(order[a], order[b])] = vec
+    return Algebra("M3'", 9, [f"f{j}" for j in range(9)], structure)
+
+
+def test_cohomology_of_a_dense_basis_of_m3_is_that_of_m3():
+    # A dense basis on which pivot-row fill-in was worst: H^n must not depend
+    # on the basis, nor on the order of its indices.
+    twist = ((3, 5, -2), (2, 3, 1), (1, 2, -1))
+    plain = [cohomology_dimension(full_matrix_algebra(3), n) for n in (0, 1, 2)]
+    assert plain == [1, 0, 0]
+    for order in (range(9), (4, 7, 0, 8, 2, 6, 1, 5, 3)):
+        alg = _twisted_m3(twist, order)
+        assert [cohomology_dimension(alg, n) for n in (0, 1, 2)] == plain

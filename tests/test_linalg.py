@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from fractions import Fraction
@@ -281,3 +282,79 @@ def test_invert_matches_sympy_inverse(system):
     inverse = sm.inv()
     expected = [[_from_sympy(sympy.expand(inverse[i, j])) for j in range(n)] for i in range(n)]
     assert invert(square) == Matrix(n, n, expected)
+
+
+# -- sparser rows take over pivots --------------------------------------------------------
+
+
+@st.composite
+def dense_echelon_systems(draw):
+    """``(m, b)``, consistent, whose reduced echelon form is [I | u v^T | c]:
+    its rows are dense, but u_j R_i - u_i R_j cancels every free column. The
+    rows of ``m`` mix those of the echelon form by a unimodular matrix."""
+    r, f = draw(st.integers(2, 4)), draw(st.integers(3, 4))
+    nonzero = st.integers(-3, 3).filter(bool)
+    u = draw(st.lists(nonzero, min_size=r, max_size=r))
+    v = draw(st.lists(nonzero, min_size=f, max_size=f))
+    c = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+    echelon = [[int(i == j) for j in range(r)] + [ui * vj for vj in v] + [ci]
+               for i, (ui, ci) in enumerate(zip(u, c))]
+    mix = st.integers(-2, 2)
+    for i in range(r):  # row additions: the mix is unimodular
+        for j in range(r):
+            k = draw(mix)
+            if i != j and k:
+                echelon[i] = [a + k * b for a, b in zip(echelon[i], echelon[j])]
+    m = Matrix.from_rows([row[:-1] for row in echelon])
+    return m, [Scalar(row[-1]) for row in echelon]
+
+
+def _read(red, ncols):
+    return red.particular_sparse(), red.kernel_basis_sparse(ncols)
+
+
+@SYSTEMS
+@given(dense_echelon_systems())
+def test_sparser_rows_leave_the_read_out_on_the_reduced_echelon_form(system):
+    sympy = pytest.importorskip("sympy")
+    m, b = system
+    rref, pivots = _sympy_rref(sympy, m, b)
+    assert m.cols not in pivots
+    particular = {p: rref[i][m.cols] for i, p in enumerate(pivots) if rref[i][m.cols]}
+    kernel = []
+    for f in range(m.cols):
+        if f not in pivots:
+            vec = {f: ONE}
+            vec.update({p: -rref[i][f] for i, p in enumerate(pivots) if rref[i][f]})
+            kernel.append(vec)
+    red = RowReducer()
+    for row, rhs in zip(m.sparse_rows(), b):
+        red.add_row(row, rhs)
+    first = _read(red, m.cols)
+    assert first == (particular, kernel)
+    # Rows of the row space with three entries or fewer, against stored
+    # reduced rows of four or more: each one takes over a pivot.
+    for i, j in combinations(range(len(pivots)), 2):
+        ui, uj = rref[i][m.cols - 1], rref[j][m.cols - 1]  # u times the last v
+        comb = [uj * x - ui * y for x, y in zip(rref[i], rref[j])]
+        row = {k: x for k, x in enumerate(comb[:-1]) if x}
+        assert len(row) == 2 and not red.add_row(row, comb[-1])
+    second = _read(red, m.cols)
+    assert second == (particular, kernel)
+    assert [list(v) for v in (second[0], *second[1])] == [list(v) for v in (first[0], *first[1])]
+
+
+def test_add_integer_rows_drops_explicit_zeros():
+    re_rows = [{0: 0, 1: 2, 2: 4}, {0: 0, 3: 0}, {1: 0, 2: 3}, {0: 5, 1: 0}]
+    im_rows = [{}, {2: 0}, {1: 1, 3: 0}, {0: 0}]
+
+    def clean(rows):
+        return [{c: v for c, v in row.items() if v} for row in rows]
+
+    for im in (None, im_rows):
+        with_zeros, without = RowReducer(), RowReducer()
+        with_zeros.add_integer_rows(re_rows, im)
+        without.add_integer_rows(clean(re_rows), im and clean(im))
+        assert with_zeros.rank == without.rank == 3
+        assert with_zeros.pivots == without.pivots
+        assert all(all(row.values()) for row in with_zeros.rows)
