@@ -265,7 +265,7 @@ class Element:
         return self.algebra is other.algebra and vec_eq(self.coords, other.coords)
 
     def __hash__(self):
-        return hash((id(self.algebra), tuple(sorted(self.coords.items(), key=lambda kv: kv[0]))))
+        return hash((id(self.algebra), frozenset((k, v) for k, v in self.coords.items() if v)))
 
     def __repr__(self) -> str:
         if not self.coords:
@@ -386,8 +386,7 @@ class Operator:
             vec_eq(a, b) for a, b in zip(self.columns, other.columns)
         )
 
-    def __hash__(self):
-        return id(self)
+    __hash__ = None  # mutable, and equality is by value
 
     def __repr__(self) -> str:
         return f"Operator(on {self.algebra.name}, dim={self.algebra.dim})"

@@ -15,12 +15,16 @@ Identity checks are exhaustive over basis tuples (bilinearity makes that
 sufficient) and exact; every predicate has a witness-producing variant so the
 CLI can report the first failing tuple.
 
-Every table here is a signed sum of ``tables`` terms. The deformed product
-mu o (N, 1) + mu o (1, N) - N o mu is the Hochschild coboundary of N, that is
-[mu, N] (``deform_terms``); torsion and the hierarchy relations compose mu
-with operators; commutators are ``table_alternation``. Checks that only test
-a sum for zero read it with ``tables.Sweep``; ``verify_hierarchy`` keeps one
-sweep for all its sums, so each power and product is scaled once.
+Every table here is a signed sum of ``tables`` terms, built by
+``tables.table_of``. The deformed product mu o (N, 1) + mu o (1, N) - N o mu
+is the Hochschild coboundary of N, that is [mu, N] (``deform_terms``); an
+operator is a 1-cochain, so it is built by insertion, and so are the torsion,
+the hierarchy relations and the splitting products (the contraction, the
+conjugation by T_h = P1 + h P2 and the two-part construction), each a list
+of compositions of mu with operators. Commutators are ``table_alternation``.
+Checks that only test a sum for zero read it with ``tables.Sweep``;
+``verify_hierarchy`` keeps one sweep for all its sums, so each power and
+product is scaled once.
 """
 
 from __future__ import annotations
@@ -43,11 +47,8 @@ from .tables import (
     associator_terms,
     deform_terms,
     mixed_associator_terms,
-    table_add_into,
     table_alternation,
-    table_compose_into,
     table_of,
-    table_tidy,
 )
 
 __all__ = [
@@ -374,51 +375,37 @@ def contraction_product(dec: Decomposition) -> Product:
     """
     if not dec.part1_closed:
         raise PreconditionError("part1 is not a subalgebra")
-    alg = dec.algebra
-    part1 = set(dec.part1)
-    out: Table = {}
-    for (i, j), vec in alg.structure.items():
-        in1_i, in1_j = i in part1, j in part1
-        if in1_i and in1_j:
-            cell = dict(vec)
-        elif in1_i or in1_j:
-            cell = {k: v for k, v in vec.items() if k not in part1}
-        else:
-            continue
-        if cell:
-            out[(i, j)] = cell
+    alg, mu = dec.algebra, dec.algebra.structure
+    p1, p2 = dec.projector(1).columns, dec.projector(2).columns
+    out = table_of([
+        Compose(ONE, mu, inner=(p1, p1)),
+        Compose(ONE, mu, p2, (p1, p2)),
+        Compose(ONE, mu, p2, (p2, p1)),
+    ])
     prod = Product(Cochain(alg, 2, out, copy=False), associative=True)
     if alg.unit is not None and prod.is_unit(alg.unit):
         prod.unit = alg.unit
     return prod
 
 
-def conjugated_product(dec: Decomposition, h) -> Product:
-    """The conjugation T_h^{-1}(T_h(A) T_h(B)) with T_h = P1 + h P2, h != 0."""
-    s = as_scalar(h)
-    if not s:
+def _conjugation(dec: Decomposition, coef, h) -> Compose:
+    """coef * T_h^{-1} o mu o (T_h, T_h) with T_h = P1 + h P2, h != 0."""
+    if not h:
         raise PreconditionError("conjugation scale must be nonzero")
     if not dec.part1_closed:
         raise PreconditionError("part1 is not a subalgebra")
+    part1, inv = set(dec.part1), h.inverse()
+    t_h = [{j: ONE if j in part1 else h} for j in range(dec.algebra.dim)]
+    t_inv = [{j: ONE if j in part1 else inv} for j in range(dec.algebra.dim)]
+    return Compose(coef, dec.algebra.structure, t_inv, (t_h, t_h))
+
+
+def conjugated_product(dec: Decomposition, h) -> Product:
+    """The conjugation T_h^{-1}(T_h(A) T_h(B)) with T_h = P1 + h P2, h != 0."""
+    s = as_scalar(h)
     alg = dec.algebra
     part1 = set(dec.part1)
-    weight = lambda x: 0 if x in part1 else 1
-    out: Table = {}
-    for (i, j), vec in alg.structure.items():
-        w = weight(i) + weight(j)
-        cell: Vec = {}
-        for k, v in vec.items():
-            exp = w - weight(k)
-            factor = ONE
-            if exp > 0:
-                for _ in range(exp):
-                    factor = factor * s
-            elif exp < 0:
-                inv = s.inverse()
-                for _ in range(-exp):
-                    factor = factor * inv
-            cell[k] = v * factor
-        out[(i, j)] = cell
+    out = table_of([_conjugation(dec, ONE, s)])
     prod = Product(Cochain(alg, 2, out, copy=False), associative=True)
     if alg.unit is not None:
         scaled = {
@@ -441,16 +428,17 @@ def interpolated_contraction_limit(dec: Decomposition, points: Sequence = None) 
     pts = [as_scalar(p) for p in points]
     if len(pts) != 3:
         raise PreconditionError("interpolation needs exactly three sample points")
-    acc: Table = {}
+    if len(set(pts)) != 3:
+        raise PreconditionError("interpolation sample points must be distinct")
+    terms = []
     for idx, h in enumerate(pts):
         weight = ONE
         for jdx, other in enumerate(pts):
             if jdx == idx:
                 continue
             weight = weight * (ZERO - other) / (h - other)
-        sample = conjugated_product(dec, h)
-        table_add_into(acc, weight, sample.table)
-    return Product(Cochain(dec.algebra, 2, table_tidy(acc), copy=False))
+        terms.append(_conjugation(dec, weight, h))
+    return Product(Cochain(dec.algebra, 2, table_of(terms), copy=False))
 
 
 def _check_part_operator(op: Operator, part: Sequence[int], name: str) -> None:
@@ -524,10 +512,13 @@ def theorem5_product(
 
     # N2^-1 vanishes off part2, so it also projects onto part2; n1 and n1p
     # vanish off part1 and n2 off part2, so each term fills one mixed block.
-    out: Table = {t: dict(vec) for t, vec in circ1.table.items()}
-    for inner in ((n1.columns, n2.columns), (n2.columns, n1p.columns)):
-        table_compose_into(out, ONE, alg.structure, outer=n2inv.columns, inner=inner)
-    prod = Product(Cochain(alg, 2, table_tidy(out), copy=False))
+    mu, inv = alg.structure, n2inv.columns
+    out = table_of([
+        Compose(ONE, circ1.table),
+        Compose(ONE, mu, inv, (n1.columns, n2.columns)),
+        Compose(ONE, mu, inv, (n2.columns, n1p.columns)),
+    ])
+    prod = Product(Cochain(alg, 2, out, copy=False))
     prod.ensure_associativity_flag()
     if alg.unit is not None and prod.is_unit(alg.unit):
         prod.unit = alg.unit
@@ -647,9 +638,8 @@ def product_sum(p1: Product, p2: Product) -> Product:
     """The pointwise sum of two bilinear products (flags not inferred)."""
     if p1.algebra is not p2.algebra:
         raise PreconditionError("products live on different algebras")
-    acc = {t: dict(v) for t, v in p1.table.items()}
-    table_add_into(acc, ONE, p2.table)
-    return Product(Cochain(p1.algebra, 2, table_tidy(acc), copy=False))
+    table = table_of([Compose(ONE, p1.table), Compose(ONE, p2.table)])
+    return Product(Cochain(p1.algebra, 2, table, copy=False))
 
 
 def sum_bracket_satisfies_jacobi(p1: Product, p2: Product) -> bool:

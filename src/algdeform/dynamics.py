@@ -60,8 +60,8 @@ from .tables import (
     deform_terms,
     mixed_associator_table,
     table_alternation,
-    table_compose_into,
     table_insert_into,
+    table_of,
     vec_eq,
     vec_sub,
 )
@@ -276,8 +276,7 @@ def _diagonal_rescaling_product(alg: Algebra, n: int, k: Element) -> Product:
     dec = diagonal_split(alg)
     n1 = _restrict_left_multiplication(alg, k, dec.part1)
     # circ1(X, Y) = K X Y on the diagonal, that is mu o (N1, P1).
-    circ1: Table = {}
-    table_compose_into(circ1, ONE, alg.structure, inner=(n1.columns, dec.projector(1).columns))
+    circ1 = table_of([Compose(ONE, alg.structure, inner=(n1.columns, dec.projector(1).columns))])
     n2 = dec.projector(2)
     return theorem5_product(dec, Product(Cochain(alg, 2, circ1, copy=False)), n1, n1, n2)
 

@@ -181,8 +181,7 @@ class Cochain:
             and not table_sub(self.table, other.table)
         )
 
-    def __hash__(self):
-        return id(self)
+    __hash__ = None  # mutable (``is_zero`` tidies the table), and equality is by value
 
     def __repr__(self) -> str:
         return f"Cochain(arity={self.arity}, on {self.algebra.name}, {len(self.table)} rows)"

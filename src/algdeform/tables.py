@@ -17,15 +17,16 @@ N o T as three compose terms, :func:`associator_terms` and
 :func:`mixed_associator_terms` the associators as insertions. A sum of terms
 is read in one of two ways:
 
-- :func:`table_of` builds it with the two Scalar kernels, which also build
+- :func:`table_of` builds it with the one Scalar kernel, which also builds
   every table the package outputs (in ``hochschild`` the graded bracket and
   the coboundary d = (-1)^(n+1) [mu, .] are insertions of any arity):
 
-      table_compose_into  acc += c * N o T o (N1, N2, ...)
       table_insert_into   acc += c * P(..., Q(...), ...)  (Q in one slot of P)
 
-  and :func:`first_witness` returns its lexicographically smallest failing
-  tuple, with the residual vector there.
+  An operator is a 1-cochain, the arity-1 table {(j,): column j}, so a
+  compose term is insertions too: N o T inserts T into N, and T o (N1, N2)
+  inserts N1 and N2 into the slots of T. :func:`first_witness` returns the
+  sum's lexicographically smallest failing tuple, with the residual there.
 - :class:`Sweep` returns that same witness without building the table, for
   checks that only test it. Each table and operator is scaled once to
   integers by its common denominator, and the terms to one common scale; a
@@ -66,7 +67,6 @@ __all__ = [
     "table_scaled",
     "table_insert",
     "table_insert_into",
-    "table_compose_into",
     "Insert",
     "Compose",
     "table_of",
@@ -177,7 +177,7 @@ def table_insert_into(
             if not hits:
                 continue
             if coef is not ONE:
-                qcoef = coef * qcoef
+                qcoef = coef if qcoef is ONE else coef * qcoef
             for tp, vp in hits:
                 key = tp[:pos] + tq + tp[pos + 1:]
                 row = acc.get(key)
@@ -191,81 +191,6 @@ def table_insert(p: Table, p_arity: int, q: Table, q_arity: int, pos: int) -> Ta
     out: Table = {}
     table_insert_into(out, ONE, p, p_arity, q, q_arity, pos)
     return table_tidy(out)
-
-
-def _preimages(cols: Columns, coef: Scalar) -> dict[int, list[tuple[int, Scalar]]]:
-    """m -> [(a, coef * N(e_a)_m)] over the nonzero entries of N."""
-    idx: dict[int, list[tuple[int, Scalar]]] = {}
-    for a, col in enumerate(cols):
-        for m, v in col.items():
-            idx.setdefault(m, []).append((a, v if coef is ONE else coef * v))
-    return idx
-
-
-def table_compose_into(
-    acc: Table,
-    coef: Scalar,
-    table: Table,
-    outer: Optional[Columns] = None,
-    inner: Optional[Sequence[Optional[Columns]]] = None,
-) -> None:
-    """In place: acc += coef * outer o table o (inner[0], ..., inner[n-1]).
-
-    ``outer`` and each slot of ``inner`` are operator columns; None is the
-    identity. One pass over the rows of ``table``: the row at (m_1, ..., m_n),
-    post-composed once, lands on every (a_1, ..., a_n) with e_{m_s} in
-    inner[s](e_{a_s}), found through each operator's preimage index. Zeros are
-    left for a later tidy.
-    """
-    slots = one = None
-    substituted = [s for s, op in enumerate(inner) if op is not None] if inner else ()
-    if substituted:
-        # ``coef`` is folded into the index of the first substituted slot.
-        slots = [
-            None if op is None else _preimages(op, coef if s == substituted[0] else ONE)
-            for s, op in enumerate(inner)
-        ]
-        if len(substituted) == 1:
-            one = substituted[0]
-    for t, vec in table.items():
-        if outer is not None:
-            image: Vec = {}
-            for k, v in vec.items():
-                vec_add_into(image, v, outer[k])
-            vec = {k: v for k, v in image.items() if v}
-            if not vec:
-                continue
-        if slots is None:
-            row = acc.get(t)
-            if row is None:
-                row = acc[t] = {}
-            vec_add_into(row, coef, vec)
-            continue
-        if one is not None:  # the other slots keep their index
-            pair = len(t) == 2
-            for a, c in slots[one].get(t[one], ()):
-                if pair:
-                    key = (a, t[1]) if one == 0 else (t[0], a)
-                else:
-                    key = t[:one] + (a,) + t[one + 1:]
-                row = acc.get(key)
-                if row is None:
-                    row = acc[key] = {}
-                vec_add_into(row, c, vec)
-            continue
-        hits = [((m, ONE),) if idx is None else idx.get(m) for m, idx in zip(t, slots)]
-        if not all(hits):
-            continue
-        for combo in product(*hits):
-            c = ONE
-            for _, x in combo:
-                if x is not ONE:
-                    c = x if c is ONE else c * x
-            key = tuple(a for a, _ in combo)
-            row = acc.get(key)
-            if row is None:
-                row = acc[key] = {}
-            vec_add_into(row, c, vec)
 
 
 class Insert:
@@ -294,13 +219,33 @@ class Compose:
 
 
 def table_of(terms: Sequence[Insert | Compose]) -> Table:
-    """The signed sum of ``terms``, built in full by the two kernels."""
+    """The signed sum of ``terms``, built in full by insertion.
+
+    A compose term is lowered to insertions of its operators, each the
+    arity-1 table {(j,): column j}: T o (.., N, ..) inserts N into a slot of
+    T, and N o T inserts T into N. The inner slots are substituted first,
+    the outer operator last, and the coefficient rides on the last step.
+    """
     acc: Table = {}
     for term in terms:
         if type(term) is Insert:
             table_insert_into(acc, term.coef, term.p, 2, term.q, 2, term.pos)
-        else:
-            table_compose_into(acc, term.coef, term.table, term.outer, term.inner)
+            continue
+        steps = [(s, op) for s, op in enumerate(term.inner or ()) if op is not None]
+        if term.outer is not None:
+            steps.append((None, term.outer))
+        if not steps:
+            table_add_into(acc, term.coef, term.table)
+            continue
+        table = term.table
+        for n, (s, op) in enumerate(steps, 1):
+            out, coef = (acc, term.coef) if n == len(steps) else ({}, ONE)
+            op = {(j,): col for j, col in enumerate(op) if col}
+            if s is None:
+                table_insert_into(out, coef, op, 1, table, 2, 0)
+            else:
+                table_insert_into(out, coef, table, 2, op, 1, s)
+            table = out
     return table_tidy(acc)
 
 

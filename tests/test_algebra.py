@@ -25,7 +25,8 @@ from algdeform.documents import (
     operator_to_doc,
 )
 from algdeform.errors import SIZE_GUARD, AlgebraError, DocumentError, SizeGuardError, check_size
-from algdeform.scalar import ONE, Scalar
+from algdeform.hochschild import Cochain
+from algdeform.scalar import ONE, ZERO, Scalar
 
 
 def units(n):
@@ -159,6 +160,20 @@ def test_operator_basics():
     rows = NK.to_matrix_rows()
     assert operator_from_doc(alg, operator_to_doc(NK)) == NK
     assert rows[2][2] == Scalar(2)
+
+
+def test_equal_objects_hash_equally_and_mutable_ones_do_not_hash():
+    alg = full_matrix_algebra(2)
+    x, y = alg.element({0: ZERO}), alg.element({})
+    assert x == y and hash(x) == hash(y)
+    assert alg.element({1: 2, 0: 1}) == alg.element({0: 1, 1: 2})
+    assert hash(alg.element({1: 2, 0: 1})) == hash(alg.element({0: 1, 1: 2}))
+    # Operators and cochains compare by value and can change in place.
+    for a, b in ((Operator.identity(alg), Operator.identity(alg)),
+                 (Cochain.product_cochain(alg), Cochain.product_cochain(alg))):
+        assert a == b
+        with pytest.raises(TypeError):
+            hash(a)
 
 
 def test_decomposition_flags_and_projections():

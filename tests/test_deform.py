@@ -357,6 +357,17 @@ def test_contraction_limit_interpolation():
         assert cp.associativity_witness() is None
 
 
+def test_interpolation_refuses_repeated_or_zero_sample_points():
+    dec = diagonal_split(full_matrix_algebra(2))
+    for points in ([1, 1, 2], [0, 0, 1], [Fraction(1, 2), 3, Scalar(Fraction(1, 2))]):
+        with pytest.raises(PreconditionError, match="distinct"):
+            interpolated_contraction_limit(dec, points)
+    with pytest.raises(PreconditionError, match="nonzero"):
+        interpolated_contraction_limit(dec, [1, 0, 2])
+    limit = interpolated_contraction_limit(dec, [2, Fraction(-1, 3), Scalar(1, 1)])
+    assert not table_sub(limit.table, contraction_product(dec).table)
+
+
 def test_conjugated_product_is_associative_and_unital():
     alg, _ = m2_with_units()
     dec = diagonal_split(alg)

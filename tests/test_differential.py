@@ -9,6 +9,8 @@ and the mixed associator are compared entry by entry, also on direct sums
 and with Gaussian, non-integer operators. The coboundary and the cohomology
 dimensions are compared against the alternating-sum definition, with ranks
 taken by ``sympy``, on the same algebras and on random changes of their basis.
+Sums of compositions with three distinct operators are compared too, since
+``table_of`` builds every one of them by insertion.
 """
 
 import importlib
@@ -40,7 +42,7 @@ from algdeform.dynamics import is_derivation
 from algdeform.errors import PreconditionError
 from algdeform.hochschild import Cochain, coboundary, cohomology_dimension
 from algdeform.scalar import ONE, ZERO, Scalar
-from algdeform.tables import associator_table, mixed_associator_table
+from algdeform.tables import Compose, associator_table, mixed_associator_table, table_of
 
 ALGEBRAS = [
     full_matrix_algebra(2),
@@ -578,3 +580,38 @@ def test_mixed_associator_table_matches_dense(data, with_mu):
     event(f"compatible: {not got}")
     for a, b, c in product(range(dense.d), repeat=3):
         assert table_row(got, (a, b, c), dense.d) == dense_mixed_associator(p1, p2, a, b, c)
+
+
+@SETTINGS
+@given(st.data())
+def test_composition_sums_match_dense(data):
+    """c0 N o mu o (N1, N2) + c1 mu o (N2, N1) + c2 N o mu + c3 mu o (1, N1) + c4 mu.
+
+    N1 and N2 differ, so a lowering that swaps the inner slots, or that
+    applies the outer operator to an input, fails on some pair.
+    """
+    alg, dense, (r, r1, r2) = drawn_fractional(data, 3)
+    if r1 == r2:
+        r2 = [[v + ONE if i == j else v for j, v in enumerate(row)] for i, row in enumerate(r2)]
+    n, n1, n2 = (Operator.from_matrix_rows(alg, rows).columns for rows in (r, r1, r2))
+    c = [data.draw(st.sampled_from(BASIS_COEFFICIENTS)) for _ in range(5)]
+    mu = alg.structure
+    got = table_of([
+        Compose(c[0], mu, n, (n1, n2)),
+        Compose(c[1], mu, inner=(n2, n1)),
+        Compose(c[2], mu, outer=n),
+        Compose(c[3], mu, inner=(None, n1)),
+        Compose(c[4], mu),
+    ])
+    event(f"zero sum: {not got}")
+    for a, b in dense.pairs():
+        x, y = dense.e(a), dense.e(b)
+        parts = [
+            dense.apply(r, dense.mul(dense.apply(r1, x), dense.apply(r2, y))),
+            dense.mul(dense.apply(r2, x), dense.apply(r1, y)),
+            dense.apply(r, dense.mul(x, y)),
+            dense.mul(x, dense.apply(r1, y)),
+            dense.mul(x, y),
+        ]
+        expected = [sum((ci * v[k] for ci, v in zip(c, parts)), ZERO) for k in range(dense.d)]
+        assert table_row(got, (a, b), dense.d) == expected
