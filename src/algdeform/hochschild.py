@@ -216,7 +216,8 @@ def _integer_indexes(alg: Algebra) -> list[tuple[dict, dict, dict]]:
     Each integer part, the real one and then the imaginary one if it is not
     zero, is indexed three ways for :func:`_basis_rows`: ``left[k]`` lists
     (a, m, e_a e_k at m), ``right[k]`` lists (b, m, e_k e_b at m) and
-    ``pairs[m]`` lists (x, y, e_x e_y at m).
+    ``pairs[m]`` lists (x, y, e_x e_y at m). Kept on the algebra by
+    :func:`cohomology_dimension`, as the structure constants do not change.
     """
     structure = alg.structure
     den = lcm(1, *{s.d for vec in structure.values() for s in vec.values()})
@@ -301,7 +302,9 @@ def cohomology_dimension(alg: Algebra, n: int) -> int:
     if n not in (0, 1, 2):
         raise PreconditionError("cohomology is implemented for degrees 0, 1, 2 only")
     check_size(f"dim^{n + 2}", alg.dim ** (n + 2))
-    indexes = _integer_indexes(alg)  # a basis permutation: H^n does not change
+    indexes = getattr(alg, "_integer_indexes", None)  # one build per algebra
+    if indexes is None:  # a basis permutation: H^n does not change
+        indexes = alg._integer_indexes = _integer_indexes(alg)
     cocycles = alg.dim ** (n + 1) - _coboundary_rank(indexes, alg.dim, n)
     if n == 0:
         return cocycles

@@ -22,6 +22,7 @@ whitespace inside a scalar token is forbidden.
 from __future__ import annotations
 
 import re as _re
+import sys as _sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
@@ -363,14 +364,17 @@ def parse_scalar(text: str) -> Scalar:
     m = _SCALAR_RE.fullmatch(text)
     if m is None:
         raise ScalarError(f"bad scalar syntax: {text!r}")
-    n1, d1, n2, d2, imag = m.group("n1", "d1", "n2", "d2", "imag")
-    p, q = int(n1), int(d1) if d1 else 1
-    if imag is None:
+    parts = m.group("n1", "d1", "n2", "d2")
+    try:
+        p, q, r, s = [int(part) if part else 1 for part in parts]
+    except ValueError:  # past Python's limit on int/str conversion
+        digits = max(len(part.lstrip("+-")) for part in parts if part)
+        raise ScalarError(f"scalar part of {digits} digits is over the "
+                          f"{_sys.get_int_max_str_digits()}-digit limit") from None
+    if m["imag"] is None:
         r, s = 0, 1
-    elif n2 is None:
+    elif parts[2] is None:
         p, q, r, s = 0, 1, p, q
-    else:
-        r, s = int(n2), int(d2) if d2 else 1
     if not q or not s:
         raise ScalarError(f"zero denominator in scalar: {text!r}")
     # p/q + (r/s) i = (p*s + r*q i) / (q*s)

@@ -617,3 +617,17 @@ def test_structure_scalar_with_non_ascii_digits_exits_2(text, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "bad scalar syntax" in captured.err
+
+
+@pytest.mark.parametrize("scalar", ["1" + "0" * 4999, "1/" + "7" * 5000, "2-" + "3" * 5000 + "i"],
+                         ids=["numerator", "denominator", "imaginary"])
+def test_scalar_beyond_the_int_conversion_limit_exits_2(workdir, tmp_path, capsys, scalar):
+    doc = json.loads(Path(workdir["p1.json"]).read_text())
+    doc["matrix"][1][2] = scalar
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["torsion", "--algebra", workdir["m2.json"], "--operator", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "5000 digits" in captured.err and scalar[:50] not in captured.err

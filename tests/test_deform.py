@@ -5,6 +5,7 @@ from itertools import product as iproduct
 import pytest
 
 from algdeform.algebra import (
+    Algebra,
     Operator,
     diagonal_split,
     dual_number_algebra,
@@ -17,6 +18,7 @@ from algdeform.algebra import (
 )
 from algdeform.deform import (
     Product,
+    _span_degree,
     associativity_criterion,
     contraction_product,
     conjugated_product,
@@ -42,7 +44,7 @@ from algdeform.deform import (
 from algdeform.errors import PreconditionError
 from algdeform.hochschild import Cochain, coboundary
 from algdeform.scalar import ONE, Scalar
-from algdeform.tables import table_scaled, table_sub
+from algdeform.tables import Sweep, table_scaled, table_sub
 
 
 def m2_with_units():
@@ -256,6 +258,49 @@ def test_hierarchy_requires_torsion_free():
         verify_hierarchy(transpose_operator(alg), 3)
     with pytest.raises(PreconditionError):
         verify_hierarchy(Operator.identity(alg), 9)
+
+
+def gaussian_left_multiplication():
+    """L_K on M4 for an upper triangular K with four distinct Gaussian eigenvalues."""
+    alg = full_matrix_algebra(4)
+    entries = {(0, 0): Scalar(1), (1, 1): Scalar(0, 1), (2, 2): Scalar(2, -1), (3, 3): Scalar(-1),
+               (0, 1): Scalar(1, 1), (1, 3): Scalar(Fraction(1, 2)), (0, 3): Scalar(-2)}
+    k = alg.element({matrix_unit_index(4, p, q): v for (p, q), v in entries.items()})
+    return Operator.left_multiplication(k)
+
+
+def truncated_polynomial_multiplication(n):
+    """L_x on Q[x]/(x^n): x^0, ..., x^(n-1) are independent, so are its powers."""
+    alg = Algebra(f"Q[x]/x^{n}", n, [f"x{i}" for i in range(n)],
+                  {(i, j): {i + j: 1} for i in range(n) for j in range(n - i)}, unit={0: 1})
+    return Operator.left_multiplication(alg.basis_element(1))
+
+
+def test_span_degree_of_the_powers():
+    alg = full_matrix_algebra(4)
+    for op, most in ((Operator.identity(alg), 1),
+                     (projection_tensor(triangular_split(alg), 1, 0), 2),
+                     (gaussian_left_multiplication(), 4),
+                     (truncated_polynomial_multiplication(7), 7)):
+        powers = [op.power(k) for k in range(7)]
+        assert _span_degree(powers) == most
+
+
+@pytest.mark.parametrize("op, sweeps", [
+    (gaussian_left_multiplication(), 41),
+    (projection_tensor(triangular_split(full_matrix_algebra(4)), 1, Scalar(0, 2)), 17),
+    (truncated_polynomial_multiplication(7), 71),
+], ids=["L_K", "projection", "independent"])
+def test_hierarchy_sweeps_only_the_independent_powers(op, sweeps, monkeypatch):
+    """Sweeps of the power-6 hierarchy: the torsion test, then the power
+    relation, the composition law, associativity and compatibility on the
+    independent powers. All 71 are swept when every power up to 6 is
+    independent; L_K with four independent powers needs 1 + 18 + 12 + 10."""
+    calls = []
+    witness = Sweep.witness
+    monkeypatch.setattr(Sweep, "witness", lambda self, terms: calls.append(1) or witness(self, terms))
+    assert verify_hierarchy(op, 6)["pass"]
+    assert len(calls) == sweeps
 
 
 # -- compatibility of operator pairs ----------------------------------------------------------

@@ -615,3 +615,99 @@ def test_composition_sums_match_dense(data):
         ]
         expected = [sum((ci * v[k] for ci, v in zip(c, parts)), ZERO) for k in range(dense.d)]
         assert table_row(got, (a, b), dense.d) == expected
+
+
+# -- the hierarchy on operators whose powers span few dimensions -------------------
+
+
+@st.composite
+def low_span_rows(draw, dense):
+    """A diagonal, rank-1 or nilpotent operator plus a multiple of 1: its
+    powers span at most d dimensions, and often far fewer."""
+    d, sc = dense.d, scalars(True)
+    kind = draw(st.sampled_from(("diagonal", "rank-1", "nilpotent")))
+    if kind == "diagonal":
+        values = [draw(sc) for _ in range(2)]
+        diag = [draw(st.sampled_from(values)) for _ in range(d)]
+        rows = [[diag[i] if i == j else ZERO for j in range(d)] for i in range(d)]
+    elif kind == "rank-1":
+        u, v = [draw(sc) for _ in range(d)], [draw(sc) for _ in range(d)]
+        rows = [[u[i] * v[j] for j in range(d)] for i in range(d)]
+    else:
+        rows = [[draw(sc) if j > i else ZERO for j in range(d)] for i in range(d)]
+    shift = draw(sc)
+    return [[v + shift if i == j else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def dense_rank(rows):
+    rows, rank = [list(row) for row in rows], 0
+    for c in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@SETTINGS
+@given(st.data(), st.integers(3, 4))
+def test_hierarchy_on_few_independent_powers_matches_dense(data, maxk):
+    """Every section of the report, with the hierarchy's definitions, on
+    operators whose powers are dependent early: the report sweeps each section
+    on the independent powers only, and again in full when one fails there.
+    The torsion gate is lifted so that both outcomes occur."""
+    alg = data.draw(st.sampled_from(ALGEBRAS))
+    dense = Dense(alg)
+    rows = data.draw(low_span_rows(dense))
+    identity = [dense.e(i) for i in range(dense.d)]
+    powers = [identity]
+    for _ in range(maxk):
+        powers.append(matmul(rows, powers[-1]))
+    flat = [[v for row in p for v in row] for p in powers]
+    base = next((k for k in range(1, maxk + 1) if dense_rank(flat[:k + 1]) == k), maxk + 1)
+    cubes = [[[dense.deformed(p, dense.mul)(dense.e(a), dense.e(b)) for b in range(dense.d)]
+              for a in range(dense.d)] for p in powers]
+    muls = [cube_mul(cube) for cube in cubes]
+    triples = list(product(range(dense.d), repeat=3))
+
+    def first(cases):
+        return next((key for key, failing in cases if failing), None)
+
+    relation = first(
+        ((r, k, a, b), dense.apply(powers[r], cubes[k + r][a][b])
+         != muls[k](dense.apply(powers[r], dense.e(a)), dense.apply(powers[r], dense.e(b))))
+        for r in range(maxk + 1) for k in range(maxk + 1 - r) for a, b in dense.pairs())
+    composition = first(
+        ((i, k), any(dense.deformed(powers[k], muls[i])(dense.e(a), dense.e(b)) != cubes[i + k][a][b]
+                     for a, b in dense.pairs()))
+        for i in range(maxk + 1) for k in range(maxk + 1 - i))
+
+    def mixed(m1, m2, a, b, c):
+        x, y, z = dense.e(a), dense.e(b), dense.e(c)
+        return sub(add(m1(m2(x, y), z), m2(m1(x, y), z)), add(m1(x, m2(y, z)), m2(x, m1(y, z))))
+
+    def associator(m, a, b, c):
+        x, y, z = dense.e(a), dense.e(b), dense.e(c)
+        return sub(m(m(x, y), z), m(x, m(y, z)))
+
+    associativity = first(
+        ((k, t), any(associator(muls[k], *t))) for k in range(maxk + 1) for t in triples)
+    compatibility = first(
+        ((k1, k2, t), any(mixed(muls[k1], muls[k2], *t)))
+        for k1 in range(maxk + 1) for k2 in range(k1 + 1, maxk + 1) for t in triples)
+    expected = {
+        "power_relation": relation,
+        "composition_law": composition,
+        "associativity": associativity,
+        "pairwise_compatibility": compatibility,
+    }
+    with mock.patch.object(deform_module, "is_nijenhuis", return_value=True):
+        report = verify_hierarchy(Operator.from_matrix_rows(alg, rows), maxk)
+    for name, witness in expected.items():
+        if base <= maxk:
+            event(f"{name}: reduced, {'holds' if witness is None else 'fails, swept again'}")
+        assert report[name] == {"pass": witness is None, "witness": witness}

@@ -11,6 +11,7 @@ from algdeform.algebra import (
     full_matrix_algebra,
     transpose_operator,
 )
+from algdeform import hochschild
 from algdeform.errors import PreconditionError, SizeGuardError
 from algdeform.hochschild import (
     Cochain,
@@ -319,3 +320,14 @@ def test_cohomology_of_a_dense_basis_of_m3_is_that_of_m3():
     for order in (range(9), (4, 7, 0, 8, 2, 6, 1, 5, 3)):
         alg = _twisted_m3(twist, order)
         assert [cohomology_dimension(alg, n) for n in (0, 1, 2)] == plain
+
+
+def test_cohomology_builds_the_integer_indexes_once_per_algebra(monkeypatch):
+    built = []
+    build = hochschild._integer_indexes
+    monkeypatch.setattr(hochschild, "_integer_indexes", lambda alg: built.append(alg) or build(alg))
+    for shared, dims in ((full_matrix_algebra(3), [1, 0, 0]), (dual_number_algebra(), [2, 1, 1])):
+        alg = Algebra(shared.name, shared.dim, shared.basis, shared.structure)  # not yet built
+        assert [cohomology_dimension(alg, n) for n in (0, 1, 2)] == dims
+        assert [cohomology_dimension(alg, n) for n in (2, 1, 0)] == dims[::-1]
+        assert built.count(alg) == 1

@@ -1,10 +1,14 @@
-"""The package's own surface: every name in a module's ``__all__`` resolves.
+"""The package's own surface: every name in a module's ``__all__`` resolves,
+and the runtime imports nothing outside the standard library.
 
 The package itself and ``cli`` have no ``__all__`` and pass trivially.
 """
 
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +24,18 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported), f"{name} exports a name twice"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names what the module lacks: {missing}"
+
+
+@pytest.mark.parametrize("path", sorted(Path(algdeform.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_the_runtime_imports_only_the_standard_library(path):
+    outside = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        outside += [name for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside, f"{path.name} imports from outside the standard library: {outside}"
