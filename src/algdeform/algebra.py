@@ -63,7 +63,13 @@ def _clean_vec(raw: Mapping[int, object]) -> Vec:
 
 
 class Algebra:
-    """An associative algebra with a fixed basis and exact structure constants."""
+    """An associative algebra with a fixed basis and exact structure constants.
+
+    ``validate=False`` skips the associativity check, for a table taken from
+    an algebra already validated. The package relies on an associative
+    table: ``deform.verify_hierarchy`` skips the cases that only a
+    non-associative one could fail.
+    """
 
     def __init__(
         self,

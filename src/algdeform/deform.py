@@ -23,10 +23,14 @@ the hierarchy relations and the splitting products (the contraction, the
 conjugation by T_h = P1 + h P2 and the two-part construction), each a list
 of compositions of mu with operators. Commutators are ``table_alternation``.
 Checks that only test a sum for zero read it with ``tables.Sweep``;
-``verify_hierarchy`` keeps one sweep for all its sums, so each power and
-product is scaled once. Its sections are linear in the powers, so it
-sweeps them only up to the first power in the span of those below it; a
-section that fails there is swept again in full, for the first witness.
+``verify_hierarchy`` keeps one sweep for all its sums, and keeps its power
+products in it as integer forms, so each power and product is scaled once.
+Its first pass sweeps only the generating cases of each section, on the
+powers up to the first one in the span of those below it: the sections are
+linear in the powers, the power relation of exponent r follows from r = 1
+by a recursion, the composition law is symmetric and zero at the power 0,
+and the mixed associator with mu vanishes (it is -d(dX)). A section that
+fails there is swept again in full, for the first witness.
 """
 
 from __future__ import annotations
@@ -275,48 +279,66 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
     associator compatibility. Requires ``n`` to be torsion-free.
 
     Only the first ``base`` powers are independent (an exact rank over Q(i)),
-    and every later power is a combination of them. So each section is
-    decided on ``base`` exponents, by linearity alone: the power relation is
-    linear in N^k (k < base, every r); the composition law is bilinear in
-    (N^i, N^k) and zero at k = 0 (i, k < base); the mixed associator of two
-    power products is symmetric and bilinear in the powers, with twice the
-    associator on its diagonal (associativity and compatibility below base,
-    together). A section that fails there is swept again over its full range,
-    so its witness is still the first failing case in order.
+    and every later power is a combination of them. A first pass sweeps each
+    section on its generating cases only; with mu_X = [mu, X] the product
+    deformed by X and D_Y the deformation by Y (``deform_terms``):
+
+    - power relation, r = 1 and k < base: R(1, X) = N o mu_{NX} - mu_X o (N, N)
+      is linear in X = N^k, and R(r, k) = N^(r-1) o R(1, k+r-1) +
+      R(r-1, k) o (N, N) gives every r from r = 1;
+    - composition law, 1 <= i <= k < base: B(X, Y) = D_Y mu_X - mu_{XY} is
+      bilinear, B(1, Y) = 0 because the product of N^0 is mu itself, and
+      D_Y D_X mu - D_X D_Y mu = D_[X,Y] mu makes it symmetric on powers;
+    - associativity and compatibility, powers 1 <= k < base: the mixed
+      associator Q(X, Y) of mu_X and mu_Y is symmetric and bilinear, twice
+      the associator on its diagonal, and Q(1, X) = -d(dX) = 0 for d the
+      Hochschild coboundary of mu, which is associative (every ``Algebra``
+      is validated at construction).
+
+    A section that fails there is swept again over its full range, so its
+    witness is still the first failing case in order; associativity and
+    compatibility are reduced together, and so are swept again together.
+    The power products are kept as the sweep's integer forms
+    (``Sweep.kept_sum``), never built as Scalar tables.
     """
     if maxk < 0 or maxk > MAX_HIERARCHY_POWER:
         raise PreconditionError(f"maxk must be between 0 and {MAX_HIERARCHY_POWER}")
     if not is_nijenhuis(n):
         raise PreconditionError("operator has nonzero torsion; hierarchy undefined")
-    alg = n.algebra
+    alg, mu = n.algebra, n.algebra.structure
     sweep = Sweep(alg.dim)  # one integer form per power and product
     powers = [Operator.identity(alg)]
     for _ in range(maxk):
         powers.append(n @ powers[-1])
-    prods = [deform(powers[k], compute_flags=False).table for k in range(maxk + 1)]
+    # prods[0] is mu itself: T o (1, 1) + T o (1, 1) - 1 o T = T.
+    prods = [mu] + [sweep.kept_sum(deform_terms(ONE, mu, p.columns)) for p in powers[1:]]
     base = _span_degree(powers)
 
-    # Zero by construction, so skipped: r = 0 below (mu_{N^k} minus itself)
-    # and k = 0 in the composition law (T o (1, 1) + T o (1, 1) - 1 o T - T).
-    def relation(top):  # N^r o mu_{N^(k+r)} - mu_{N^k} o (N^r, N^r)
+    # Each section lists its cases in report order; the first pass keeps only
+    # the generating ones. r = 0 (mu_{N^k} minus itself) and k = 0 in the
+    # composition law (B(X, 1) = D_1 mu_X - mu_X) are zero, so never swept.
+    def relation(full):  # R(r, k) = N^r o mu_{N^(k+r)} - mu_{N^k} o (N^r, N^r)
         for r in range(1, maxk + 1):
             nr = powers[r].columns
-            for k in range(min(top, maxk + 1 - r)):
-                yield (r, k), [Compose(ONE, prods[k + r], outer=nr),
-                               Compose(MINUS_ONE, prods[k], inner=(nr, nr))]
+            for k in range(maxk + 1 - r):
+                if full or r == 1 and k < base:
+                    yield (r, k), [Compose(ONE, prods[k + r], outer=nr),
+                                   Compose(MINUS_ONE, prods[k], inner=(nr, nr))]
 
-    def composition(top):  # (o_{N^i} deformed by N^k) - o_{N^(i+k)}
-        for i in range(min(top, maxk + 1)):
-            for k in range(1, min(top, maxk + 1 - i)):
-                terms = deform_terms(ONE, prods[i], powers[k].columns)
-                yield (i, k), terms + [Compose(MINUS_ONE, prods[i + k])]
+    def composition(full):  # B(N^i, N^k) = D_{N^k} mu_{N^i} - mu_{N^(i+k)}
+        for i in range(maxk + 1):
+            for k in range(1, maxk + 1 - i):
+                if full or 1 <= i <= k < base:
+                    terms = deform_terms(ONE, prods[i], powers[k].columns)
+                    yield (i, k), terms + [Compose(MINUS_ONE, prods[i + k])]
 
-    def associativity(top):
-        return (((k,), associator_terms(prods[k])) for k in range(top))
+    def associativity(full):  # Q(N^k, N^k) / 2
+        return (((k,), associator_terms(prods[k]))
+                for k in range(maxk + 1) if full or 1 <= k < base)
 
-    def compatibility(top):
+    def compatibility(full):  # Q(N^k1, N^k2)
         return ((ks, mixed_associator_terms(prods[ks[0]], prods[ks[1]]))
-                for ks in combinations(range(top), 2))
+                for ks in combinations(range(maxk + 1), 2) if full or 1 <= ks[0] and ks[1] < base)
 
     def first(cases):
         """(case, basis tuple) of the first case whose sum is not zero."""
@@ -327,8 +349,8 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
         return None
 
     def decide(*sections) -> list:
-        for top in sorted({base, maxk + 1}):  # the reduced range, then the full one
-            found = [first(section(top)) for section in sections]
+        for full in (False, True):  # the generating cases, then every case
+            found = [first(section(full)) for section in sections]
             if not any(found):
                 break
         return found

@@ -40,7 +40,8 @@ __all__ = [
 
 
 class ScalarError(ValueError):
-    """Raised for text that does not match the scalar grammar."""
+    """Raised for text that does not match the scalar grammar, and for a
+    scalar too long to convert between int and text."""
 
 
 _SCALAR_RE = _re.compile(
@@ -322,9 +323,19 @@ def _ratio_text(n: int, d: int) -> str:
         if g != 1:
             n //= g
             d //= g
-        if d != 1:
-            return f"{n}/{d}"
-    return str(n)
+    try:
+        return f"{n}/{d}" if d != 1 else str(n)
+    except ValueError:  # past Python's limit on int/str conversion
+        raise ScalarError(f"exact result with a part of {_digit_count(max(abs(n), d))} digits "
+                          f"is over the {_sys.get_int_max_str_digits()}-digit limit") from None
+
+
+def _digit_count(m: int) -> int:
+    """The number of decimal digits of ``m`` > 0, without writing it out."""
+    k = (m.bit_length() - 1) * 30102 // 100000  # log10(2) > 0.30102, so at most digits - 1
+    while 10 ** (k + 1) <= m:
+        k += 1
+    return k + 1
 
 
 ZERO = _scalar(0, 0, 1)

@@ -33,7 +33,11 @@ is read in one of two ways:
   nonzero scale cannot change a zero test. The first slot is swept in
   ascending order and only its rows are accumulated, in plain ints with the
   real and the imaginary parts apart; the first nonzero row is the witness,
-  and only its residual is divided back into Scalars.
+  and only its residual is divided back into Scalars. Swept to the end
+  (:meth:`Sweep.kept_sum`), a sum of compose terms is kept as an integer
+  form instead, which later terms of the same sweep take in place of a
+  table; the power products of ``deform.verify_hierarchy`` are built so,
+  with no Scalar table.
 
 Both are flat and dict-based: their cost scales with the number of nonzero
 entries, never with dim**n, and a sweep holds one first-slot row block at a
@@ -196,7 +200,8 @@ def table_insert(p: Table, p_arity: int, q: Table, q_arity: int, pos: int) -> Ta
 class Insert:
     """The term coef * P(Q(a, b), c) (``pos`` 0) or coef * P(a, Q(b, c)) (``pos`` 1).
 
-    P and Q are arity-2 tables; the term has arity 3.
+    P and Q are arity-2 tables, or handles from :meth:`Sweep.kept_sum` in a
+    term that sweep reads; the term has arity 3.
     """
 
     __slots__ = ("coef", "p", "q", "pos")
@@ -208,7 +213,8 @@ class Insert:
 class Compose:
     """The term coef * outer o table o (inner[0], inner[1]); None is the identity.
 
-    ``table`` has arity 2, and so has the term.
+    ``table`` has arity 2, and so has the term; it may be a handle from
+    :meth:`Sweep.kept_sum` in a term that sweep reads.
     """
 
     __slots__ = ("coef", "table", "outer", "inner")
@@ -364,7 +370,8 @@ class Sweep:
     building the table. Every table and operator is scaled once to integers
     and indexed by first slot and by output coordinate. These forms are kept
     for the life of the sweep, so one sweep serves many sums over the same
-    tables, which must not change meanwhile.
+    tables, which must not change meanwhile; :meth:`kept_sum` adds a whole
+    sum as one more such form.
     """
 
     def __init__(self, dim: int):
@@ -391,6 +398,53 @@ class Sweep:
         ``a`` is swept in ascending order: only the rows (a, ...) are summed,
         and the first ``a`` with a nonzero row gives the witness.
         """
+        kind, scale, jobs = self._jobs(terms)
+        dim = self.dim
+        for a, re, im in self._blocks(jobs):
+            rest = min(key for acc in (re, im) for key, v in acc.items() if v) // dim
+            residual: Vec = {}
+            for key in range(rest * dim, rest * dim + dim):
+                r, i = re.get(key, 0), im.get(key, 0)
+                if r or i:
+                    g = gcd(r, i, scale)
+                    residual[key - rest * dim] = _scalar(r // g, i // g, scale // g)
+            tail = divmod(rest, dim) if kind < 2 else (rest,)
+            return (a, *tail), residual
+        return None
+
+    def kept_sum(self, terms: Sequence[Compose]) -> object:
+        """Sweep the sum of compose ``terms`` to the end and keep it as a form.
+
+        Returns a handle that later terms of this sweep take in place of a
+        table: the sum is never divided back into Scalars. The common scale
+        is divided by its gcd with every entry, so the form holds the same
+        integers as that of the built table.
+        """
+        kind, scale, jobs = self._jobs(terms)
+        if kind != 2:
+            raise ValueError("only a sum of compose terms is kept")
+        dim, parts, entries = self.dim, ({}, {}), []
+        for a, *accs in self._blocks(jobs):
+            for rows, acc in zip(parts, accs):
+                for key, v in acc.items():
+                    if v:
+                        b, k = divmod(key, dim)
+                        rows.setdefault((a, b), []).append((k, v))
+                        entries.append(v)
+        g = gcd(scale, *entries)
+        if g != 1:
+            for rows in parts:
+                for es in rows.values():
+                    es[:] = [(k, v // g) for k, v in es]
+        form = (scale // g, [(phase, list(rows.items()), {}) for phase, rows in enumerate(parts) if rows])
+        handle = object()
+        self._forms[id(handle)] = (handle, form)
+        return handle
+
+    def _jobs(self, terms) -> tuple:
+        """(kind, common scale, jobs) of a sum: kind 0 or 1 for insertions in
+        that slot, 2 for compositions; a job is (kind, integer factor, 0 real /
+        1 imaginary, indexes)."""
         if len({type(term) for term in terms}) > 1:
             raise ValueError("insert terms have arity 3, compose terms arity 2")
         dim, form = self.dim, self._form
@@ -411,10 +465,10 @@ class Sweep:
             roles = ((_COLS, n1), (_ROWS, ft), (_PRE, n2), (_COLS, fo))
             specs.append((2, ft[0] * n1[0] * n2[0] * fo[0], term.coef, roles))
         if not specs:
-            return None
+            return 2, 1, []
         scale = lcm(*(den * coef.d for _, den, coef, _ in specs))
 
-        jobs = []  # (kind, integer factor, 0 real / 1 imaginary, indexes)
+        jobs = []
         for kind, den, coef, roles in specs:
             s = scale // (den * coef.d)
             mults = [(phase, m * s) for phase, m in ((0, coef.a), (1, coef.b)) if m]
@@ -429,7 +483,16 @@ class Sweep:
                 for p, m in mults:
                     target, sign = _PHASE[(phase + p) % 4]
                     jobs.append((kind, sign * m, target, idx))
+        return specs[0][0], scale, jobs
 
+    def _blocks(self, jobs: list):
+        """Yield (a, real, imaginary) for each first slot ``a``, ascending,
+        whose rows are not all zero; the two accumulators map (b*dim + k) for
+        compositions and ((b*dim + c)*dim + k) for insertions to ints, and are
+        reused for the next ``a``."""
+        if not jobs:
+            return
+        dim = self.dim
         accs = (defaultdict(int), defaultdict(int))
         dd = dim * dim
         for a in range(dim):
@@ -471,16 +534,6 @@ class Sweep:
                                                 acc[a2 + m] += v * x
             re, im = accs
             if any(re.values()) or any(im.values()):
-                rest = min(key for acc in accs for key, v in acc.items() if v) // dim
-                residual: Vec = {}
-                for key in range(rest * dim, rest * dim + dim):
-                    r, i = re.get(key, 0), im.get(key, 0)
-                    if r or i:
-                        g = gcd(r, i, scale)
-                        residual[key - rest * dim] = _scalar(r // g, i // g, scale // g)
-                tail = divmod(rest, dim) if specs[0][0] < 2 else (rest,)
-                return (a, *tail), residual
+                yield a, re, im
             re.clear()
             im.clear()
-        return None
-

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -631,3 +632,18 @@ def test_scalar_beyond_the_int_conversion_limit_exits_2(workdir, tmp_path, capsy
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "5000 digits" in captured.err and scalar[:50] not in captured.err
+
+
+def test_result_beyond_the_int_conversion_limit_exits_2(workdir, tmp_path, capsys):
+    """A valid operator whose torsion has entries past Python's int-to-text
+    limit: one error line with the digit count, not the digits, and exit 2."""
+    doc = json.loads(Path(workdir["p1.json"]).read_text())
+    doc["matrix"] = [[str(1 + (4 * i + j) % 9) * 2200 for j in range(4)] for i in range(4)]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(doc))
+    assert main(["torsion", "--algebra", workdir["m2.json"], "--operator", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    digits = int(re.search(r"a part of (\d+) digits", captured.err)[1])
+    assert digits > sys.get_int_max_str_digits() and not re.search(r"\d{20}", captured.err)

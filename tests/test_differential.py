@@ -10,7 +10,9 @@ and with Gaussian, non-integer operators. The coboundary and the cohomology
 dimensions are compared against the alternating-sum definition, with ranks
 taken by ``sympy``, on the same algebras and on random changes of their basis.
 Sums of compositions with three distinct operators are compared too, since
-``table_of`` builds every one of them by insertion.
+``table_of`` builds every one of them by insertion. The identities that let
+the power hierarchy sweep only its generating cases are checked on the dense
+side alone, for operators with torsion.
 """
 
 import importlib
@@ -711,3 +713,95 @@ def test_hierarchy_on_few_independent_powers_matches_dense(data, maxk):
         if base <= maxk:
             event(f"{name}: reduced, {'holds' if witness is None else 'fails, swept again'}")
         assert report[name] == {"pass": witness is None, "witness": witness}
+
+
+# -- the identities behind the hierarchy's generating cases ------------------------
+
+
+def composed(cube, outer=None, inner=(None, None)):
+    """outer o C o (inner[0], inner[1]) for the product cube C = ``cube`` and
+    operator matrices given by rows; None is the identity."""
+    d, (left, right) = len(cube), inner
+
+    def combination(terms):
+        out = [ZERO] * d
+        for c, vec in terms:
+            if c:
+                out = [u + c * v if v else u for u, v in zip(out, vec)]
+        return out
+
+    if left is not None:
+        cube = [[combination((left[i][a], cube[i][b]) for i in range(d)) for b in range(d)]
+                for a in range(d)]
+    if right is not None:
+        cube = [[combination((right[j][b], cube[a][j]) for j in range(d)) for b in range(d)]
+                for a in range(d)]
+    if outer is not None:
+        cube = [[combination(zip(vec, [[row[j] for row in outer] for j in range(d)])) for vec in line]
+                for line in cube]
+    return cube
+
+
+def cube_sum(*signed):
+    """The sum of (sign, cube) pairs, entry by entry."""
+    d = len(signed[0][1])
+    return [[[sum((s * c[a][b][k] for s, c in signed), ZERO) for k in range(d)]
+             for b in range(d)] for a in range(d)]
+
+
+def deformed_cube(cube, p):
+    """D_p C = C o (p, 1) + C o (1, p) - p o C."""
+    return cube_sum((ONE, composed(cube, inner=(p, None))), (ONE, composed(cube, inner=(None, p))),
+                    (-ONE, composed(cube, outer=p)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data(), st.integers(0, 2))
+def test_hierarchy_reductions_hold_on_operators_with_torsion(data, k):
+    """The three identities that let the hierarchy's first pass sweep only its
+    generating cases, on the dense definitions and for any operator N, torsion
+    or none. With mu_X the product deformed by X, D_Y the deformation by Y and
+    R(r, k) = N^r o mu_{N^(k+r)} - mu_{N^k} o (N^r, N^r):
+    R(r, k) = N^(r-1) o R(1, k+r-1) + R(r-1, k) o (N, N) for r <= 4;
+    B(X, Y) = D_Y mu_X - mu_{XY} is symmetric on powers and B(1, .) = 0, on
+    N^i, N^k with i, k <= 3; the mixed associator of mu and mu_X is zero for
+    a random X."""
+    alg, dense, (rows, x_rows) = drawn_fractional(data, 2)
+
+    def torsion():
+        return any(any(dense.torsion(rows, a, b)) for a, b in dense.pairs())
+
+    if not torsion():  # a left or right multiplication, say: perturb one entry
+        i, j = (data.draw(st.integers(0, dense.d - 1)) for _ in range(2))
+        rows[i][j] = rows[i][j] + data.draw(st.sampled_from(BASIS_COEFFICIENTS))
+    event(f"torsion: {'nonzero' if torsion() else 'zero'}")
+    powers = [[dense.e(i) for i in range(dense.d)]]
+    for _ in range(6):
+        powers.append(matmul(rows, powers[-1]))
+    cubes = [deformed_cube(dense.c, p) for p in powers]
+
+    def relation(r, k):
+        p = powers[r]
+        return cube_sum((ONE, composed(cubes[k + r], outer=p)), (-ONE, composed(cubes[k], inner=(p, p))))
+
+    n = powers[1]
+    for r in range(2, 5):
+        lhs = relation(r, k)
+        assert lhs == cube_sum((ONE, composed(relation(1, k + r - 1), outer=powers[r - 1])),
+                               (ONE, composed(relation(r - 1, k), inner=(n, n))))
+        event(f"R({r}, k) {'nonzero' if any(any(map(any, line)) for line in lhs) else 'zero'}")
+
+    def composition(i, k):  # B(N^i, N^k)
+        return cube_sum((ONE, deformed_cube(cubes[i], powers[k])), (-ONE, cubes[i + k]))
+
+    zero = [[[ZERO] * dense.d for _ in range(dense.d)] for _ in range(dense.d)]
+    for i in range(4):
+        for k in range(i + 1, 4):
+            value = composition(i, k)
+            assert value == composition(k, i)
+            assert i or value == zero
+
+    p1 = DenseProduct(dense.d, dense.mul)
+    p2 = DenseProduct(dense.d, dense.deformed(x_rows, dense.mul))
+    for a, b, c in product(range(dense.d), repeat=3):
+        assert not any(dense_mixed_associator(p1, p2, a, b, c))

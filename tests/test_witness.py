@@ -3,6 +3,8 @@
 ``tables.Sweep.witness``, from a fresh or from a reused sweep, must return
 what ``first_witness`` returns on the materialised sum: the lexicographically
 smallest failing tuple and the residual vector there, as ``{index: Scalar}``.
+A sum kept by ``Sweep.kept_sum`` must hold the integers of the materialised
+sum's form, and later sums must read it as they read that table.
 Tables are drawn at random, so most are not associative, with fractional,
 negative and purely imaginary entries; operators have denominators too.
 """
@@ -108,6 +110,31 @@ def test_one_sweep_serves_many_sums(prob):
     ]
     for terms in sums:
         assert sweep.witness(terms) == first_witness(table_of(terms))
+
+
+def form_entries(form):
+    """A form's scale and its integers, keyed by (phase, row, output)."""
+    d, parts = form
+    return d, {(phase, t, k): v for phase, part, _ in parts for t, es in part for k, v in es}
+
+
+@SETTINGS
+@given(problems())
+def test_a_kept_sum_reads_like_its_table(prob):
+    """A sum kept by the sweep holds the integers of the built table's form,
+    and later sums, compose or insert, read it as they read the table."""
+    dim, t1, t2, n1, n2, coef = prob
+    kept = deform_terms(coef, t1, n1) + [Compose(MINUS_ONE, t2, outer=n2, inner=(None, n1))]
+    sweep, table = Sweep(dim), table_of(kept)
+    handle = sweep.kept_sum(kept)
+    assert form_entries(sweep._form(handle)) == form_entries(Sweep(dim)._form(table))
+    event("zero" if not table else "nonzero")
+    for build in (associator_terms,
+                  lambda t: mixed_associator_terms(t, t2),
+                  lambda t: [Compose(ONE, t, outer=n1), Compose(MINUS_ONE, t1, inner=(n2, n2))]):
+        assert sweep.witness(build(handle)) == first_witness(table_of(build(table)))
+    with pytest.raises(ValueError):
+        sweep.kept_sum(associator_terms(t1))
 
 
 def test_zero_sums_have_no_witness():
