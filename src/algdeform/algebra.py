@@ -65,10 +65,8 @@ def _clean_vec(raw: Mapping[int, object]) -> Vec:
 class Algebra:
     """An associative algebra with a fixed basis and exact structure constants.
 
-    ``validate=False`` skips the associativity check, for a table taken from
-    an algebra already validated. The package relies on an associative
-    table: ``deform.verify_hierarchy`` skips the cases that only a
-    non-associative one could fail.
+    A table that is not associative is refused: ``deform.verify_hierarchy``
+    skips the cases that only a non-associative one could fail.
     """
 
     def __init__(
@@ -79,7 +77,6 @@ class Algebra:
         structure: Mapping[tuple[int, int], Mapping[int, object]],
         unit: Optional[Mapping[int, object] | Sequence] = None,
         metadata: Optional[dict] = None,
-        validate: bool = True,
         discover_unit: bool = False,
     ):
         if dim < 0:
@@ -102,14 +99,13 @@ class Algebra:
                 table[(i, j)] = cleaned
         self.structure = table
         self.metadata = dict(metadata or {})
-        if validate:
-            witness = self.associativity_witness()
-            if witness is not None:
-                (i, j, k), _ = witness
-                raise AlgebraError(
-                    f"structure constants are not associative: "
-                    f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k})"
-                )
+        witness = self.associativity_witness()
+        if witness is not None:
+            (i, j, k), _ = witness
+            raise AlgebraError(
+                f"structure constants are not associative: "
+                f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k})"
+            )
         self.unit: Optional[Element] = None
         if unit is not None:
             u = self.element(unit)
@@ -167,17 +163,28 @@ class Algebra:
     def decompose(self, part1: Iterable[int]) -> "Decomposition":
         return Decomposition(self, part1)
 
+    def _renamed(self, name: str, metadata: dict) -> "Algebra":
+        """This algebra under another name and metadata, sharing its checked table."""
+        alg = object.__new__(Algebra)
+        alg.name, alg.dim, alg.basis = name, self.dim, list(self.basis)
+        alg.structure, alg.metadata = self.structure, dict(metadata)
+        alg.unit = None if self.unit is None else Element(alg, self.unit.coords)
+        return alg
+
     def __repr__(self) -> str:
         return f"Algebra({self.name!r}, dim={self.dim})"
 
 
 def table_is_unit(table: Table, dim: int, u: Vec) -> bool:
-    """Whether u is a two-sided unit of the arity-2 ``table``."""
-    for j in range(dim):
-        ej = {j: ONE}
-        if not vec_eq(vec_mul(table, u, ej), ej) or not vec_eq(vec_mul(table, ej, u), ej):
-            return False
-    return True
+    """Whether u is a two-sided unit of ``table``: one pass sums every u e_j and e_j u."""
+    left: dict[int, Vec] = {}
+    right: dict[int, Vec] = {}
+    for (g, j), vec in table.items():
+        if u.get(g):
+            vec_add_into(left.setdefault(j, {}), u[g], vec)
+        if u.get(j):
+            vec_add_into(right.setdefault(g, {}), u[j], vec)
+    return all(vec_eq(side.get(j, {}), {j: ONE}) for side in (left, right) for j in range(dim))
 
 
 def table_unit(table: Table, dim: int) -> Optional[Vec]:
@@ -521,16 +528,8 @@ def banded_oscillator_algebra(
         raise AlgebraError("oscillator truncation needs dim >= 2")
     if band < 1:
         raise AlgebraError("band must be >= 1")
-    base = full_matrix_algebra(dim)
-    alg = Algebra(
-        f"Osc{dim}",
-        base.dim,
-        base.basis,
-        base.structure,
-        unit={k: v for k, v in base.unit.coords.items()},
-        metadata={"band": band, "truncation_of": "oscillator"},
-        validate=False,  # shares the already-validated matrix-unit table
-    )
+    meta = {"band": band, "truncation_of": "oscillator"}
+    alg = full_matrix_algebra(dim)._renamed(f"Osc{dim}", meta)
     idx = lambda p, q: matrix_unit_index(dim, p, q)
     a = alg.element({idx(m - 1, m): Scalar(m) for m in range(1, dim)})
     adag = alg.element({idx(m + 1, m): ONE for m in range(dim - 1)})

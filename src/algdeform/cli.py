@@ -16,6 +16,7 @@ bihamiltonian, inner-generator, torsion, deform) put their findings under
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -540,11 +541,11 @@ COMMANDS = {
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI parser; given a subcommand name, with only that subparser.
+    """A fresh CLI parser; given a subcommand name, with only that subparser.
 
-    Building every subparser costs more than most invocations'
-    work, so :func:`main` builds only the one that runs. Its help, errors
-    and exit codes are those of the full parser.
+    Building every subparser costs more than most invocations' work, so
+    :func:`main` shares one parser per name, built lazily on first use, with
+    only the subparser that runs; its help, errors and exit codes are the full one's.
     """
     parser = argparse.ArgumentParser(
         prog="algdeform",
@@ -571,12 +572,18 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+# The shared parser of each subcommand name (None: the full parser), built on first use.
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
+    """Run the CLI on ``argv`` with the subcommand's shared parser, built on its
+    first use in the process; every call reads its documents anew."""
     argv = sys.argv[1:] if argv is None else list(argv)
     # Any argv that does not start with a subcommand name (help, no
     # arguments, an unknown command, an option first) gets the full parser.
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _parser(command).parse_args(argv)
     try:
         return args.handler(args)
     except USAGE_ERRORS as exc:

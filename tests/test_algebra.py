@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from unittest import mock
 
 import pytest
 
@@ -87,6 +88,18 @@ def test_oscillator_ladder_identities():
         assert h * adag - adag * h == adag
         assert a * h - h * a == a
         assert alg.metadata["band"] == 1
+
+
+def test_oscillator_algebra_reuses_the_checked_matrix_table():
+    base = full_matrix_algebra(5)
+    with mock.patch.object(Algebra, "associativity_witness") as check:
+        alg, a, adag, h = banded_oscillator_algebra(5, band=2)
+    check.assert_not_called()
+    assert (alg.name, alg.dim, alg.metadata) == ("Osc5", 25, {"band": 2, "truncation_of": "oscillator"})
+    assert alg.structure == base.structure and alg.basis == base.basis
+    assert alg.unit.algebra is alg and alg.unit.coords == base.unit.coords
+    assert a.algebra is alg and adag * a == h
+    assert (base.name, base.metadata, base.unit.algebra) == ("M5", {}, base)
 
 
 def test_oscillator_preconditions():

@@ -589,6 +589,61 @@ def test_main_parses_like_the_full_parser(argv, capsys, monkeypatch):
     assert outcome(main) == outcome(build_parser().parse_args)
 
 
+@pytest.mark.parametrize("argv", _parser_cases(), ids=lambda argv: " ".join(argv) or "(none)")
+def test_repeated_main_calls_parse_like_a_fresh_parser(argv, capsys, monkeypatch):
+    """The shared parsers keep no state from one call to the next."""
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    first, second = outcome(main), outcome(main)
+    assert first == second == outcome(build_parser().parse_args)
+
+
+def _fresh_python(*args):
+    """``python *args`` in a new process that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), timeout=300,
+    )
+
+
+def test_repeated_example_reports_match_a_fresh_process(capsys):
+    """An ``append`` option starts empty on every call."""
+    with_lambda = ["example", "--id", "5", "--dim", "2", "--lambda", "1"]
+    without = with_lambda[:-2]
+    fresh = {tuple(argv): _fresh_python("-m", "algdeform.cli", *argv)
+             for argv in (with_lambda, without)}
+    for argv in (with_lambda, with_lambda, without):
+        code = main(argv)
+        proc = fresh[tuple(argv)]
+        assert (code, capsys.readouterr().out) == (proc.returncode, proc.stdout)
+
+
+def test_main_rereads_a_rewritten_document(workdir, tmp_path, capsys):
+    path = tmp_path / "algebra.json"
+    dims = {}
+    for name in ("m2.json", "dual.json"):
+        data = Path(workdir[name]).read_bytes()
+        path.write_bytes(data)
+        code, rep = run(capsys, ["cohomology", "--algebra", str(path), "--degree", "0"])
+        assert code == 0
+        assert rep["inputs"]["algebra"]["sha256"] == hashlib.sha256(data).hexdigest()
+        dims[name] = rep["outputs"]["dimension"]
+    assert dims == {"m2.json": 1, "dual.json": 2}  # the centres of M2 and of the dual numbers
+
+
+def test_import_builds_no_parser():
+    proc = _fresh_python("-c", "import algdeform.cli as c; print(c._parser.cache_info().currsize)")
+    assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+
 def test_console_entry_point_matches_in_process_main(workdir, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -12,7 +12,9 @@ taken by ``sympy``, on the same algebras and on random changes of their basis.
 Sums of compositions with three distinct operators are compared too, since
 ``table_of`` builds every one of them by insertion. The identities that let
 the power hierarchy sweep only its generating cases are checked on the dense
-side alone, for operators with torsion.
+side alone, for operators with torsion. The unit check is compared with its
+definition on algebras, one-sided unit tables and random Gaussian tables, and
+random tables that are not associative must be refused.
 """
 
 import importlib
@@ -29,6 +31,8 @@ from algdeform.algebra import (
     dual_number_algebra,
     full_matrix_algebra,
     split_quaternion_algebra,
+    table_is_unit,
+    table_unit,
     upper_triangular_algebra,
 )
 from algdeform.deform import (
@@ -41,7 +45,7 @@ from algdeform.deform import (
     verify_hierarchy,
 )
 from algdeform.dynamics import is_derivation
-from algdeform.errors import PreconditionError
+from algdeform.errors import AlgebraError, PreconditionError
 from algdeform.hochschild import Cochain, coboundary, cohomology_dimension
 from algdeform.scalar import ONE, ZERO, Scalar
 from algdeform.tables import Compose, associator_table, mixed_associator_table, table_of
@@ -805,3 +809,86 @@ def test_hierarchy_reductions_hold_on_operators_with_torsion(data, k):
     p2 = DenseProduct(dense.d, dense.deformed(x_rows, dense.mul))
     for a, b, c in product(range(dense.d), repeat=3):
         assert not any(dense_mixed_associator(p1, p2, a, b, c))
+
+
+def dense_cube(table, d):
+    return [[[table.get((i, j), {}).get(k, ZERO) for k in range(d)] for j in range(d)]
+            for i in range(d)]
+
+
+def dense_is_unit(table, d, u):
+    """u e_j = e_j = e_j u for every j, on coordinate lists."""
+    mul = cube_mul(dense_cube(table, d))
+    x = [u.get(i, ZERO) for i in range(d)]
+    basis = [[ONE if k == j else ZERO for k in range(d)] for j in range(d)]
+    return all(mul(x, e) == e == mul(e, x) for e in basis)
+
+
+@st.composite
+def unit_tables(draw):
+    """``(table, dim, one_sided)``: an algebra of ``algebras()`` (Gaussian once
+    twisted), a table in which every basis vector is a left (or right) unit,
+    or a random Gaussian table, associative or not, of dimension 0 to 3."""
+    kind = draw(st.sampled_from(("algebra", "left units", "right units", "random")))
+    event(kind)
+    if kind == "algebra":
+        alg = draw(algebras())
+        return alg.structure, alg.dim, False
+    d = draw(st.integers(0, 3))
+    pairs = list(product(range(d), repeat=2))
+    if kind == "random":
+        entry = st.one_of(st.just(ZERO), scalars(True))
+        vecs = {t: {k: s for k in range(d) if (s := draw(entry))} for t in pairs}
+        return {t: vec for t, vec in vecs.items() if vec}, d, False
+    side = 1 if kind == "left units" else 0  # e_i e_j = e_j, or e_i e_j = e_i
+    return {t: {t[side]: ONE} for t in pairs}, d, True
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_tables(), st.data())
+def test_unit_check_matches_dense(case, data):
+    table, d, one_sided = case
+    found = table_unit(table, d)
+    kinds = ("found", "zero", "basis", "random", "perturbed")
+    kind = "basis" if one_sided else data.draw(st.sampled_from(kinds))
+    if kind == "basis" and d:
+        u = {data.draw(st.integers(0, d - 1)): ONE}
+    elif kind == "random":
+        u = {k: s for k in range(d) if (s := data.draw(scalars(True)))}
+    elif kind == "perturbed" and found is not None and d:
+        u = dict(found)
+        k = data.draw(st.integers(0, d - 1))
+        u[k] = u.get(k, ZERO) + data.draw(st.sampled_from(BASIS_COEFFICIENTS))
+        u = {k: v for k, v in u.items() if v}
+    else:
+        u = dict(found or {}) if kind == "found" else {}
+    expected = dense_is_unit(table, d, u)
+    event(f"{kind}: {'unit' if expected else 'not a unit'}")
+    assert table_is_unit(table, d, u) == expected
+    assert found is None or dense_is_unit(table, d, found)
+    if expected:  # a two-sided unit is unique, and the solver finds it
+        assert found == u
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_non_associative_structures_are_refused(data):
+    """Every structure is checked on construction, and no argument skips it."""
+    d = data.draw(st.integers(1, 3))
+    entry = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, Scalar(0, 1)])
+    cube = [[[data.draw(entry) for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    structure = {(i, j): {k: v for k, v in enumerate(cube[i][j]) if v}
+                 for i, j in product(range(d), repeat=2)}
+    mul = cube_mul(cube)
+    e = [[ONE if k == j else ZERO for k in range(d)] for j in range(d)]
+    associative = all(mul(mul(e[a], e[b]), e[c]) == mul(e[a], mul(e[b], e[c]))
+                      for a, b, c in product(range(d), repeat=3))
+    event("associative" if associative else "not associative")
+    args = ("X", d, [f"e{i}" for i in range(d)], structure)
+    if associative:
+        assert Algebra(*args).structure == {t: vec for t, vec in structure.items() if vec}
+    else:
+        with pytest.raises(AlgebraError, match="not associative"):
+            Algebra(*args)
+    with pytest.raises(TypeError):
+        Algebra(*args, validate=False)
