@@ -41,14 +41,20 @@ cochains, a d^(n+1) x d^(n+2) matrix. Its rows are never built as cochains:
 * the integer rows, with their imaginary parts when the constants have
   any, stream one at a time into a ``linalg.RowReducer``, the package's
   one fraction-free echelon elimination (after Bareiss 1968). Only the rank
-  is asked for, so it never back-substitutes.
+  is asked for, so it never back-substitutes;
+* for n >= 1 the rows of d^(n-1) are reduced first, as their rank is needed
+  anyway. Their stored rows lead in distinct columns S, so C^n is the direct
+  sum of im d^(n-1) and span{e_c : c not in S}, and d^n kills im d^(n-1)
+  (d o d = 0): only the basis cochains off S feed the rank of d^n. Realified,
+  the pivots come in pairs 2c, 2c + 1, as the row space is closed under
+  multiplication by i, which keeps each pair of columns; S is {p // 2}.
 """
 
 from __future__ import annotations
 
 from itertools import product as iter_product
 from math import lcm
-from typing import Optional
+from typing import Container, Optional
 
 from .algebra import Algebra, Element, Operator
 from .errors import SIZE_GUARD, PreconditionError, check_size
@@ -243,58 +249,63 @@ def _integer_indexes(alg: Algebra) -> list[tuple[dict, dict, dict]]:
     return [real, imag] if imag[0] else [real]
 
 
-def _basis_rows(index: tuple[dict, dict, dict], d: int, n: int):
-    """Row of the coboundary of each basis cochain e_t -> e_k, in the order
-    (t, k), with one integer part of :func:`_integer_indexes` in place of
-    the product.
+def _basis_rows(index: tuple[dict, dict, dict], d: int, n: int, skip: Container[int]):
+    """Row of the coboundary of each basis cochain e_t -> e_k whose flat
+    index t * d + k is not in ``skip``, in the order (t, k), with one
+    integer part of :func:`_integer_indexes` in place of the product.
 
     Columns flatten (a_1, ..., a_{n+1}, output coordinate) in mixed radix
     base d, and the three terms of the alternating sum follow ``coboundary``.
+    The outer terms are listed once per k and shifted by t, the middle ones
+    once per t and shifted by k.
     """
     left, right, pairs = index
-
-    def flat(digits: tuple[int, ...]) -> int:
-        acc = 0
-        for idx in digits:
-            acc = acc * d + idx
-        return acc
-
     right_sign = 1 if (n + 1) % 2 == 0 else -1
     top = d ** (n + 1)
-    for t in iter_product(range(d), repeat=n):
-        tflat = flat(t)
-        # f(..., a_i a_{i+1}, ...) puts x and y at digits i-1 and i, of
-        # weights wx and wy: column = hi + x * wx + y * wy + lo + k.
-        middle = []
-        for i in range(1, n + 1):
-            wy = d ** (n + 1 - i)
-            hi = flat(t[: i - 1]) * wy * d * d
-            lo = flat(t[i:]) * d
-            sign = -1 if i % 2 else 1
-            middle.append((hi, wy * d, wy, lo, sign, pairs.get(t[i - 1], ())))
+    lefts, rights = [[] for _ in range(d)], [[] for _ in range(d)]
+    for k, terms in left.items():  # a_1 * f(...), shifted by t * d
+        for a, m, c in terms:
+            lefts[k].append((a * top + m, c))
+    for k, terms in right.items():  # f(...) * a_{n+1}, shifted by t * d * d
+        for b, m, c in terms:
+            rights[k].append((b * d + m, right_sign * c))
+    for tflat, t in enumerate(iter_product(range(d), repeat=n)):
+        middle = None
         for k in range(d):
+            if tflat * d + k in skip:
+                continue
+            if middle is None:  # f(..., a_i a_{i+1}, ...), shifted by k
+                middle = []
+                for i in range(1, n + 1):
+                    # x and y go to digits i-1 and i, of weights wy * d and wy.
+                    wy = d ** (n + 1 - i)
+                    base = tflat // wy * wy * d * d + tflat % (wy // d) * d
+                    sign = -1 if i % 2 else 1
+                    for x, y, c in pairs.get(t[i - 1], ()):
+                        middle.append((base + x * wy * d + y * wy, sign * c))
             row: dict[int, int] = {}
-            for a, m, c in left.get(k, ()):  # a_1 * f(...)
-                col = a * top + tflat * d + m
+            shift = tflat * d
+            for col, c in lefts[k]:
+                col += shift
                 row[col] = row.get(col, 0) + c
-            for hi, wx, wy, lo, sign, hits in middle:
-                base = hi + lo + k
-                for x, y, c in hits:
-                    col = base + x * wx + y * wy
-                    row[col] = row.get(col, 0) + sign * c
-            for b, m, c in right.get(k, ()):  # f(...) * a_{n+1}
-                col = (tflat * d + b) * d + m
-                row[col] = row.get(col, 0) + right_sign * c
+            for col, c in middle:
+                col += k
+                row[col] = row.get(col, 0) + c
+            shift *= d
+            for col, c in rights[k]:
+                col += shift
+                row[col] = row.get(col, 0) + c
             yield row
 
 
-def _coboundary_rank(indexes: list, d: int, n: int) -> int:
-    """Exact rank of the coboundary on arity-n cochains: the rows of D * d
-    over the integer parts of :func:`_integer_indexes`, Gaussian integer
-    rows when the constants have an imaginary part."""
+def _reduced_coboundary(indexes: list, d: int, n: int, skip: Container[int]) -> RowReducer:
+    """The coboundary on arity-n cochains reduced to echelon form, rows in
+    ``skip`` left out: the rows of D * d over the integer parts of
+    :func:`_integer_indexes`, Gaussian integer rows when the constants have
+    an imaginary part."""
     red = RowReducer()
-    red.add_integer_rows(*(_basis_rows(index, d, n) for index in indexes))
-    return red.rank
+    red.add_integer_rows(*(_basis_rows(index, d, n, skip) for index in indexes))
+    return red
 
 
 def cohomology_dimension(alg: Algebra, n: int) -> int:
@@ -305,10 +316,13 @@ def cohomology_dimension(alg: Algebra, n: int) -> int:
     indexes = getattr(alg, "_integer_indexes", None)  # one build per algebra
     if indexes is None:  # a basis permutation: H^n does not change
         indexes = alg._integer_indexes = _integer_indexes(alg)
-    cocycles = alg.dim ** (n + 1) - _coboundary_rank(indexes, alg.dim, n)
-    if n == 0:
-        return cocycles
-    return cocycles - _coboundary_rank(indexes, alg.dim, n - 1)
+    skip, boundaries = (), 0
+    if n:  # d^n kills im d^(n-1): only the cochains off its pivots matter
+        low = _reduced_coboundary(indexes, alg.dim, n - 1, ())
+        skip, boundaries = low.pivots, low.rank
+        if low.realified:  # pivots come in pairs 2c, 2c + 1
+            skip = {p // 2 for p in skip}
+    return alg.dim ** (n + 1) - _reduced_coboundary(indexes, alg.dim, n, skip).rank - boundaries
 
 
 def _circle_into(acc: Table, coef: Scalar, p: Cochain, q: Cochain) -> None:

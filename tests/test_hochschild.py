@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
@@ -10,6 +11,7 @@ from algdeform.algebra import (
     dual_number_algebra,
     full_matrix_algebra,
     transpose_operator,
+    upper_triangular_algebra,
 )
 from algdeform import hochschild
 from algdeform.errors import PreconditionError, SizeGuardError
@@ -21,7 +23,7 @@ from algdeform.hochschild import (
     is_cocycle,
 )
 from algdeform.linalg import Matrix, kernel_basis, rank
-from algdeform.scalar import Scalar
+from algdeform.scalar import Scalar, as_scalar
 from algdeform.tables import vec_mul
 
 
@@ -291,24 +293,31 @@ def test_cohomology_on_algebras_with_known_answers():
         assert cohomology_dimension(alg, 2) == 0
 
 
-def _twisted_m3(additions, order=range(9)):
-    """M3 in the basis f_j = P e_j, P the column additions col_x += c * col_y
-    in turn, with basis index j then renamed ``order[j]``."""
-    m3 = full_matrix_algebra(3)
-    p = [{i: Scalar(1)} for i in range(9)]  # column j of P
-    p_inv = [{i: Scalar(1)} for i in range(9)]  # row i of P^-1
+def _twisted(alg, additions, order=None):
+    """``alg`` in the basis f_j = P e_j, P the column additions col_x += c * col_y
+    in turn (c an int or a Gaussian scalar), with basis index j then renamed
+    ``order[j]``."""
+    d = alg.dim
+    order = order or range(d)
+    p = [{i: Scalar(1)} for i in range(d)]  # column j of P
+    p_inv = [{i: Scalar(1)} for i in range(d)]  # row i of P^-1
     for x, y, c in additions:
+        c = as_scalar(c)
         for i, v in p[y].items():
-            p[x][i] = p[x].get(i, Scalar(0)) + Scalar(c) * v
+            p[x][i] = p[x].get(i, Scalar(0)) + c * v
         for i, v in p_inv[x].items():
-            p_inv[y][i] = p_inv[y].get(i, Scalar(0)) - Scalar(c) * v
+            p_inv[y][i] = p_inv[y].get(i, Scalar(0)) - c * v
     structure = {}
-    for a, b in iproduct(range(9), repeat=2):
-        prod = vec_mul(m3.structure, p[a], p[b])
+    for a, b in iproduct(range(d), repeat=2):
+        prod = vec_mul(alg.structure, p[a], p[b])
         vec = {order[k]: sum((row.get(i, Scalar(0)) * v for i, v in prod.items()), Scalar(0))
                for k, row in enumerate(p_inv)}
         structure[(order[a], order[b])] = vec
-    return Algebra("M3'", 9, [f"f{j}" for j in range(9)], structure)
+    return Algebra(alg.name + "'", d, [f"f{j}" for j in range(d)], structure)
+
+
+def _twisted_m3(additions, order=None):
+    return _twisted(full_matrix_algebra(3), additions, order)
 
 
 def test_cohomology_of_a_dense_basis_of_m3_is_that_of_m3():
@@ -331,3 +340,61 @@ def test_cohomology_builds_the_integer_indexes_once_per_algebra(monkeypatch):
         assert [cohomology_dimension(alg, n) for n in (0, 1, 2)] == dims
         assert [cohomology_dimension(alg, n) for n in (2, 1, 0)] == dims[::-1]
         assert built.count(alg) == 1
+
+
+def _truncated_polynomials():
+    """k[x]/(x^3) on the basis 1, x, x^2: H^0, H^1, H^2 = 3, 2, 2."""
+    structure = {(i, j): {i + j: Scalar(1)} for i in range(3) for j in range(3) if i + j < 3}
+    return Algebra("k[x]/(x^3)", 3, ["1", "x", "x2"], structure)
+
+
+def test_the_reducer_gets_only_the_cochains_off_the_lower_pivots(monkeypatch):
+    # d^n kills im d^(n-1), so of the rows of d^n only those of the basis
+    # cochains off the pivot columns of d^(n-1) are fed: on M4, 241 of the
+    # 256 rows of d^1 and 3855 of the 4096 rows of d^2.
+    fed = []
+    rows = hochschild._basis_rows
+
+    def counted(*args):
+        fed.append(0)
+        for row in rows(*args):
+            fed[-1] += 1
+            yield row
+
+    monkeypatch.setattr(hochschild, "_basis_rows", counted)
+    m4 = full_matrix_algebra(4)
+    for n, counts in ((1, [16, 241]), (2, [256, 3855])):
+        fed.clear()
+        assert cohomology_dimension(m4, n) == 0
+        assert fed == counts
+
+
+@pytest.mark.parametrize("alg, dims", [
+    (full_matrix_algebra(3), [1, 0, 0]),
+    (upper_triangular_algebra(4), [1, 0, 0]),
+    (_twisted_m3(((3, 5, -2), (2, 3, 1), (1, 2, -1))), [1, 0, 0]),
+    (_truncated_polynomials(), [3, 2, 2]),
+    (_twisted(_truncated_polynomials(), ((1, 2, Scalar(1, 1)), (2, 1, Scalar(0, -1)))), [3, 2, 2]),
+    (_twisted(upper_triangular_algebra(3), ((0, 4, Scalar(1, 1)), (5, 1, Scalar(Fraction(1, 2), -1)),
+                                            (3, 0, Scalar(0, 2)))), [1, 0, 0]),
+], ids=["M3", "T4", "M3 dense", "k[x]/(x^3)", "k[x]/(x^3) Gaussian", "T3 Gaussian"])
+def test_the_kept_rows_have_the_rank_of_all_rows(alg, dims, monkeypatch):
+    # Differential guard: the rows fed to the reducer for d^n must have the
+    # rank of all its rows, and d^(n-1) is fed in full.
+    indexes = hochschild._integer_indexes(alg)
+    reduce = hochschild._reduced_coboundary
+    full = [reduce(indexes, alg.dim, n, ()).rank for n in (0, 1, 2)]
+    ranks = {}
+
+    def recorded(indexes, d, n, skip):
+        red = reduce(indexes, d, n, skip)
+        ranks[n] = red.rank
+        return red
+
+    monkeypatch.setattr(hochschild, "_reduced_coboundary", recorded)
+    for n in (1, 2):
+        ranks.clear()
+        assert cohomology_dimension(alg, n) == dims[n]
+        assert ranks == {n - 1: full[n - 1], n: full[n]}
+    assert cohomology_dimension(alg, 0) == dims[0] == alg.dim - full[0]
+    assert dims[1:] == [alg.dim ** (n + 1) - full[n] - full[n - 1] for n in (1, 2)]
