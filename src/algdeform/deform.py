@@ -29,8 +29,9 @@ Its first pass sweeps only the generating cases of each section, on the
 powers up to the first one in the span of those below it: the sections are
 linear in the powers, the power relation of exponent r follows from r = 1
 by a recursion, the composition law is symmetric and zero at the power 0,
-and the mixed associator with mu vanishes (it is -d(dX)). A section that
-fails there is swept again in full, for the first witness.
+and the mixed associator with mu vanishes (it is -d(dX)), as does every one
+whose composition law is zero (it is its coboundary). A section that fails
+there is swept again in full, for the first witness.
 """
 
 from __future__ import annotations
@@ -293,7 +294,9 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
       associator Q(X, Y) of mu_X and mu_Y is symmetric and bilinear, twice
       the associator on its diagonal, and Q(1, X) = -d(dX) = 0 for d the
       Hochschild coboundary of mu, which is associative (every ``Algebra``
-      is validated at construction).
+      is validated at construction). Q(X, Y) = dB(X, Y) for any X and Y, by
+      graded Jacobi and d o d = 0, so a pair whose composition law was swept
+      to zero is not swept again.
 
     A section that fails there is swept again over its full range, so its
     witness is still the first failing case in order; associativity and
@@ -313,6 +316,7 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
     # prods[0] is mu itself: T o (1, 1) + T o (1, 1) - 1 o T = T.
     prods = [mu] + [sweep.kept_sum(deform_terms(ONE, mu, p.columns)) for p in powers[1:]]
     base = _span_degree(powers)
+    b_zero = set()  # the cases (i, k) whose B was swept to zero, so Q = dB is too
 
     # Each section lists its cases in report order; the first pass keeps only
     # the generating ones. r = 0 (mu_{N^k} minus itself) and k = 0 in the
@@ -331,14 +335,16 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
                 if full or 1 <= i <= k < base:
                     terms = deform_terms(ONE, prods[i], powers[k].columns)
                     yield (i, k), terms + [Compose(MINUS_ONE, prods[i + k])]
+                    b_zero.add((i, k))  # resumed only after that sum swept to zero
 
     def associativity(full):  # Q(N^k, N^k) / 2
         return (((k,), associator_terms(prods[k]))
-                for k in range(maxk + 1) if full or 1 <= k < base)
+                for k in range(maxk + 1) if full or 1 <= k < base and (k, k) not in b_zero)
 
     def compatibility(full):  # Q(N^k1, N^k2)
         return ((ks, mixed_associator_terms(prods[ks[0]], prods[ks[1]]))
-                for ks in combinations(range(maxk + 1), 2) if full or 1 <= ks[0] and ks[1] < base)
+                for ks in combinations(range(maxk + 1), 2)
+                if full or 1 <= ks[0] and ks[1] < base and ks not in b_zero)
 
     def first(cases):
         """(case, basis tuple) of the first case whose sum is not zero."""

@@ -256,6 +256,13 @@ def _match_on_basis(alg: Algebra, got, expected) -> tuple[bool, Optional[list[st
     return True, None
 
 
+def _match_sum(alg: Algebra, terms: list[Compose]) -> tuple[bool, Optional[list[str]]]:
+    """Whether the sum of ``terms`` vanishes on every basis pair; the first
+    failing pair, in the order of ``_match_on_basis``."""
+    w = Sweep(alg.dim).witness(terms)
+    return (True, None) if w is None else (False, _labels(alg, w[0]))
+
+
 def _diag_element(alg: Algebra, n: int, values) -> Element:
     return alg.element(
         {matrix_unit_index(n, p, p): as_scalar(v) for p, v in enumerate(values)}
@@ -379,15 +386,13 @@ def _example_3(n: int = 3) -> dict:
     mu = mu_product(alg)
     checks = [_check("construction_associative", bool(prod.associative))]
 
-    def expected(x: Element, y: Element) -> Element:
-        dx, dy = dec.project(x, 1), dec.project(y, 1)
-        return k * dx * y + x * (k * dy) - k * dx * dy
-
-    checks.append(_check("matches_displayed_formula", *_match_on_basis(alg, prod, expected)))
-
-    # prod minus the product deformed by K_diag = L_K P1
-    k_diag = Operator.left_multiplication(k) @ dec.projector(1)
-    terms = [Compose(ONE, prod.table)] + deform_terms(MINUS_ONE, alg.structure, k_diag.columns)
+    # L = K_diag = L_K P1: prod minus mu deformed by L is prod - mu o (L, 1) -
+    # mu o (1, L) + L o mu, and the displayed K P1(x) y + x K P1(y) -
+    # K P1(x) P1(y) has mu o (L, P1) in place of L o mu
+    l = (Operator.left_multiplication(k) @ dec.projector(1)).columns
+    terms = [Compose(ONE, prod.table)] + deform_terms(MINUS_ONE, alg.structure, l)
+    displayed = terms[:3] + [Compose(ONE, alg.structure, inner=(l, dec.projector(1).columns))]
+    checks.append(_check("matches_displayed_formula", *_match_sum(alg, displayed)))
     w = Sweep(alg.dim).witness(terms)
     checks.append(_check("differs_from_deform_of_K_diag", w is not None))
     if w is not None:
@@ -427,11 +432,9 @@ def _example_4(n: int = 3) -> dict:
     ]
     prod = deform(rep.operator)
     checks.append(_check("deformed_associative", bool(prod.associative)))
-
-    def expected(x: Element, y: Element) -> Element:
-        return k * dec.project(x, 1) * y + x * (k * dec.project(y, 1)) - k * dec.project(x * y, 1)
-
-    checks.append(_check("matches_displayed_formula", *_match_on_basis(alg, prod, expected)))
+    # K P1(x) y + x K P1(y) - K P1(xy) is mu deformed by L_K P1, which is n1
+    terms = [Compose(ONE, prod.table)] + deform_terms(MINUS_ONE, alg.structure, n1.columns)
+    checks.append(_check("matches_displayed_formula", *_match_sum(alg, terms)))
     return {"example": 4, "algebra": alg.name, "checks": checks}
 
 

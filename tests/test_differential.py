@@ -12,9 +12,11 @@ taken by ``sympy``, on the same algebras and on random changes of their basis.
 Sums of compositions with three distinct operators are compared too, since
 ``table_of`` builds every one of them by insertion. The identities that let
 the power hierarchy sweep only its generating cases are checked on the dense
-side alone, for operators with torsion. The unit check is compared with its
-definition on algebras, one-sided unit tables and random Gaussian tables, and
-random tables that are not associative must be refused.
+side alone, for operators with torsion, and its report is compared where
+some of those cases are not implied by the composition law. The unit check
+is compared with its definition on algebras, one-sided unit tables and
+random Gaussian tables, and random tables that are not associative must be
+refused.
 """
 
 import importlib
@@ -549,6 +551,18 @@ def drawn_fractional(data, count):
     return alg, dense, rows
 
 
+def with_torsion(data, dense, rows):
+    """Perturb one entry of ``rows`` in place if the operator has no torsion
+    (a left or right multiplication, say)."""
+    def torsion():
+        return any(any(dense.torsion(rows, a, b)) for a, b in dense.pairs())
+
+    if not torsion():
+        i, j = (data.draw(st.integers(0, dense.d - 1)) for _ in range(2))
+        rows[i][j] = rows[i][j] + data.draw(st.sampled_from(BASIS_COEFFICIENTS))
+    event(f"torsion: {'nonzero' if torsion() else 'zero'}")
+
+
 @SETTINGS
 @given(st.data())
 def test_deformed_tables_match_dense(data):
@@ -665,22 +679,14 @@ def dense_rank(rows):
     return rank
 
 
-@SETTINGS
-@given(st.data(), st.integers(3, 4))
-def test_hierarchy_on_few_independent_powers_matches_dense(data, maxk):
-    """Every section of the report, with the hierarchy's definitions, on
-    operators whose powers are dependent early: the report sweeps each section
-    on the independent powers only, and again in full when one fails there.
-    The torsion gate is lifted so that both outcomes occur."""
-    alg = data.draw(st.sampled_from(ALGEBRAS))
-    dense = Dense(alg)
-    rows = data.draw(low_span_rows(dense))
+def dense_hierarchy(dense, rows, maxk):
+    """Every section of the hierarchy report of ``rows`` up to ``maxk``, from
+    the definitions: the first failing case, with its first failing basis
+    tuple, or None."""
     identity = [dense.e(i) for i in range(dense.d)]
     powers = [identity]
     for _ in range(maxk):
         powers.append(matmul(rows, powers[-1]))
-    flat = [[v for row in p for v in row] for p in powers]
-    base = next((k for k in range(1, maxk + 1) if dense_rank(flat[:k + 1]) == k), maxk + 1)
     cubes = [[[dense.deformed(p, dense.mul)(dense.e(a), dense.e(b)) for b in range(dense.d)]
               for a in range(dense.d)] for p in powers]
     muls = [cube_mul(cube) for cube in cubes]
@@ -711,18 +717,62 @@ def test_hierarchy_on_few_independent_powers_matches_dense(data, maxk):
     compatibility = first(
         ((k1, k2, t), any(mixed(muls[k1], muls[k2], *t)))
         for k1 in range(maxk + 1) for k2 in range(k1 + 1, maxk + 1) for t in triples)
-    expected = {
+    return {
         "power_relation": relation,
         "composition_law": composition,
         "associativity": associativity,
         "pairwise_compatibility": compatibility,
     }
+
+
+def independent_powers(dense, rows, maxk):
+    """The number of leading powers N^0, N^1, ... up to N^maxk that are
+    linearly independent."""
+    powers = [[dense.e(i) for i in range(dense.d)]]
+    for _ in range(maxk):
+        powers.append(matmul(rows, powers[-1]))
+    flat = [[v for row in p for v in row] for p in powers]
+    return next((k for k in range(1, maxk + 1) if dense_rank(flat[:k + 1]) == k), maxk + 1)
+
+
+def assert_hierarchy_matches_dense(alg, dense, rows, maxk, event_prefix):
+    expected = dense_hierarchy(dense, rows, maxk)
     with mock.patch.object(deform_module, "is_nijenhuis", return_value=True):
         report = verify_hierarchy(Operator.from_matrix_rows(alg, rows), maxk)
     for name, witness in expected.items():
-        if base <= maxk:
-            event(f"{name}: reduced, {'holds' if witness is None else 'fails, swept again'}")
+        event(f"{event_prefix}{name}: {'holds' if witness is None else 'fails'}")
         assert report[name] == {"pass": witness is None, "witness": witness}
+
+
+@SETTINGS
+@given(st.data(), st.integers(3, 4))
+def test_hierarchy_on_few_independent_powers_matches_dense(data, maxk):
+    """Every section of the report, with the hierarchy's definitions, on
+    operators whose powers are dependent early: the report sweeps each section
+    on the independent powers only, and again in full when one fails there.
+    The torsion gate is lifted so that both outcomes occur."""
+    alg = data.draw(st.sampled_from(ALGEBRAS))
+    dense = Dense(alg)
+    rows = data.draw(low_span_rows(dense))
+    reduced = independent_powers(dense, rows, maxk) <= maxk
+    assert_hierarchy_matches_dense(alg, dense, rows, maxk, "reduced, " if reduced else "")
+
+
+@SETTINGS
+@given(st.data(), st.integers(1, 2))
+def test_hierarchy_below_twice_the_independent_powers_matches_dense(data, maxk):
+    """Every section of the report at maxk < 2(base - 1), base the number of
+    independent powers: some generating pairs (k1, k2) of associativity and
+    compatibility have k1 + k2 > maxk, so their composition law is never
+    swept, and they must be swept themselves. At maxk = 1 no composition case
+    is generating and the associator of mu_N is swept alone. The torsion gate
+    is lifted, and the Gaussian and fractional operators have torsion, so
+    that both outcomes occur."""
+    alg, dense, (rows,) = drawn_fractional(data, 1)
+    with_torsion(data, dense, rows)
+    base = independent_powers(dense, rows, maxk)
+    event(f"maxk < 2(base - 1): {maxk < 2 * (base - 1)}")
+    assert_hierarchy_matches_dense(alg, dense, rows, maxk, "")
 
 
 # -- the identities behind the hierarchy's generating cases ------------------------
@@ -768,23 +818,17 @@ def deformed_cube(cube, p):
 @settings(max_examples=15, deadline=None)
 @given(st.data(), st.integers(0, 2))
 def test_hierarchy_reductions_hold_on_operators_with_torsion(data, k):
-    """The three identities that let the hierarchy's first pass sweep only its
+    """The four identities that let the hierarchy's first pass sweep only its
     generating cases, on the dense definitions and for any operator N, torsion
     or none. With mu_X the product deformed by X, D_Y the deformation by Y and
     R(r, k) = N^r o mu_{N^(k+r)} - mu_{N^k} o (N^r, N^r):
     R(r, k) = N^(r-1) o R(1, k+r-1) + R(r-1, k) o (N, N) for r <= 4;
     B(X, Y) = D_Y mu_X - mu_{XY} is symmetric on powers and B(1, .) = 0, on
     N^i, N^k with i, k <= 3; the mixed associator of mu and mu_X is zero for
-    a random X."""
+    a random X; the mixed associator Q(N, X) of mu_N and mu_X is dB(N, X), d
+    the coboundary of mu, for that X, which need not commute with N."""
     alg, dense, (rows, x_rows) = drawn_fractional(data, 2)
-
-    def torsion():
-        return any(any(dense.torsion(rows, a, b)) for a, b in dense.pairs())
-
-    if not torsion():  # a left or right multiplication, say: perturb one entry
-        i, j = (data.draw(st.integers(0, dense.d - 1)) for _ in range(2))
-        rows[i][j] = rows[i][j] + data.draw(st.sampled_from(BASIS_COEFFICIENTS))
-    event(f"torsion: {'nonzero' if torsion() else 'zero'}")
+    with_torsion(data, dense, rows)
     powers = [[dense.e(i) for i in range(dense.d)]]
     for _ in range(6):
         powers.append(matmul(rows, powers[-1]))
@@ -811,10 +855,19 @@ def test_hierarchy_reductions_hold_on_operators_with_torsion(data, k):
             assert value == composition(k, i)
             assert i or value == zero
 
-    p1 = DenseProduct(dense.d, dense.mul)
-    p2 = DenseProduct(dense.d, dense.deformed(x_rows, dense.mul))
+    p1 = DenseProduct(dense.d, dense.deformed(x_rows, dense.mul))
+    mu = DenseProduct(dense.d, dense.mul)
     for a, b, c in product(range(dense.d), repeat=3):
-        assert not any(dense_mixed_associator(p1, p2, a, b, c))
+        assert not any(dense_mixed_associator(mu, p1, a, b, c))
+
+    event(f"N and X {'commute' if matmul(rows, x_rows) == matmul(x_rows, rows) else 'do not commute'}")
+    b_nx = cube_sum((ONE, deformed_cube(cubes[1], x_rows)),
+                    (-ONE, deformed_cube(dense.c, matmul(rows, x_rows))))
+    q_nx = dense_coboundary(dense, {(a, b): b_nx[a][b] for a, b in dense.pairs()}, 2)
+    pn = DenseProduct(dense.d, cube_mul(cubes[1]))
+    for a, b, c in product(range(dense.d), repeat=3):
+        assert dense_mixed_associator(pn, p1, a, b, c) == q_nx[(a, b, c)]
+    event(f"Q(N, X) {'nonzero' if any(map(any, q_nx.values())) else 'zero'}")
 
 
 def dense_cube(table, d):

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -7,6 +8,7 @@ import pytest
 from algdeform.algebra import (
     Operator,
     banded_oscillator_algebra,
+    diagonal_split,
     dual_number_algebra,
     full_matrix_algebra,
     matrix_unit_index,
@@ -14,6 +16,7 @@ from algdeform.algebra import (
     triangular_split,
 )
 from algdeform.deform import (
+    Product,
     deform,
     mu_product,
     product_sum,
@@ -28,7 +31,7 @@ from algdeform.dynamics import (
     is_bi_hamiltonian,
     is_derivation,
 )
-from algdeform.dynamics import _diag_element, _diagonal_rescaling_product
+from algdeform.dynamics import _diag_element, _diagonal_rescaling_product, _match_on_basis
 from algdeform.errors import PreconditionError
 from algdeform.hochschild import Cochain, is_cocycle
 from algdeform.scalar import Scalar
@@ -213,6 +216,58 @@ def test_small_examples_pass(example_id):
     rep = example_check(example_id)
     failures = [c for c in rep["checks"] if not c["pass"]]
     assert not failures, failures
+
+
+def displayed_formula(example_id, alg):
+    """The displayed product of example 3 or 4 in Element arithmetic, with K
+    the diagonal 1, 2, 3 and P1 the projection onto the diagonal."""
+    if example_id == 3:
+        dec, k = diagonal_split(alg), _diag_element(alg, 3, range(1, 4))
+    else:
+        diag = [i for i, label in enumerate(alg.basis) if label[1] == label[2]]
+        dec = alg.decompose(diag)
+        k = alg.element({idx: Scalar(t + 1) for t, idx in enumerate(diag)})
+
+    def expected(x, y):
+        dx, dy = dec.project(x, 1), dec.project(y, 1)
+        last = dx * dy if example_id == 3 else dec.project(x * y, 1)
+        return k * dx * y + x * (k * dy) - k * last
+
+    return expected
+
+
+@pytest.mark.parametrize("example_id", [3, 4])
+def test_displayed_formula_sweep_matches_the_basis_loop(example_id, monkeypatch):
+    """Examples 3 and 4 decide their displayed formula with one sweep. On the
+    example's product perturbed in none, one or two entries, the verdict and
+    the first failing pair are those of ``_match_on_basis``."""
+    dynamics = importlib.import_module("algdeform.dynamics")
+    rng = random.Random(example_id)
+    built = []
+
+    def perturbed(prod):
+        alg, table = prod.algebra, {t: dict(vec) for t, vec in prod.table.items()}
+        for _ in range(len(built) % 3):
+            row = table.setdefault((rng.randrange(alg.dim), rng.randrange(alg.dim)), {})
+            k = rng.randrange(alg.dim)
+            row[k] = row.get(k, Scalar(0)) + Scalar(rng.randint(1, 3), rng.randint(-1, 1))
+        built.append(Product(Cochain(alg, 2, table, copy=False)))
+        return built[-1]
+
+    if example_id == 3:
+        build = dynamics._diagonal_rescaling_product
+        monkeypatch.setattr(dynamics, "_diagonal_rescaling_product", lambda *a: perturbed(build(*a)))
+    else:
+        monkeypatch.setattr(dynamics, "deform", lambda op: perturbed(deform(op)))
+    verdicts = set()
+    for _ in range(12):
+        checks = example_check(example_id)["checks"]
+        got = next(c for c in checks if c["name"] == "matches_displayed_formula")
+        prod = built[-1]
+        ok, pair = _match_on_basis(prod.algebra, prod, displayed_formula(example_id, prod.algebra))
+        assert got == {"name": "matches_displayed_formula", "pass": ok, **({} if ok else {"witness": pair})}
+        verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("example_id", [5, 6])
