@@ -36,7 +36,6 @@ there is swept again in full, for the first witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -45,6 +44,7 @@ from .algebra import Algebra, Decomposition, Element, Operator, table_is_unit, t
 from .errors import PreconditionError
 from .hochschild import Cochain, coboundary
 from .linalg import RowReducer, inverse_columns
+from .records import Record
 from .scalar import MINUS_ONE, ONE, ZERO, as_scalar
 from .tables import (
     Compose,
@@ -92,8 +92,7 @@ __all__ = [
 MAX_HIERARCHY_POWER = 6
 
 
-@dataclass
-class Product:
+class Product(Record):
     """A bilinear product on an algebra: an arity-2 cochain plus flags.
 
     ``associative`` is tri-state (None = not yet computed), ``unit`` holds the
@@ -101,9 +100,11 @@ class Product:
     carrier algebra's own multiplication.
     """
 
-    cochain: Cochain
-    associative: Optional[bool] = None
-    unit: Optional[Element] = None
+    __slots__ = ("cochain", "associative", "unit")
+
+    def __init__(self, cochain: Cochain, associative: Optional[bool] = None,
+                 unit: Optional[Element] = None):
+        self.cochain, self.associative, self.unit = cochain, associative, unit
 
     @property
     def algebra(self) -> Algebra:
@@ -203,14 +204,18 @@ def is_nijenhuis(n: Operator) -> bool:
     return nijenhuis_witness(n) is None
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(Record):
     """Both sides of the associativity criterion, computed independently."""
 
-    deformed_associative: bool
-    torsion_is_2cocycle: bool
-    associator_witness: Optional[tuple] = None
-    cocycle_witness: Optional[tuple] = None
+    __slots__ = ("deformed_associative", "torsion_is_2cocycle", "associator_witness",
+                 "cocycle_witness")
+
+    def __init__(self, deformed_associative: bool, torsion_is_2cocycle: bool,
+                 associator_witness: Optional[tuple] = None,
+                 cocycle_witness: Optional[tuple] = None):
+        self.deformed_associative = deformed_associative
+        self.torsion_is_2cocycle = torsion_is_2cocycle
+        self.associator_witness, self.cocycle_witness = associator_witness, cocycle_witness
 
     @property
     def agree(self) -> bool:
@@ -575,14 +580,18 @@ def theorem5_product(
     return prod
 
 
-@dataclass
-class ExtensionReport:
-    """Result of extending a part1 operator by zero to the whole algebra."""
+class ExtensionReport(Record):
+    """Result of extending a part1 operator by zero to the whole algebra.
 
-    operator: Operator
-    is_nijenhuis: bool
-    conditions: tuple[bool, bool, bool]
-    witnesses: dict = field(default_factory=dict)
+    ``witnesses`` is a new empty dict when not given.
+    """
+
+    __slots__ = ("operator", "is_nijenhuis", "conditions", "witnesses")
+
+    def __init__(self, operator: Operator, is_nijenhuis: bool,
+                 conditions: tuple[bool, bool, bool], witnesses: Optional[dict] = None):
+        self.operator, self.is_nijenhuis, self.conditions = operator, is_nijenhuis, conditions
+        self.witnesses = {} if witnesses is None else witnesses
 
     @property
     def conditions_conjunction(self) -> bool:

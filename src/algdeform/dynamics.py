@@ -20,7 +20,6 @@ deformations) and reports each asserted identity with a pass flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -51,6 +50,7 @@ from .deform import (
 from .errors import PreconditionError
 from .hochschild import Cochain
 from .linalg import RowReducer, solve_sparse_system
+from .records import Record
 from .scalar import MINUS_ONE, ONE, ZERO, Scalar, as_scalar
 from .tables import (
     Compose,
@@ -101,15 +101,15 @@ def commutator_derivation(h: Element, p: Product) -> Operator:
     return Operator(h.algebra, [acc.get((j,), {}) for j in range(h.algebra.dim)])
 
 
-@dataclass
-class DerivationReport:
+class DerivationReport(Record):
     """Outcome of the inner-generator solve for one derivation and product."""
 
-    is_derivation: bool
-    leibniz_witness: Optional[tuple[int, int]]
-    inner: bool
-    generator: Optional[Element]
-    ambiguity: list[Element]
+    __slots__ = ("is_derivation", "leibniz_witness", "inner", "generator", "ambiguity")
+
+    def __init__(self, is_derivation: bool, leibniz_witness: Optional[tuple[int, int]],
+                 inner: bool, generator: Optional[Element], ambiguity: list[Element]):
+        self.is_derivation, self.leibniz_witness = is_derivation, leibniz_witness
+        self.inner, self.generator, self.ambiguity = inner, generator, ambiguity
 
 
 def inner_generator(d: Operator, p: Product) -> DerivationReport:
@@ -180,16 +180,19 @@ def in_span(x: Element, basis: Sequence[Element]) -> bool:
     return solve_sparse_system(system, len(basis)) is not None
 
 
-@dataclass
-class BiHamiltonianReport:
+class BiHamiltonianReport(Record):
     """Inner-generator pair plus the weak/strong compatibility verdicts."""
 
-    inner_first: bool
-    inner_second: bool
-    sum_bracket_jacobi: bool
-    products_compatible: bool
-    generators: tuple[Optional[Element], Optional[Element]]
-    ambiguities: tuple[list[Element], list[Element]]
+    __slots__ = ("inner_first", "inner_second", "sum_bracket_jacobi", "products_compatible",
+                 "generators", "ambiguities")
+
+    def __init__(self, inner_first: bool, inner_second: bool, sum_bracket_jacobi: bool,
+                 products_compatible: bool,
+                 generators: tuple[Optional[Element], Optional[Element]],
+                 ambiguities: tuple[list[Element], list[Element]]):
+        self.inner_first, self.inner_second = inner_first, inner_second
+        self.sum_bracket_jacobi, self.products_compatible = sum_bracket_jacobi, products_compatible
+        self.generators, self.ambiguities = generators, ambiguities
 
     @property
     def inner_pair(self) -> bool:

@@ -28,11 +28,11 @@ Rows enter without zero entries: one check per row drops any it is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from math import gcd, inf, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .records import Record
 from .scalar import ONE, ZERO, Scalar, _scalar, as_scalar
 
 __all__ = [
@@ -341,10 +341,13 @@ def kernel_basis(m: Matrix) -> list[list[Scalar]]:
     return [_densify(v, m.cols) for v in red.kernel_basis_sparse(m.cols)]
 
 
-@dataclass(frozen=True)
-class AffineSolution:
-    particular: list[Scalar]
-    kernel: list[list[Scalar]]
+class AffineSolution(Record):
+    """A particular solution plus a basis of the kernel."""
+
+    __slots__ = ("particular", "kernel")
+
+    def __init__(self, particular: list[Scalar], kernel: list[list[Scalar]]):
+        self.particular, self.kernel = particular, kernel
 
 
 def solve_affine(m: Matrix, b: Sequence) -> Optional[AffineSolution]:

@@ -13,7 +13,11 @@ Sums of compositions with three distinct operators are compared too, since
 ``table_of`` builds every one of them by insertion. The identities that let
 the power hierarchy sweep only its generating cases are checked on the dense
 side alone, for operators with torsion, and its report is compared where
-some of those cases are not implied by the composition law. The unit check
+some of those cases are not implied by the composition law. For operators
+with torsion, the associator of the deformed product is compared with minus
+the coboundary of the torsion, its mixed associator with the product is
+zero, and the torsion of a sum is split into the two torsions and the cross
+sum, on both sides. The unit check
 is compared with its definition on algebras, one-sided unit tables and
 random Gaussian tables, and random tables that are not associative must be
 refused.
@@ -868,6 +872,57 @@ def test_hierarchy_reductions_hold_on_operators_with_torsion(data, k):
     for a, b, c in product(range(dense.d), repeat=3):
         assert dense_mixed_associator(pn, p1, a, b, c) == q_nx[(a, b, c)]
     event(f"Q(N, X) {'nonzero' if any(map(any, q_nx.values())) else 'zero'}")
+
+
+# -- the torsion as the obstruction, on operators with torsion ---------------------
+
+TORSION_ALGEBRAS = [*ALGEBRAS, direct_sum(dual_number_algebra(), full_matrix_algebra(2))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_torsion_identities_hold_on_operators_with_torsion(data):
+    """Three identities of the torsion T_N for any operator N, torsion or none,
+    with Gaussian entries, on the dense definitions and on the engine's tables.
+    With mu_N = D_N mu the deformed product and d the coboundary of mu:
+    Assoc(mu_N) = -dT_N; the mixed associator Q(mu, mu_N) is zero; and
+    T_(N1+N2) = T_N1 + T_N2 + C(N1, N2), where the cross sum
+    C(N1, N2)(a, b) = N1(a o_N2 b) + N2(a o_N1 b) - N1(a)N2(b) - N2(a)N1(b)
+    is what ``tensors_compatible`` sweeps."""
+    alg = data.draw(st.sampled_from(TORSION_ALGEBRAS))
+    event(alg.name)
+    dense, d = Dense(alg), alg.dim
+    r1, r2 = (data.draw(fractional_operator_rows(dense)) for _ in range(2))
+    for rows in (r1, r2):
+        with_torsion(data, dense, rows)
+
+    pn = DenseProduct(d, dense.deformed(r1, dense.mul))
+    torsion1 = {(a, b): dense.torsion(r1, a, b) for a, b in dense.pairs()}
+    d_torsion = dense_coboundary(dense, torsion1, 2)
+    mu_n = deform(Operator.from_matrix_rows(alg, r1), compute_flags=False).table
+    assoc, mixed = associator_table(mu_n), mixed_associator_table(alg.structure, mu_n)
+    for a, b, c in product(range(d), repeat=3):
+        x, y, z = dense.e(a), dense.e(b), dense.e(c)
+        lhs = sub(pn.mul(pn.mul(x, y), z), pn.mul(x, pn.mul(y, z)))
+        assert lhs == [-v for v in d_torsion[(a, b, c)]] == table_row(assoc, (a, b, c), d)
+        assert not any(dense_mixed_associator(dense, pn, a, b, c))
+        assert not any(table_row(mixed, (a, b, c), d))
+    event(f"Assoc(mu_N) {'nonzero' if any(map(any, d_torsion.values())) else 'zero'}")
+
+    r12 = [add(u, v) for u, v in zip(r1, r2)]
+    t12, t1, t2 = (torsion(Operator.from_matrix_rows(alg, rows)).table for rows in (r12, r1, r2))
+    d1, d2 = dense.deformed(r1, dense.mul), dense.deformed(r2, dense.mul)
+    cross_zero = True
+    for a, b in dense.pairs():
+        x, y = dense.e(a), dense.e(b)
+        cross = sub(add(dense.apply(r1, d2(x, y)), dense.apply(r2, d1(x, y))),
+                    add(dense.mul(dense.apply(r1, x), dense.apply(r2, y)),
+                        dense.mul(dense.apply(r2, x), dense.apply(r1, y))))
+        cross_zero = cross_zero and not any(cross)
+        assert dense.torsion(r12, a, b) == add(add(torsion1[(a, b)], dense.torsion(r2, a, b)), cross)
+        engine = add(add(table_row(t1, (a, b), d), table_row(t2, (a, b), d)), cross)
+        assert table_row(t12, (a, b), d) == engine
+    event(f"C(N1, N2) {'zero' if cross_zero else 'nonzero'}")
 
 
 def dense_cube(table, d):

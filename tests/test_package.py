@@ -1,12 +1,15 @@
 """The package's own surface: every name in a module's ``__all__`` resolves,
-and the runtime imports nothing outside the standard library.
+the runtime imports nothing outside the standard library, and importing the
+package does not load ``dataclasses`` or ``inspect``.
 
 The package itself and ``cli`` have no ``__all__`` and pass trivially.
 """
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,3 +42,22 @@ def test_the_runtime_imports_only_the_standard_library(path):
             continue
         outside += [name for name in names if name.split(".")[0] not in sys.stdlib_module_names]
     assert not outside, f"{path.name} imports from outside the standard library: {outside}"
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    """``dataclasses`` and the ``inspect``, ``ast`` and ``dis`` it imports cost
+    about half of a cached import of the package, and a CLI call is mostly
+    start-up. Counted against the modules loaded before the import, so a site
+    hook that preloads either one does not fail the test."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import algdeform, algdeform.cli, algdeform.documents\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    path = [str(Path(algdeform.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
