@@ -11,6 +11,10 @@ Verification commands (check-nijenhuis, compat, hierarchy, lie-check, ...)
 populate the ``checks`` list; classification commands (cohomology, criterion,
 bihamiltonian, inner-generator, torsion, deform) put their findings under
 ``outputs`` and only add a check where a contract is being verified.
+
+:func:`main` builds every report: it loads the ``--algebra`` document, passes
+the algebra and the ``inputs`` record to the subcommand's handler, and wraps
+the keys the handler returns with ``command``, ``checks`` and ``inputs``.
 """
 
 from __future__ import annotations
@@ -82,10 +86,6 @@ def _table_witness(alg: Algebra, witness) -> Optional[list[str]]:
     return _labels(alg, indices)
 
 
-def _load_algebra(args, inputs: dict) -> Algebra:
-    return algebra_from_doc(_read(args.algebra, inputs, "algebra"), where=args.algebra)
-
-
 def _load_operator(alg: Algebra, path: str, inputs: dict, key: str) -> Operator:
     return operator_from_doc(alg, _read(path, inputs, key), where=path)
 
@@ -104,15 +104,14 @@ def _load_decomposition(alg: Algebra, args, inputs: dict):
 
 def _emit(report: dict) -> int:
     print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if all(c["pass"] for c in report.get("checks", ())) else 1
+    return 0 if all(c["pass"] for c in report["checks"]) else 1
 
 
 # -- command handlers ---------------------------------------------------------
+# Each loads its other documents in order and returns the report's own keys.
 
 
-def _cmd_check_nijenhuis(args) -> int:
-    inputs: dict = {}
-    alg = _load_algebra(args, inputs)
+def _cmd_check_nijenhuis(args, alg, inputs) -> dict:
     op = _load_operator(alg, args.operator, inputs, "operator")
     tw = nijenhuis_witness(op)
     aw = deform(op, compute_flags=False).associativity_witness()
@@ -129,29 +128,21 @@ def _cmd_check_nijenhuis(args) -> int:
                 None if preserved else element_to_list(op(alg.unit)),
             )
         )
-    return _emit({"command": args.command, "inputs": inputs, "checks": checks})
+    return {"checks": checks}
 
 
-def _cmd_torsion(args) -> int:
-    inputs: dict = {}
-    alg = _load_algebra(args, inputs)
+def _cmd_torsion(args, alg, inputs) -> dict:
     op = _load_operator(alg, args.operator, inputs, "operator")
     t = torsion(op)
-    report = {
-        "command": args.command,
-        "inputs": inputs,
-        "checks": [],
+    return {
         "outputs": {
             "torsion": structure_to_triples(t.table),
             "torsion_zero": t.is_zero,
         },
     }
-    return _emit(report)
 
 
-def _cmd_deform(args) -> int:
-    inputs: dict = {}
-    alg = _load_algebra(args, inputs)
+def _cmd_deform(args, alg, inputs) -> dict:
     op = _load_operator(alg, args.operator, inputs, "operator")
     prod = deform(op)
     doc = product_to_doc(prod, name=f"{alg.name}-deformed")
@@ -159,85 +150,52 @@ def _cmd_deform(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    report = {
-        "command": args.command,
-        "inputs": inputs,
-        "checks": [],
-        "outputs": {"product": doc},
-    }
-    return _emit(report)
+    return {"outputs": {"product": doc}}
 
 
-def _cmd_criterion(args) -> int:
-    inputs: dict = {}
-    alg = _load_algebra(args, inputs)
+def _cmd_criterion(args, alg, inputs) -> dict:
     op = _load_operator(alg, args.operator, inputs, "operator")
     res = associativity_criterion(op)
-    report = {
-        "command": args.command,
-        "inputs": inputs,
+    return {
         "checks": [_check("booleans_agree", res.agree)],
         "outputs": {
             "deformed_associative": res.deformed_associative,
             "torsion_is_2cocycle": res.torsion_is_2cocycle,
         },
     }
-    return _emit(report)
 
 
-def _cmd_compat(args) -> int:
-    inputs: dict = {}
-    alg = _load_algebra(args, inputs)
+def _cmd_compat(args, alg, inputs) -> dict:
     p1 = _load_product(alg, args.product1, inputs, "product1")
     p2 = _load_product(alg, args.product2, inputs, "product2")
     w = mixed_associator_witness(p1, p2)
-    report = {
-        "command": args.command,
-        "inputs": inputs,
-        "checks": [_check("mixed_associators_cancel", w is None, _table_witness(alg, w))],
-    }
-    return _emit(report)
+    return {"checks": [_check("mixed_associators_cancel", w is None, _table_witness(alg, w))]}
 
 
-def _cmd_tensors_compat(args) -> int:
-    inputs: dict = {}
-    alg = _load_algebra(args, inputs)
+def _cmd_tensors_compat(args, alg, inputs) -> dict:
     op1 = _load_operator(alg, args.operator, inputs, "operator")
     op2 = _load_operator(alg, args.operator2, inputs, "operator2")
     compatible = tensors_compatible(op1, op2)
     matches = compatible == is_nijenhuis(op1 + op2)
-    report = {
-        "command": args.command,
-        "inputs": inputs,
+    return {
         "checks": [
             _check("compatible", compatible),
             _check("matches_sum_torsion_freeness", matches),
         ],
     }
-    return _emit(report)
 
 
-def _cmd_hierarchy(args) -> int:
-    inputs: dict = {}
-    alg = _load_algebra(args, inputs)
+def _cmd_hierarchy(args, alg, inputs) -> dict:
     op = _load_operator(alg, args.operator, inputs, "operator")
     rep = verify_hierarchy(op, args.max_power)
     checks = []
     for key in ("power_relation", "composition_law", "associativity", "pairwise_compatibility"):
         entry = rep[key]
         checks.append(_check(key, entry["pass"], entry["witness"]))
-    report = {
-        "command": args.command,
-        "inputs": inputs,
-        "max_power": args.max_power,
-        "checks": checks,
-    }
-    return _emit(report)
+    return {"max_power": args.max_power, "checks": checks}
 
 
-def _cmd_projection(args) -> int:
-    inputs: dict = {}
-    alg = _load_algebra(args, inputs)
+def _cmd_projection(args, alg, inputs) -> dict:
     dec = _load_decomposition(alg, args, inputs)
     op = projection_tensor(dec, parse_scalar(args.l1), parse_scalar(args.l2))
     prod = deform(op)
@@ -245,21 +203,16 @@ def _cmd_projection(args) -> int:
         _check("torsion_zero", is_nijenhuis(op)),
         _check("deformed_associative", bool(prod.associative)),
     ]
-    report = {
-        "command": args.command,
-        "inputs": inputs,
+    return {
         "checks": checks,
         "outputs": {
             "operator": operator_to_doc(op),
             "product": product_to_doc(prod, name=f"{alg.name}-projection-deformed"),
         },
     }
-    return _emit(report)
 
 
-def _cmd_contraction(args) -> int:
-    inputs: dict = {}
-    alg = _load_algebra(args, inputs)
+def _cmd_contraction(args, alg, inputs) -> dict:
     dec = _load_decomposition(alg, args, inputs)
     prod = contraction_product(dec)
     limit = interpolated_contraction_limit(dec)
@@ -271,44 +224,32 @@ def _cmd_contraction(args) -> int:
             is None,
         ),
     ]
-    report = {
-        "command": args.command,
-        "inputs": inputs,
+    return {
         "checks": checks,
         "outputs": {"product": product_to_doc(prod, name=f"{alg.name}-contraction")},
     }
-    return _emit(report)
 
 
-def _cmd_theorem5(args) -> int:
-    inputs: dict = {}
-    alg = _load_algebra(args, inputs)
+def _cmd_theorem5(args, alg, inputs) -> dict:
     dec = _load_decomposition(alg, args, inputs)
     circ1 = _load_product(alg, args.circ1, inputs, "circ1")
     n1 = _load_operator(alg, args.n1, inputs, "n1")
-    n1p = _load_operator(alg, args.n1p, inputs, "n1p") if args.n1p else n1
+    n1p = n1 if args.n1p is None else _load_operator(alg, args.n1p, inputs, "n1p")
     if args.n1p is None:
         inputs["n1p"] = {"builtin": "same-as-n1"}
     n2 = _load_operator(alg, args.n2, inputs, "n2")
     prod = theorem5_product(dec, circ1, n1, n1p, n2)
-    report = {
-        "command": args.command,
-        "inputs": inputs,
+    return {
         "checks": [_check("associative", bool(prod.associative))],
         "outputs": {"product": product_to_doc(prod, name=f"{alg.name}-two-part")},
     }
-    return _emit(report)
 
 
-def _cmd_extend(args) -> int:
-    inputs: dict = {}
-    alg = _load_algebra(args, inputs)
+def _cmd_extend(args, alg, inputs) -> dict:
     dec = _load_decomposition(alg, args, inputs)
     n1 = _load_operator(alg, args.n1, inputs, "n1")
     rep = extend_tensor(dec, n1)
-    report = {
-        "command": args.command,
-        "inputs": inputs,
+    return {
         "checks": [
             _check(
                 "conditions_equal_torsion_freeness",
@@ -328,58 +269,32 @@ def _cmd_extend(args) -> int:
             "operator": operator_to_doc(rep.operator),
         },
     }
-    return _emit(report)
 
 
-def _cmd_lie_check(args) -> int:
-    inputs: dict = {}
-    alg = _load_algebra(args, inputs)
+def _cmd_lie_check(args, alg, inputs) -> dict:
     op = _load_operator(alg, args.operator, inputs, "operator")
     w, lie_torsion_zero = lie_bracket_checks(op)
-    report = {
-        "command": args.command,
-        "inputs": inputs,
+    return {
         "checks": [
             _check("deformed_bracket_identity", w is None, _table_witness(alg, w)),
             _check("lie_torsion_zero", lie_torsion_zero),
         ],
     }
-    return _emit(report)
 
 
-def _cmd_cohomology(args) -> int:
-    inputs: dict = {}
-    alg = _load_algebra(args, inputs)
+def _cmd_cohomology(args, alg, inputs) -> dict:
     dim = cohomology_dimension(alg, args.degree)
-    report = {
-        "command": args.command,
-        "inputs": inputs,
-        "degree": args.degree,
-        "checks": [],
-        "outputs": {"dimension": dim},
-    }
-    return _emit(report)
+    return {"degree": args.degree, "outputs": {"dimension": dim}}
 
 
-def _cmd_derivation_check(args) -> int:
-    inputs: dict = {}
-    alg = _load_algebra(args, inputs)
+def _cmd_derivation_check(args, alg, inputs) -> dict:
     op = _load_operator(alg, args.operator, inputs, "operator")
     prod = _load_product(alg, args.product, inputs, "product")
     ok, witness = is_derivation(op, prod)
-    report = {
-        "command": args.command,
-        "inputs": inputs,
-        "checks": [
-            _check("leibniz", ok, _labels(alg, witness) if witness else None)
-        ],
-    }
-    return _emit(report)
+    return {"checks": [_check("leibniz", ok, _labels(alg, witness) if witness else None)]}
 
 
-def _cmd_inner_generator(args) -> int:
-    inputs: dict = {}
-    alg = _load_algebra(args, inputs)
+def _cmd_inner_generator(args, alg, inputs) -> dict:
     op = _load_operator(alg, args.operator, inputs, "operator")
     prod = _load_product(alg, args.product, inputs, "product")
     rep = inner_generator(op, prod)
@@ -389,18 +304,10 @@ def _cmd_inner_generator(args) -> int:
         "generator": element_to_list(rep.generator) if rep.generator else None,
         "ambiguity": [element_to_list(v) for v in rep.ambiguity],
     }
-    report = {
-        "command": args.command,
-        "inputs": inputs,
-        "checks": [_check("inner", rep.inner)],
-        "outputs": outputs,
-    }
-    return _emit(report)
+    return {"checks": [_check("inner", rep.inner)], "outputs": outputs}
 
 
-def _cmd_bihamiltonian(args) -> int:
-    inputs: dict = {}
-    alg = _load_algebra(args, inputs)
+def _cmd_bihamiltonian(args, alg, inputs) -> dict:
     op = _load_operator(alg, args.derivation, inputs, "derivation")
     p1 = _load_product(alg, args.product1, inputs, "product1")
     p2 = _load_product(alg, args.product2, inputs, "product2")
@@ -408,10 +315,7 @@ def _cmd_bihamiltonian(args) -> int:
     gens = [
         element_to_list(g) if g is not None else None for g in rep.generators
     ]
-    report = {
-        "command": args.command,
-        "inputs": inputs,
-        "checks": [],
+    return {
         "outputs": {
             "inner_first": rep.inner_first,
             "inner_second": rep.inner_second,
@@ -422,14 +326,11 @@ def _cmd_bihamiltonian(args) -> int:
             "generators": gens,
         },
     }
-    return _emit(report)
 
 
-def _cmd_example(args) -> int:
+def _cmd_example(args, alg, inputs) -> dict:
     lambdas = [parse_scalar(s) for s in args.lam] if args.lam else None
-    rep = example_check(args.id, dim=args.dim, band=args.band, lambdas=lambdas)
-    rep["command"] = args.command
-    return _emit(rep)
+    return example_check(args.id, dim=args.dim, band=args.band, lambdas=lambdas)
 
 
 def _arg(*flags, **kwargs):
@@ -578,14 +479,23 @@ _parser = functools.lru_cache(maxsize=None)(build_parser)
 
 def main(argv=None) -> int:
     """Run the CLI on ``argv`` with the subcommand's shared parser, built on its
-    first use in the process; every call reads its documents anew."""
+    first use in the process; every call reads its documents anew. The
+    report's ``checks`` are empty unless the handler gives them, and it has
+    ``inputs`` when a document was read."""
     argv = sys.argv[1:] if argv is None else list(argv)
     # Any argv that does not start with a subcommand name (help, no
     # arguments, an unknown command, an option first) gets the full parser.
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = _parser(command).parse_args(argv)
+    inputs: dict = {}
     try:
-        return args.handler(args)
+        alg = None
+        if hasattr(args, "algebra"):
+            alg = algebra_from_doc(_read(args.algebra, inputs, "algebra"), where=args.algebra)
+        report = {"command": args.command, "checks": [], **args.handler(args, alg, inputs)}
+        if inputs:
+            report["inputs"] = inputs
+        return _emit(report)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -102,6 +102,31 @@ def _scalar_reader(where: str):
     return read
 
 
+def _require(doc: dict, keys, where: str) -> None:
+    for key in keys:
+        if key not in doc:
+            raise DocumentError(f"{where}: missing key {key!r}")
+
+
+def _check_declared_algebra(doc: dict, alg: Algebra, kind: str, where: str) -> None:
+    """Refuse a document whose optional ``algebra`` names another algebra."""
+    declared = doc.get("algebra")
+    if declared is not None and declared != alg.name:
+        raise DocumentError(
+            f"{where}: {kind} was written for algebra {declared!r}, not {alg.name!r}"
+        )
+
+
+def _read_unit(doc: dict, dim: int, where: str) -> Optional[list[Scalar]]:
+    """The optional ``unit`` list of ``dim`` scalars, or None."""
+    unit = doc.get("unit")
+    if unit is None:
+        return None
+    if not isinstance(unit, list) or len(unit) != dim:
+        raise DocumentError(f"{where}: unit must list {dim} scalars")
+    return list(map(_scalar_reader(where), unit))
+
+
 def structure_to_triples(table: Table) -> list[list]:
     triples = []
     for (i, j), vec in table.items():
@@ -148,9 +173,7 @@ def algebra_to_doc(alg: Algebra) -> dict:
 
 def algebra_from_doc(doc: dict, where: str = "algebra document") -> Algebra:
     """Build and validate an algebra; discovers the unit when none is given."""
-    for key in ("name", "dim", "basis", "structure"):
-        if key not in doc:
-            raise DocumentError(f"{where}: missing key {key!r}")
+    _require(doc, ("name", "dim", "basis", "structure"), where)
     name = doc["name"]
     dim = doc["dim"]
     if not isinstance(name, str):
@@ -164,12 +187,7 @@ def algebra_from_doc(doc: dict, where: str = "algebra document") -> Algebra:
     ):
         raise DocumentError(f"{where}: basis must be a list of {dim} labels")
     structure = triples_to_table(doc["structure"], dim, where)
-    unit = doc.get("unit")
-    unit_vec = None
-    if unit is not None:
-        if not isinstance(unit, list) or len(unit) != dim:
-            raise DocumentError(f"{where}: unit must list {dim} scalars")
-        unit_vec = list(map(_scalar_reader(where), unit))
+    unit_vec = _read_unit(doc, dim, where)
     return Algebra(
         name,
         dim,
@@ -188,13 +206,8 @@ def operator_to_doc(op: Operator) -> dict:
 
 
 def operator_from_doc(alg: Algebra, doc: dict, where: str = "operator document") -> Operator:
-    if "matrix" not in doc:
-        raise DocumentError(f"{where}: missing key 'matrix'")
-    declared = doc.get("algebra")
-    if declared is not None and declared != alg.name:
-        raise DocumentError(
-            f"{where}: operator was written for algebra {declared!r}, not {alg.name!r}"
-        )
+    _require(doc, ("matrix",), where)
+    _check_declared_algebra(doc, alg, "operator", where)
     matrix = doc["matrix"]
     if (
         not isinstance(matrix, list)
@@ -214,8 +227,7 @@ def decomposition_to_doc(dec: Decomposition) -> dict:
 def decomposition_from_doc(
     alg: Algebra, doc: dict, where: str = "decomposition document"
 ) -> Decomposition:
-    if "part1" not in doc:
-        raise DocumentError(f"{where}: missing key 'part1'")
+    _require(doc, ("part1",), where)
     part1 = doc["part1"]
     if not isinstance(part1, list) or any(
         not isinstance(i, int) or isinstance(i, bool) for i in part1
@@ -241,13 +253,8 @@ def product_to_doc(prod: Product, name: Optional[str] = None) -> dict:
 
 
 def product_from_doc(alg: Algebra, doc: dict, where: str = "product document") -> Product:
-    if "structure" not in doc:
-        raise DocumentError(f"{where}: missing key 'structure'")
-    declared = doc.get("algebra")
-    if declared is not None and declared != alg.name:
-        raise DocumentError(
-            f"{where}: product was written for algebra {declared!r}, not {alg.name!r}"
-        )
+    _require(doc, ("structure",), where)
+    _check_declared_algebra(doc, alg, "product", where)
     declared_dim = doc.get("dim")
     if declared_dim is not None and declared_dim != alg.dim:
         raise DocumentError(f"{where}: dim {declared_dim} does not match {alg.dim}")
@@ -256,12 +263,8 @@ def product_from_doc(alg: Algebra, doc: dict, where: str = "product document") -
     associative = doc.get("associative")
     if associative is not None and not isinstance(associative, bool):
         raise DocumentError(f"{where}: associative flag must be boolean or null")
-    unit = doc.get("unit")
-    unit_el = None
-    if unit is not None:
-        if not isinstance(unit, list) or len(unit) != alg.dim:
-            raise DocumentError(f"{where}: unit must list {alg.dim} scalars")
-        unit_el = alg.element(list(map(_scalar_reader(where), unit)))
+    unit = _read_unit(doc, alg.dim, where)
+    unit_el = None if unit is None else alg.element(unit)
     prod = Product(Cochain(alg, 2, table, copy=False), unit=unit_el)
     if unit_el is not None and not prod.is_unit(unit_el):
         raise DocumentError(f"{where}: claimed unit is not a unit for the product")

@@ -702,3 +702,109 @@ def test_result_beyond_the_int_conversion_limit_exits_2(workdir, tmp_path, capsy
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     digits = int(re.search(r"a part of (\d+) digits", captured.err)[1])
     assert digits > sys.get_int_max_str_digits() and not re.search(r"\d{20}", captured.err)
+
+
+def _golden_invocations(workdir):
+    """(label, argv) for every subcommand on the ``workdir`` documents, with a
+    failing check, a refusal and ``deform --out``; the extra documents they
+    need are written beside the fixture's."""
+    m2 = full_matrix_algebra(2)
+    tmp = Path(workdir["tmp"])
+
+    def write(name, doc):
+        (tmp / name).write_text(json.dumps(doc))
+        return str(tmp / name)
+
+    dec = diagonal_split(m2)
+    p1_def = write("p1_def.json", product_to_doc(deform(projection_tensor(triangular_split(m2), 1, 0))))
+    # theorem5's inputs as in test_theorem5_command: circ1 = K x y and N1 = L_K on part1.
+    k = m2.element({0: 1, 3: 2})
+    lk = [m2.mul_vec(k.coords, {j: ONE}) if j in dec.part1 else {} for j in range(4)]
+    circ = {(i, j): m2.mul_vec(lk[i], {j: ONE}) for i in dec.part1 for j in dec.part1}
+    circ_doc = {"structure": [[i, j, c, str(v)] for (i, j), vec in circ.items() for c, v in vec.items()]}
+    circ1 = write("circ1.json", circ_doc)
+    n1 = write("n1.json", operator_to_doc(Operator(m2, lk)))
+    n2 = write("n2.json", operator_to_doc(dec.projector(2)))
+    n1diag = write("n1diag.json", operator_to_doc(Operator(m2, [{0: Scalar(1)}, {}, {}, {3: Scalar(2)}])))
+    alg = ["--algebra", workdir["m2.json"]]
+    return [
+        ("check-nijenhuis", ["check-nijenhuis", *alg, "--operator", workdir["transpose.json"]]),
+        ("torsion", ["torsion", *alg, "--operator", workdir["nk.json"]]),
+        ("deform", ["deform", *alg, "--operator", workdir["p1.json"], "--out", str(tmp / "out.json")]),
+        ("criterion", ["criterion", *alg, "--operator", workdir["transpose.json"]]),
+        ("compat", ["compat", *alg, "--product1", "mu", "--product2", p1_def]),
+        ("tensors-compat", ["tensors-compat", *alg, "--operator", workdir["p1.json"],
+                            "--operator2", workdir["nk.json"]]),
+        ("hierarchy", ["hierarchy", *alg, "--operator", workdir["nk.json"], "--max-power", "3"]),
+        ("hierarchy refused", ["hierarchy", *alg, "--operator", workdir["nk.json"], "--max-power", "9"]),
+        ("projection", ["projection", *alg, "--decomposition", workdir["split.json"],
+                        "--l1", "1", "--l2", "2"]),
+        ("contraction", ["contraction", *alg, "--decomposition", workdir["diag_split.json"]]),
+        ("theorem5", ["theorem5", *alg, "--decomposition", workdir["diag_split.json"],
+                      "--circ1", circ1, "--n1", n1, "--n2", n2]),
+        ("extend", ["extend", *alg, "--decomposition", workdir["diag_split.json"], "--n1", n1diag]),
+        ("lie-check", ["lie-check", *alg, "--operator", workdir["transpose.json"]]),
+        ("cohomology", ["cohomology", "--algebra", workdir["dual.json"], "--degree", "2"]),
+        ("derivation-check", ["derivation-check", *alg, "--operator", workdir["ad_h.json"]]),
+        ("inner-generator", ["inner-generator", *alg, "--operator", workdir["ad_h.json"],
+                             "--product", p1_def]),
+        ("bihamiltonian", ["bihamiltonian", *alg, "--derivation", workdir["ad_h.json"],
+                           "--product1", "mu", "--product2", p1_def]),
+        ("example", ["example", "--id", "1"]),
+    ]
+
+
+# sha256 of each invocation's exit code, stdout without the ``inputs`` paths,
+# stderr, and the ``--out`` file's bytes. A change here changes what users read.
+GOLDEN_REPORTS = {
+    "check-nijenhuis": "badbaf59afd96604b8ef039e9f06b9e4aff5f87c74dc7fffbda9ccd815ae6191",
+    "torsion": "dafe6f79489b93e902d26e4c592128325372189b0cb9a86926b7de2193a1819e",
+    "deform": "7f9176ce46bc41ed8a18bc5ce765d4c396235ddd34bdeb3b8a78da2cea31c4ba",
+    "criterion": "a09d125213a628f60efcb3b6fb8c11c1606b2c1251476b51c649366af00a614e",
+    "compat": "8fb9601fc987eb31327e64067e69628a7aae9695c7611d0259d567dfccb141a1",
+    "tensors-compat": "55ddb70afecbcb7fca42d96a4ea86b5b332047f6dc93c89b94b34da10eec6385",
+    "hierarchy": "dce1f6fa78dcedf7c53ad374ea4214a6f151ec26847e06c786e5446d6905ef30",
+    "hierarchy refused": "691dc04340f5612a57d0c0b46110dfee7c168ae7e92f8206287e91ce672bb5a5",
+    "projection": "cf546234221f38a3bac1c3c1dd4c74e808f2368c1c40766785e56376375f7c32",
+    "contraction": "1c7dedc1837fc7c711d7bdd7bd3c9df2a3587e4443f678376ba932c06234df01",
+    "theorem5": "e2ce21ffdfccf044069e01ffae1f4a61de6b864a132c7d7fc0a46d9dedfb8d8f",
+    "extend": "699c97a5f44475c15491777b8d3a8be009c16444e11374b354048985d1ae1270",
+    "lie-check": "615e46e6fa1e44723ace9241c83e129006124d3a1b94b8bfd0afa61f4ba40d8d",
+    "cohomology": "f1d86c056716d4232fc251b8be4bd3e82159ca123edcf079ff453ab547d10f79",
+    "derivation-check": "0c1a2b6d3b09ba6bd2a70cef5d175d2c1c5792fdaaedff82025d504bb1254a5b",
+    "inner-generator": "5a3a2df06a209ed0df6577404bc848f29cf662a5885d2d0faff8677b4f65af88",
+    "bihamiltonian": "241002ff1f2cef09f7da0432849764df250a10d2e7edd15d4756fe1a51c7af23",
+    "example": "d09b64a3bf4acae61f15bf4499f5f31422447e35839af599389bb82e736e6aa9",
+}
+
+
+def test_reports_match_the_golden_digests(workdir, capsys):
+    """Every subcommand's report is byte for byte the pinned one."""
+    tmp = workdir["tmp"]
+    digests = {}
+    for label, argv in _golden_invocations(workdir):
+        code = main(argv)
+        captured = capsys.readouterr()
+        out = captured.out
+        if out:
+            for entry in json.loads(out).get("inputs", {}).values():
+                assert "path" not in entry or entry["path"].startswith(tmp)
+            out = re.sub(r'^      "path": ".*",\n', "", out, flags=re.M)
+        assert tmp not in out and tmp not in captured.err
+        parts = [str(code), out, captured.err]
+        if "--out" in argv:
+            parts.append(Path(argv[argv.index("--out") + 1]).read_text())
+        digests[label] = hashlib.sha256("\0".join(parts).encode()).hexdigest()
+    assert digests == GOLDEN_REPORTS
+
+
+def test_theorem5_empty_n1p_path_is_a_missing_file(workdir, capsys):
+    """``--n1p ''`` names a file, as ``--operator ''`` does; only an absent
+    ``--n1p`` means "same as n1"."""
+    argv = dict(_golden_invocations(workdir))["theorem5"]
+    code, rep = run(capsys, argv)
+    assert code == 0 and rep["inputs"]["n1p"] == {"builtin": "same-as-n1"}
+    assert main(argv + ["--n1p", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
