@@ -21,8 +21,11 @@ is the Hochschild coboundary of N, that is [mu, N] (``deform_terms``); an
 operator is a 1-cochain, so it is built by insertion, and so are the torsion,
 the hierarchy relations and the splitting products (the contraction, the
 conjugation by T_h = P1 + h P2 and the two-part construction), each a list
-of compositions of mu with operators. Commutators are ``table_alternation``.
-Checks that only test a sum for zero read it with ``tables.Sweep``;
+of compositions of mu with operators. The Lie checks read only the commutator
+of mu (``table_alternation``): that of mu_N is its deformation by N, so the
+deformed bracket identity holds for every N. As Assoc(mu_N) = -dT_N, a zero
+torsion needs no associator sweep either. Checks that only test a sum for
+zero read it with ``tables.Sweep``;
 ``verify_hierarchy`` keeps one sweep for all its sums, and keeps its power
 products in it as integer forms, so each power and product is scaled once.
 Its first pass sweeps only the generating cases of each section, on the
@@ -42,12 +45,13 @@ from typing import Optional, Sequence
 
 from .algebra import Algebra, Decomposition, Element, Operator, table_is_unit, table_unit
 from .errors import PreconditionError
-from .hochschild import Cochain, coboundary
+from .hochschild import Cochain
 from .linalg import RowReducer, inverse_columns
 from .records import Record
 from .scalar import MINUS_ONE, ONE, ZERO, as_scalar
 from .tables import (
     Compose,
+    Insert,
     Sweep,
     Table,
     Vec,
@@ -163,13 +167,20 @@ def deform(n: Operator, compute_flags: bool = True) -> Product:
     over basis triples, and the unit flag is set exactly when the algebra is
     unital and N fixes the unit (then the deformed product has the same unit).
     """
-    alg = n.algebra
-    table = _deform_table(alg.structure, n)
-    prod = Product(Cochain(alg, 2, table, copy=False))
     if compute_flags:
-        prod.ensure_associativity_flag()
-        if alg.unit is not None and n(alg.unit) == alg.unit:
-            prod.unit = alg.unit
+        return _deform_after_torsion(n, False)
+    return Product(Cochain(n.algebra, 2, _deform_table(n.algebra.structure, n), copy=False))
+
+
+def _deform_after_torsion(n: Operator, torsion_zero: bool) -> Product:
+    """``deform(n)`` with its flags, for a caller that has just swept the
+    torsion of ``n``. Assoc(mu_N) = -dT_N, so a zero torsion makes mu_N
+    associative; only otherwise is its associator swept."""
+    alg = n.algebra
+    prod = Product(Cochain(alg, 2, _deform_table(alg.structure, n), copy=False), torsion_zero or None)
+    prod.ensure_associativity_flag()
+    if alg.unit is not None and n(alg.unit) == alg.unit:
+        prod.unit = alg.unit
     return prod
 
 
@@ -187,16 +198,22 @@ def torsion(n: Operator) -> Cochain:
     return Cochain(n.algebra, 2, _torsion_table(n), copy=False)
 
 
+def _torsion_terms(table: Table, n: Operator) -> list[Compose]:
+    """N o D_N T - T o (N, N) for T = ``table``, with N o D_N T expanded into
+    compositions of T, so no deformed table is built."""
+    cols = n.columns
+    return [
+        Compose(ONE, table, cols, (cols, None)),
+        Compose(ONE, table, cols, (None, cols)),
+        Compose(MINUS_ONE, table, (n @ n).columns),
+        Compose(MINUS_ONE, table, inner=(cols, cols)),
+    ]
+
+
 def nijenhuis_witness(n: Operator) -> Optional[tuple[tuple[int, ...], Vec]]:
     """The torsion's witness, swept with N o mu_N expanded into compositions
     of mu: no table is built, the deformed product's included."""
-    mu, cols = n.algebra.structure, n.columns
-    return Sweep(n.algebra.dim).witness([
-        Compose(ONE, mu, cols, (cols, None)),
-        Compose(ONE, mu, cols, (None, cols)),
-        Compose(MINUS_ONE, mu, (n @ n).columns),
-        Compose(MINUS_ONE, mu, inner=(cols, cols)),
-    ])
+    return Sweep(n.algebra.dim).witness(_torsion_terms(n.algebra.structure, n))
 
 
 def is_nijenhuis(n: Operator) -> bool:
@@ -225,14 +242,18 @@ class CriterionResult(Record):
 def associativity_criterion(n: Operator) -> CriterionResult:
     """Deformed-product associativity versus the torsion being a 2-cocycle.
 
-    The two booleans are computed along independent routes (brute-force
-    associator of the deformed product; coboundary of the torsion table) and
-    are provably always equal; the contract is asserted by the test suite,
-    not silently assumed here.
+    The two booleans are computed along independent routes (the associator
+    of mu_N; the coboundary dT_N = a T(b, c) - T(ab, c) + T(a, bc) - T(a, b) c
+    of T_N = N o mu_N - mu o (N, N)), equal as Assoc(mu_N) = -dT_N; the test
+    suite asserts it. One sweep keeps mu_N and T_N as integer forms
+    (``Sweep.kept_sum``), so no table is built.
     """
-    prod = deform(n, compute_flags=False)
-    assoc_w = prod.associativity_witness()
-    cocycle_w = coboundary(torsion(n)).witness()
+    mu, cols, sweep = n.algebra.structure, n.columns, Sweep(n.algebra.dim)
+    mu_n = sweep.kept_sum(deform_terms(ONE, mu, cols))
+    t_n = sweep.kept_sum([Compose(ONE, mu_n, outer=cols), Compose(MINUS_ONE, mu, inner=(cols, cols))])
+    assoc_w = sweep.witness(associator_terms(mu_n))
+    cocycle_w = sweep.witness([Insert(ONE, mu, t_n, 1), Insert(MINUS_ONE, t_n, mu, 0),
+                               Insert(ONE, t_n, mu, 1), Insert(MINUS_ONE, mu, t_n, 0)])
     return CriterionResult(
         deformed_associative=assoc_w is None,
         torsion_is_2cocycle=cocycle_w is None,
@@ -385,7 +406,10 @@ def tensors_compatible(n1: Operator, n2: Operator) -> bool:
     """Compatibility of two torsion-free operators.
 
     Decides N1(A o_{N2} B) + N2(A o_{N1} B) = N1(A)N2(B) + N2(A)N1(B) on all
-    basis pairs; equivalent to the sum N1 + N2 being torsion-free.
+    basis pairs, N1 o mu_{N2} and N2 o mu_{N1} expanded into compositions of
+    mu with N1, N2 and N1N2 + N2N1. The difference of the two sides is the
+    cross sum C(N1, N2), and T_{N1+N2} = T_{N1} + T_{N2} + C(N1, N2), so
+    this is the sum N1 + N2 being torsion-free.
     """
     if n1.algebra is not n2.algebra:
         raise PreconditionError("operators live on different algebras")
@@ -393,12 +417,13 @@ def tensors_compatible(n1: Operator, n2: Operator) -> bool:
         raise PreconditionError("first operator has nonzero torsion")
     if not is_nijenhuis(n2):
         raise PreconditionError("second operator has nonzero torsion")
-    mu = n1.algebra.structure
+    mu, c1, c2 = n1.algebra.structure, n1.columns, n2.columns
     return Sweep(n1.algebra.dim).witness([
-        Compose(ONE, _deform_table(mu, n2), outer=n1.columns),
-        Compose(ONE, _deform_table(mu, n1), outer=n2.columns),
-        Compose(MINUS_ONE, mu, inner=(n1.columns, n2.columns)),
-        Compose(MINUS_ONE, mu, inner=(n2.columns, n1.columns)),
+        Compose(ONE, mu, c1, (c2, None)), Compose(ONE, mu, c1, (None, c2)),
+        Compose(ONE, mu, c2, (c1, None)), Compose(ONE, mu, c2, (None, c1)),
+        Compose(MINUS_ONE, mu, (n1 @ n2 + n2 @ n1).columns),
+        Compose(MINUS_ONE, mu, inner=(c1, c2)),
+        Compose(MINUS_ONE, mu, inner=(c2, c1)),
     ]) is None
 
 
@@ -649,27 +674,16 @@ def lie_bracket_of(p: Product) -> Cochain:
 
 
 def lie_bracket_checks(n: Operator) -> tuple[Optional[tuple[tuple[int, ...], Vec]], bool]:
-    """Both Lie-side checks of ``n``, from one deformed commutator table.
+    """Both Lie-side checks of ``n``.
 
     Returns the smallest basis pair where [A, B]_N != [N A, B] + [A, N B] -
-    N[A, B] (None when there is none), and whether N([A,B]_N) = [N(A), N(B)]
-    on all basis pairs. [.,.]_N is the commutator of the deformed product and
-    [.,.] that of the original one, so the right side of the first identity
-    is the commutator table deformed by N.
+    N[A, B], and whether N([A,B]_N) = [N(A), N(B)] on all basis pairs.
+    [.,.]_N is the commutator of the deformed product and [.,.] that of the
+    original one. The first is None for every N, as the commutator of D_N mu
+    is D_N of the commutator (alternation commutes with the deformation); the
+    second is ``lie_nijenhuis_check``.
     """
-    mu = n.algebra.structure
-    bracket, mu_bracket = table_alternation(_deform_table(mu, n)), table_alternation(mu)
-    sweep = Sweep(n.algebra.dim)
-    terms = [Compose(ONE, bracket)] + deform_terms(MINUS_ONE, mu_bracket, n.columns)
-    return sweep.witness(terms), _lie_torsion_zero(sweep, n, bracket, mu_bracket)
-
-
-def _lie_torsion_zero(sweep: Sweep, n: Operator, bracket: Table, mu_bracket: Table) -> bool:
-    """N o [.,.]_N - [.,.] o (N, N) vanishes, given both commutator tables."""
-    return sweep.witness([
-        Compose(ONE, bracket, outer=n.columns),
-        Compose(MINUS_ONE, mu_bracket, inner=(n.columns, n.columns)),
-    ]) is None
+    return None, lie_nijenhuis_check(n)
 
 
 def lie_nijenhuis_check(n: Operator) -> bool:
@@ -677,11 +691,12 @@ def lie_nijenhuis_check(n: Operator) -> bool:
 
     [.,.]_N is the commutator of the deformed product; the commutator on the
     right is the one of the original product. Implied by vanishing torsion
-    but strictly weaker (it only sees skew-symmetrizations).
+    but strictly weaker (it only sees skew-symmetrizations). As [.,.]_N =
+    D_N [.,.], it is swept as the torsion is, over the commutator table of mu
+    alone: the deformed product's table is never built.
     """
-    mu = n.algebra.structure
-    bracket, mu_bracket = table_alternation(_deform_table(mu, n)), table_alternation(mu)
-    return _lie_torsion_zero(Sweep(n.algebra.dim), n, bracket, mu_bracket)
+    bracket = table_alternation(n.algebra.structure)
+    return Sweep(n.algebra.dim).witness(_torsion_terms(bracket, n)) is None
 
 
 def total_skew_associator(p: Product) -> Cochain:

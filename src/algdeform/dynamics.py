@@ -37,6 +37,7 @@ from .algebra import (
 )
 from .deform import (
     Product,
+    _deform_after_torsion,
     contraction_product,
     deform,
     extend_tensor,
@@ -458,8 +459,9 @@ def _example_5(
         lam = as_scalar(lam_raw)
         tag = f"[lambda={lam}]"
         n_lam = projection_tensor(dec, ONE, lam)
-        checks.append(_check(f"nijenhuis{tag}", is_nijenhuis(n_lam)))
-        prod = deform(n_lam)
+        torsion_zero = is_nijenhuis(n_lam)
+        checks.append(_check(f"nijenhuis{tag}", torsion_zero))
+        prod = _deform_after_torsion(n_lam, torsion_zero)
         checks.append(_check(f"deformed_associative{tag}", bool(prod.associative)))
         checks.append(_check(f"unit_preserved{tag}", prod.unit == alg.unit))
         checks.append(

@@ -4,10 +4,12 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from algdeform import hochschild, tables
 from algdeform.algebra import (
     Operator,
     diagonal_split,
@@ -808,3 +810,108 @@ def test_theorem5_empty_n1p_path_is_a_missing_file(workdir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+
+
+def _identity_route_invocations(workdir):
+    """(label, argv) for the checks that an identity decides or that run on
+    integer forms: failing and refused cases on M2, ``projection`` and the
+    fifth example at other values, and each check on a 0-dimensional algebra."""
+    m2 = full_matrix_algebra(2)
+    tmp = Path(workdir["tmp"])
+
+    def write(name, doc):
+        (tmp / name).write_text(json.dumps(doc))
+        return str(tmp / name)
+
+    zero = write("zero.json", {"name": "zero", "dim": 0, "basis": [], "structure": []})
+    zero_op = write("zero_op.json", {"algebra": "zero", "matrix": []})
+    nk2 = write("nk2.json", operator_to_doc(Operator.left_multiplication(m2.element({0: 1, 1: 3, 3: 2}))))
+    alg = ["--algebra", workdir["m2.json"]]
+    transpose, p1 = ["--operator", workdir["transpose.json"]], ["--operator", workdir["p1.json"]]
+    cases = [
+        ("lie-check transpose", ["lie-check", *alg, *transpose]),
+        ("criterion transpose", ["criterion", *alg, *transpose]),
+        ("tensors-compat torsion refused", ["tensors-compat", *alg, *p1, "--operator2",
+                                            workdir["transpose.json"]]),
+        ("tensors-compat fails", ["tensors-compat", *alg, *p1, "--operator2", workdir["nk.json"]]),
+        ("tensors-compat passes", ["tensors-compat", *alg, "--operator", workdir["nk.json"],
+                                   "--operator2", nk2]),
+        ("check-nijenhuis torsion-free", ["check-nijenhuis", *alg, "--operator", nk2]),
+        ("projection", ["projection", *alg, "--decomposition", workdir["split.json"],
+                        "--l1", "1/2", "--l2", "2i"]),
+        ("example 5", ["example", "--id", "5", "--dim", "4"]),
+    ]
+    for command in ("check-nijenhuis", "lie-check", "criterion", "tensors-compat"):
+        argv = [command, "--algebra", zero, "--operator", zero_op]
+        cases.append((f"{command} dim 0", argv + ["--operator2", zero_op] * (command == "tensors-compat")))
+    return cases
+
+
+# Computed before these routes changed, as GOLDEN_REPORTS above.
+IDENTITY_ROUTE_REPORTS = {
+    "lie-check transpose": "615e46e6fa1e44723ace9241c83e129006124d3a1b94b8bfd0afa61f4ba40d8d",
+    "criterion transpose": "a09d125213a628f60efcb3b6fb8c11c1606b2c1251476b51c649366af00a614e",
+    "tensors-compat torsion refused": "3045865b9086c0efcd64bcd51849ee5927c246b5af8625890112a44130367965",
+    "tensors-compat fails": "55ddb70afecbcb7fca42d96a4ea86b5b332047f6dc93c89b94b34da10eec6385",
+    "tensors-compat passes": "a9ed5d014778d8014d78e4d288fe66afc042a02290a0b7fbb88af2c5b0c68fa4",
+    "check-nijenhuis torsion-free": "add321236d6456c30b2cd34a4e62820d88289903f6ac1247cd03082a6e658420",
+    "projection": "4af31f6a695be0b9b6c3d0fd89c4c1786d10a6651749282e6253070143ecdc59",
+    "example 5": "78ce7cc847e9f7d6f65a8fcbb555166841f12dcd83801e12cf59e2cb44c91ec8",
+    "check-nijenhuis dim 0": "62ea55b5414eef8cdb63336c3320df030aca0289c0a05119fc8b8f00cfee5b69",
+    "lie-check dim 0": "0c80f7b1dbb0746b651bd4f64a779b097ccebbfd7dc757f93e071c78de2c83cb",
+    "criterion dim 0": "a14e769366440a4adedf1274357ada29c4f8fdb96e265e287cc673ff3b258262",
+    "tensors-compat dim 0": "e4644d164e4fc9a3ecf6b9b21f844c0b045a08af0fb687d520ce519b4a1a0d8b",
+}
+
+
+def test_identity_decided_reports_match_the_golden_digests(workdir, capsys):
+    """The reports of the identity-decided and integer-form routes are byte
+    for byte the pinned ones, digested as in the test above."""
+    tmp = workdir["tmp"]
+    digests = {}
+    for label, argv in _identity_route_invocations(workdir):
+        code = main(argv)
+        captured = capsys.readouterr()
+        out = re.sub(r'^      "path": ".*",\n', "", captured.out, flags=re.M)
+        assert tmp not in out and tmp not in captured.err
+        digests[label] = hashlib.sha256("\0".join([str(code), out, captured.err]).encode()).hexdigest()
+    assert digests == IDENTITY_ROUTE_REPORTS
+
+
+def test_torsion_free_checks_build_no_table(tmp_path, capsys, monkeypatch):
+    """The work of four checks on M4 and a torsion-free L_K, K Gaussian,
+    counted by wrapping ``table_of``, ``coboundary`` and ``Sweep.witness``:
+    ``check-nijenhuis`` makes one sweep beyond the algebra's own validation
+    and builds no table; ``lie-check``, ``criterion`` and ``tensors-compat``
+    build no table (the commutator of mu is an alternation) and take no
+    coboundary."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in (("table_of", tables.table_of), ("coboundary", hochschild.coboundary)):
+        for module in [m for key, m in sys.modules.items() if key.startswith("algdeform")]:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    monkeypatch.setattr(tables.Sweep, "witness", counted("witness", tables.Sweep.witness))
+
+    m4 = full_matrix_algebra(4)
+    k = m4.element({0: 1, 1: Scalar(0, 1), 5: -1, 10: 1, 11: Scalar(0, 1), 12: 1, 15: Scalar(1, 2)})
+    alg_doc, op = algebra_to_doc(m4), tmp_path / "lk.json"
+    (tmp_path / "m4.json").write_text(json.dumps(alg_doc))
+    op.write_text(json.dumps(operator_to_doc(Operator.left_multiplication(k))))
+    algebra_from_doc(alg_doc)
+    validation = calls["witness"]
+    alg = ["--algebra", str(tmp_path / "m4.json"), "--operator", str(op)]
+    for argv in (["check-nijenhuis", *alg], ["lie-check", *alg], ["criterion", *alg],
+                 ["tensors-compat", *alg, "--operator2", str(op)]):
+        calls.clear()
+        code, rep = run(capsys, argv)
+        assert code in (0, 1) and rep["checks"][0]["pass"], argv[0]
+        assert calls["table_of"] == 0 and calls["coboundary"] == 0, argv[0]
+        if argv[0] == "check-nijenhuis":
+            assert calls["witness"] == validation + 1

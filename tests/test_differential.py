@@ -42,8 +42,10 @@ from algdeform.algebra import (
     upper_triangular_algebra,
 )
 from algdeform.deform import (
+    associativity_criterion,
     deform,
     deform_product,
+    lie_bracket_checks,
     lie_nijenhuis_check,
     mu_product,
     tensors_compatible,
@@ -1006,3 +1008,73 @@ def test_non_associative_structures_are_refused(data):
             Algebra(*args)
     with pytest.raises(TypeError):
         Algebra(*args, validate=False)
+
+
+# -- the Lie checks and the criterion, on operators with torsion -----------------
+
+
+def torsion_operator_pair(data):
+    """An algebra of ``TORSION_ALGEBRAS``, its dense form, and two operators
+    as rows: a random one, and that one perturbed to have torsion."""
+    alg = data.draw(st.sampled_from(TORSION_ALGEBRAS))
+    event(alg.name)
+    dense = Dense(alg)
+    rows = data.draw(fractional_operator_rows(dense))
+    perturbed = [list(row) for row in rows]
+    with_torsion(data, dense, perturbed)
+    return alg, dense, (rows, perturbed)
+
+
+def dense_first_failure(values, d):
+    """The first basis triple, in order, where ``values`` is not zero, with
+    its nonzero coordinates: the witness that the engine reports."""
+    for t in product(range(d), repeat=3):
+        if any(values[t]):
+            return t, {k: v for k, v in enumerate(values[t]) if v}
+    return None
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_lie_bracket_checks_match_dense_on_operators_with_torsion(data):
+    """The commutator of D_N mu is D_N of the commutator of mu on the dense
+    definitions, so the deformed bracket identity never fails, and
+    ``lie_bracket_checks`` returns None with the dense verdict of
+    N o [.,.]_N = [.,.] o (N, N)."""
+    alg, dense, pair = torsion_operator_pair(data)
+
+    def bracket(x, y):
+        return sub(dense.mul(x, y), dense.mul(y, x))
+
+    for rows in pair:
+        deformed, deformed_bracket = dense.deformed(rows, dense.mul), dense.deformed(rows, bracket)
+        verdict = True
+        for a, b in dense.pairs():
+            x, y = dense.e(a), dense.e(b)
+            bracket_n = sub(deformed(x, y), deformed(y, x))
+            assert bracket_n == deformed_bracket(x, y)
+            nx, ny = dense.apply(rows, x), dense.apply(rows, y)
+            verdict = verdict and dense.apply(rows, bracket_n) == bracket(nx, ny)
+        event(f"Lie torsion {'zero' if verdict else 'nonzero'}")
+        assert lie_bracket_checks(Operator.from_matrix_rows(alg, rows)) == (None, verdict)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_criterion_witnesses_match_dense_on_operators_with_torsion(data):
+    """Both witnesses of ``associativity_criterion`` are the dense first
+    failing triple and its residual: of the associator of mu_N, and of dT_N."""
+    alg, dense, pair = torsion_operator_pair(data)
+    d = dense.d
+    for rows in pair:
+        pn = DenseProduct(d, dense.deformed(rows, dense.mul))
+        assoc = {}
+        for a, b, c in product(range(d), repeat=3):
+            x, y, z = pn.e(a), pn.e(b), pn.e(c)
+            assoc[(a, b, c)] = sub(pn.mul(pn.mul(x, y), z), pn.mul(x, pn.mul(y, z)))
+        torsion_values = {(a, b): dense.torsion(rows, a, b) for a, b in dense.pairs()}
+        d_torsion = dense_coboundary(dense, torsion_values, 2)
+        res = associativity_criterion(Operator.from_matrix_rows(alg, rows))
+        event(f"deformed product {'not ' if res.associator_witness else ''}associative")
+        assert res.associator_witness == dense_first_failure(assoc, d)
+        assert res.cocycle_witness == dense_first_failure(d_torsion, d)
