@@ -33,8 +33,10 @@ powers up to the first one in the span of those below it: the sections are
 linear in the powers, the power relation of exponent r follows from r = 1
 by a recursion, the composition law is symmetric and zero at the power 0,
 and the mixed associator with mu vanishes (it is -d(dX)), as does every one
-whose composition law is zero (it is its coboundary). A section that fails
-there is swept again in full, for the first witness.
+whose composition law is zero (it is its coboundary). The relation at (1, 0)
+is the torsion; once it is zero, so are B(N, N) = -2T_N and every relation
+R(1, N^k) = D_{N^k} T_N - N o B(N, N^k) whose composition law is. A section
+that fails there is swept again in full, for the first witness.
 """
 
 from __future__ import annotations
@@ -312,10 +314,15 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
 
     - power relation, r = 1 and k < base: R(1, X) = N o mu_{NX} - mu_X o (N, N)
       is linear in X = N^k, and R(r, k) = N^(r-1) o R(1, k+r-1) +
-      R(r-1, k) o (N, N) gives every r from r = 1;
+      R(r-1, k) o (N, N) gives every r from r = 1. R(1, 0) is the torsion
+      T_N, swept first, whatever the torsion gate said. For X commuting with
+      N, R(1, X) = D_X T_N - N o B(N, X) (Gerstenhaber's composition
+      calculus), so once T_N is zero, R(1, N^k) is not swept where B(1, k)
+      was swept to zero;
     - composition law, 1 <= i <= k < base: B(X, Y) = D_Y mu_X - mu_{XY} is
       bilinear, B(1, Y) = 0 because the product of N^0 is mu itself, and
-      D_Y D_X mu - D_X D_Y mu = D_[X,Y] mu makes it symmetric on powers;
+      D_Y D_X mu - D_X D_Y mu = D_[X,Y] mu makes it symmetric on powers.
+      B(N, N) = -2 T_N, so a zero torsion decides (1, 1) with no sweep;
     - associativity and compatibility, powers 1 <= k < base: the mixed
       associator Q(X, Y) of mu_X and mu_Y is symmetric and bilinear, twice
       the associator on its diagonal, and Q(1, X) = -d(dX) = 0 for d the
@@ -328,7 +335,8 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
     witness is still the first failing case in order; associativity and
     compatibility are reduced together, and so are swept again together.
     The power products are kept as the sweep's integer forms
-    (``Sweep.kept_sum``), never built as Scalar tables.
+    (``Sweep.kept_sum``), never built as Scalar tables, each when a swept
+    case first reads it.
     """
     if maxk < 0 or maxk > MAX_HIERARCHY_POWER:
         raise PreconditionError(f"maxk must be between 0 and {MAX_HIERARCHY_POWER}")
@@ -339,36 +347,48 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
     powers = [Operator.identity(alg)]
     for _ in range(maxk):
         powers.append(n @ powers[-1])
-    # prods[0] is mu itself: T o (1, 1) + T o (1, 1) - 1 o T = T.
-    prods = [mu] + [sweep.kept_sum(deform_terms(ONE, mu, p.columns)) for p in powers[1:]]
+    # prods[0] is mu itself: T o (1, 1) + T o (1, 1) - 1 o T = T. The others
+    # are kept when a swept case first reads them.
+    prods = {0: mu}
+
+    def prod(k):
+        if k not in prods:
+            prods[k] = sweep.kept_sum(deform_terms(ONE, mu, powers[k].columns))
+        return prods[k]
+
+    def relation_terms(r, k):  # R(r, k) = N^r o mu_{N^(k+r)} - mu_{N^k} o (N^r, N^r)
+        nr = powers[r].columns
+        return [Compose(ONE, prod(k + r), outer=nr), Compose(MINUS_ONE, prod(k), inner=(nr, nr))]
+
     base = _span_degree(powers)
-    b_zero = set()  # the cases (i, k) whose B was swept to zero, so Q = dB is too
+    # R(1, 0) is the torsion T_N of the operator itself, swept here whatever
+    # the gate above said; B(N, N) = -2 T_N.
+    torsion = sweep.witness(relation_terms(1, 0)) if maxk else None
+    b_zero = set() if torsion else {(1, 1)}  # the cases (i, k) whose B is zero, so Q = dB is too
 
     # Each section lists its cases in report order; the first pass keeps only
     # the generating ones. r = 0 (mu_{N^k} minus itself) and k = 0 in the
     # composition law (B(X, 1) = D_1 mu_X - mu_X) are zero, so never swept.
-    def relation(full):  # R(r, k) = N^r o mu_{N^(k+r)} - mu_{N^k} o (N^r, N^r)
+    def relation(full):
         for r in range(1, maxk + 1):
-            nr = powers[r].columns
             for k in range(maxk + 1 - r):
-                if full or r == 1 and k < base:
-                    yield (r, k), [Compose(ONE, prods[k + r], outer=nr),
-                                   Compose(MINUS_ONE, prods[k], inner=(nr, nr))]
+                if full or r == 1 and 0 < k < base and (1, k) not in b_zero:
+                    yield (r, k), relation_terms(r, k)
 
     def composition(full):  # B(N^i, N^k) = D_{N^k} mu_{N^i} - mu_{N^(i+k)}
         for i in range(maxk + 1):
             for k in range(1, maxk + 1 - i):
-                if full or 1 <= i <= k < base:
-                    terms = deform_terms(ONE, prods[i], powers[k].columns)
-                    yield (i, k), terms + [Compose(MINUS_ONE, prods[i + k])]
+                if full or 1 <= i <= k < base and (i, k) not in b_zero:
+                    terms = deform_terms(ONE, prod(i), powers[k].columns)
+                    yield (i, k), terms + [Compose(MINUS_ONE, prod(i + k))]
                     b_zero.add((i, k))  # resumed only after that sum swept to zero
 
     def associativity(full):  # Q(N^k, N^k) / 2
-        return (((k,), associator_terms(prods[k]))
+        return (((k,), associator_terms(prod(k)))
                 for k in range(maxk + 1) if full or 1 <= k < base and (k, k) not in b_zero)
 
     def compatibility(full):  # Q(N^k1, N^k2)
-        return ((ks, mixed_associator_terms(prods[ks[0]], prods[ks[1]]))
+        return ((ks, mixed_associator_terms(prod(ks[0]), prod(ks[1])))
                 for ks in combinations(range(maxk + 1), 2)
                 if full or 1 <= ks[0] and ks[1] < base and ks not in b_zero)
 
@@ -387,7 +407,8 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
                 break
         return found
 
-    (rel,), (comp,) = decide(relation), decide(composition)
+    (comp,) = decide(composition)  # before the relation, which reads b_zero
+    (rel,) = [((1, 0), torsion[0])] if torsion else decide(relation)
     assoc, compat = decide(associativity, compatibility)
     witnesses = {
         "power_relation": rel and rel[0] + rel[1],
@@ -638,14 +659,17 @@ def extend_tensor(dec: Decomposition, n1: Operator) -> ExtensionReport:
         raise PreconditionError("part1 is not a subalgebra")
     _check_part_operator(n1, dec.part1, "n1")
     # n1 vanishes off part1, so it is its own extension by zero, and its
-    # torsion on part1 x part1 is the torsion of n1 on the subalgebra.
-    tors = _torsion_table(n1)
-    part1 = set(dec.part1)
-    if any(a in part1 and b in part1 for a, b in tors):
+    # torsion on part1 x part1 is the torsion of n1 on the subalgebra: T_N1 o
+    # (P1, P1), with P1 in each inner slot that N1 = N1 P1 leaves empty.
+    mu, sweep = alg.structure, Sweep(alg.dim)
+    p1, p2 = dec.projector(1).columns, dec.projector(2).columns
+    torsion = _torsion_terms(mu, n1)
+    torsion_free = sweep.witness(torsion) is None
+    on_part1 = [Compose(t.coef, t.table, t.outer,
+                        tuple(p1 if s is None else s for s in t.inner or (None, None))) for t in torsion]
+    if not torsion_free and sweep.witness(on_part1) is not None:
         raise PreconditionError("n1 has nonzero torsion on part1")
 
-    mu = alg.structure
-    p1, p2 = dec.projector(1).columns, dec.projector(2).columns
     n1c, n1sq = n1.columns, (n1 @ n1).columns
     # Each condition is a sum of coef * outer o mu o inner. N1 vanishes off
     # part1, so N1 P1 = N1, and the projectors confine each sum to its block.
@@ -655,14 +679,13 @@ def extend_tensor(dec: Decomposition, n1: Operator) -> ExtensionReport:
         "right_mixed": [Compose(ONE, mu, n1c, (p2, n1c)), Compose(MINUS_ONE, mu, n1sq, (p2, p1))],
     }
     witnesses: dict = {}
-    sweep = Sweep(alg.dim)
     for name, parts in terms.items():
         w = sweep.witness(parts)
         if w is not None:
             witnesses[name] = w[0]
     return ExtensionReport(
         operator=Operator(alg, n1.columns),
-        is_nijenhuis=not tors,
+        is_nijenhuis=torsion_free,
         conditions=tuple(name not in witnesses for name in terms),
         witnesses=witnesses,
     )

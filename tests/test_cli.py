@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -876,6 +877,67 @@ def test_identity_decided_reports_match_the_golden_digests(workdir, capsys):
         assert tmp not in out and tmp not in captured.err
         digests[label] = hashlib.sha256("\0".join([str(code), out, captured.err]).encode()).hexdigest()
     assert digests == IDENTITY_ROUTE_REPORTS
+
+
+def _hierarchy_invocations(workdir):
+    """(label, argv) for ``hierarchy`` at every ``--max-power`` from 0 to 6 on
+    M4 with L_K (K Gaussian, four independent powers) and with P_lambda =
+    P1 + (1/2 + i) P2 of the triangular split (two), on M2 with L_diag(1,2)
+    at 3, and refused on the M2 transpose, which has torsion."""
+    m4 = full_matrix_algebra(4)
+    tmp = Path(workdir["tmp"])
+
+    def write(name, doc):
+        (tmp / name).write_text(json.dumps(doc))
+        return str(tmp / name)
+
+    k = m4.element({0: 1, 1: Scalar(0, 1), 5: -1, 10: 1, 11: Scalar(0, 1), 12: 1, 15: Scalar(1, 2)})
+    m4_doc = write("m4.json", algebra_to_doc(m4))
+    ops = {"lk": write("m4_lk.json", operator_to_doc(Operator.left_multiplication(k))),
+           "pl": write("m4_pl.json", operator_to_doc(
+               projection_tensor(triangular_split(m4), 1, Scalar(Fraction(1, 2), 1))))}
+    cases = [(f"M4 {name} {maxk}", ["hierarchy", "--algebra", m4_doc, "--operator", path,
+                                    "--max-power", str(maxk)])
+             for name, path in ops.items() for maxk in range(7)]
+    m2 = ["hierarchy", "--algebra", workdir["m2.json"], "--operator"]
+    return cases + [("M2 nk 3", m2 + [workdir["nk.json"], "--max-power", "3"]),
+                    ("M2 transpose refused", m2 + [workdir["transpose.json"], "--max-power", "3"])]
+
+
+# Computed before the hierarchy decided cases from its torsion sweep, as
+# GOLDEN_REPORTS above.
+HIERARCHY_REPORTS = {
+    "M4 lk 0": "ad54583650bbd7a10efccaf270c73f680bdfd11b139a4dd2eb903e27ef22fb4c",
+    "M4 lk 1": "9d31178cf278409372b6751e20d76d96c98b9961be581d5724c845e494b43651",
+    "M4 lk 2": "9fd8f0784c1d56e5f6f1ca421ec59c55e69e48913f404c35862026000e6c5e39",
+    "M4 lk 3": "646738d061ae0a8e00e71e887ea6c0a53960423fd15caddf76ed217205e41382",
+    "M4 lk 4": "e38111a77ca77a10ac0252a1cb4478d34bf1f65d7f4dc24309f71f443b60a989",
+    "M4 lk 5": "d756be2957c7951a2f1d30a3610bf4a853fe82c8ec93c085f5e2cf0e313fe012",
+    "M4 lk 6": "a81e61366aee19ba1b4a08b294a78e6b3d3cba237be929c19170b59470e985ef",
+    "M4 pl 0": "07f585d40d3e7a051d7701e4a1525cccfb7cac00771f8d3f2bca36ecf463c089",
+    "M4 pl 1": "7db804036f81dffaad3a9f76ab8b25449f755b9bc70097f39f04ea6d60e4096a",
+    "M4 pl 2": "0eb6bbf238ab5f404b6cf1f1852b22c2ca5637d6e5f68165ce89ab6aaf631084",
+    "M4 pl 3": "aed2925c4c732d25a27dc47f1b64ddb1e185e08fb24c0056051b284500aaaeac",
+    "M4 pl 4": "16a3e76f8ed70a25a9bf1f4367e1ab976dfeb2dfee75a05915a615840bcf9cbb",
+    "M4 pl 5": "d516e87eeb8d29f7b9c76a47aa221a145f9124c703d497b462b030012bc89b00",
+    "M4 pl 6": "5d1e47e2965027f7f49f90b764268cd3445fd9e539ad046aba246fc7894c8c1f",
+    "M2 nk 3": "dce1f6fa78dcedf7c53ad374ea4214a6f151ec26847e06c786e5446d6905ef30",
+    "M2 transpose refused": "9b0f86aa1d9d79ad68824d05b6c7d4280792af1d62b710c8cb8f47a3bd2637d1",
+}
+
+
+def test_hierarchy_reports_match_the_golden_digests(workdir, capsys):
+    """``hierarchy`` reports, passing and refused, are byte for byte the
+    pinned ones, digested as in the tests above."""
+    tmp = workdir["tmp"]
+    digests = {}
+    for label, argv in _hierarchy_invocations(workdir):
+        code = main(argv)
+        captured = capsys.readouterr()
+        out = re.sub(r'^      "path": ".*",\n', "", captured.out, flags=re.M)
+        assert tmp not in out and tmp not in captured.err
+        digests[label] = hashlib.sha256("\0".join([str(code), out, captured.err]).encode()).hexdigest()
+    assert digests == HIERARCHY_REPORTS
 
 
 def test_torsion_free_checks_build_no_table(tmp_path, capsys, monkeypatch):

@@ -17,10 +17,11 @@ some of those cases are not implied by the composition law. For operators
 with torsion, the associator of the deformed product is compared with minus
 the coboundary of the torsion, its mixed associator with the product is
 zero, and the torsion of a sum is split into the two torsions and the cross
-sum, on both sides. The unit check
-is compared with its definition on algebras, one-sided unit tables and
-random Gaussian tables, and random tables that are not associative must be
-refused.
+sum, on both sides; so is the power relation R(1, N^k), into D_{N^k} T_N
+and N composed with the composition law B(N, N^k), and B(N, N) = -2 T_N.
+The unit check is compared with its definition on algebras, one-sided unit
+tables and random Gaussian tables, and random tables that are not
+associative must be refused.
 """
 
 import importlib
@@ -56,7 +57,13 @@ from algdeform.dynamics import is_derivation
 from algdeform.errors import AlgebraError, PreconditionError
 from algdeform.hochschild import Cochain, coboundary, cohomology_dimension
 from algdeform.scalar import ONE, ZERO, Scalar
-from algdeform.tables import Compose, associator_table, mixed_associator_table, table_of
+from algdeform.tables import (
+    Compose,
+    associator_table,
+    deform_terms,
+    mixed_associator_table,
+    table_of,
+)
 
 ALGEBRAS = [
     full_matrix_algebra(2),
@@ -925,6 +932,52 @@ def test_torsion_identities_hold_on_operators_with_torsion(data):
         engine = add(add(table_row(t1, (a, b), d), table_row(t2, (a, b), d)), cross)
         assert table_row(t12, (a, b), d) == engine
     event(f"C(N1, N2) {'zero' if cross_zero else 'nonzero'}")
+
+
+@pytest.mark.parametrize("alg", TORSION_ALGEBRAS, ids=lambda alg: alg.name)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_power_relation_reduces_to_the_torsion_and_the_composition_law(alg, data):
+    """Two identities that let the hierarchy decide its power relation from
+    its torsion sweep, for an operator N with torsion or none, with Gaussian
+    entries, on the dense definitions and on the engine's tables. With
+    R(1, X) = N o mu_{NX} - mu_X o (N, N) and B(N, X) = D_X mu_N - mu_{NX}:
+    R(1, X) = D_X T_N - N o B(N, X) for every X that commutes with N, here
+    X = N^k for k = 0, ..., 3; and B(N, N) = -2 T_N."""
+    dense, d = Dense(alg), alg.dim
+    rows = data.draw(fractional_operator_rows(dense))
+    with_torsion(data, dense, rows)
+    powers = [[dense.e(i) for i in range(d)]]
+    for _ in range(4):
+        powers.append(matmul(rows, powers[-1]))
+    cubes = [deformed_cube(dense.c, p) for p in powers]
+    t_n = [[dense.torsion(rows, a, b) for b in range(d)] for a in range(d)]
+
+    op = Operator.from_matrix_rows(alg, rows)
+    n = op.columns
+    tables = [deform(op.power(k), compute_flags=False).table for k in range(5)]
+    engine_t = torsion(op).table
+    for a, b in dense.pairs():
+        assert table_row(engine_t, (a, b), d) == t_n[a][b]
+
+    for k in range(4):
+        x = powers[k]
+        relation = cube_sum((ONE, composed(cubes[k + 1], outer=rows)),
+                            (-ONE, composed(cubes[k], inner=(rows, rows))))
+        b_nx = cube_sum((ONE, deformed_cube(cubes[1], x)), (-ONE, cubes[k + 1]))
+        assert relation == cube_sum((ONE, deformed_cube(t_n, x)), (-ONE, composed(b_nx, outer=rows)))
+        if k == 1:
+            assert b_nx == cube_sum((-2 * ONE, t_n))
+        xc = op.power(k).columns
+        engine_r = table_of([Compose(ONE, tables[k + 1], outer=n),
+                             Compose(-ONE, tables[k], inner=(n, n))])
+        engine_b = table_of(deform_terms(ONE, tables[1], xc) + [Compose(-ONE, tables[k + 1])])
+        engine_rhs = table_of(deform_terms(ONE, engine_t, xc) + [Compose(-ONE, engine_b, outer=n)])
+        for a, b in dense.pairs():
+            assert table_row(engine_r, (a, b), d) == relation[a][b] == table_row(engine_rhs, (a, b), d)
+            assert table_row(engine_b, (a, b), d) == b_nx[a][b]
+        zero = not any(any(map(any, line)) for line in relation)
+        event(f"R(1, N^{k}) {'zero' if zero else 'nonzero'}")
 
 
 def dense_cube(table, d):

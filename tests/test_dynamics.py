@@ -35,6 +35,7 @@ from algdeform.dynamics import _diag_element, _diagonal_rescaling_product, _matc
 from algdeform.errors import PreconditionError
 from algdeform.hochschild import Cochain, is_cocycle
 from algdeform.scalar import Scalar
+from algdeform.tables import Insert, Sweep
 
 
 def random_operator(rng, alg, span=3):
@@ -258,7 +259,8 @@ def test_displayed_formula_sweep_matches_the_basis_loop(example_id, monkeypatch)
         build = dynamics._diagonal_rescaling_product
         monkeypatch.setattr(dynamics, "_diagonal_rescaling_product", lambda *a: perturbed(build(*a)))
     else:
-        monkeypatch.setattr(dynamics, "deform", lambda op: perturbed(deform(op)))
+        build = dynamics._deform_after_torsion
+        monkeypatch.setattr(dynamics, "_deform_after_torsion", lambda *a: perturbed(build(*a)))
     verdicts = set()
     for _ in range(12):
         checks = example_check(example_id)["checks"]
@@ -268,6 +270,25 @@ def test_displayed_formula_sweep_matches_the_basis_loop(example_id, monkeypatch)
         assert got == {"name": "matches_displayed_formula", "pass": ok, **({} if ok else {"witness": pair})}
         verdicts.add(ok)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("example_id, sweeps, associator_sweeps", [(1, 2, 1), (4, 5, 0)])
+def test_examples_decide_associativity_from_the_torsion(example_id, sweeps, associator_sweeps,
+                                                        monkeypatch):
+    """Examples 1 and 4 sweep the torsion of their operator, and a zero
+    torsion makes the deformed product associative (Assoc(mu_N) = -dT_N), so
+    ``deformed_associative`` sweeps no associator. Counted on a second call,
+    after the example's algebra is cached: example 1 sweeps the torsion and
+    the associator of the complementary product; example 4 the torsion in
+    ``extend_tensor``, its three conditions and the displayed formula."""
+    example_check(example_id)
+    calls = []
+    witness = Sweep.witness
+    monkeypatch.setattr(Sweep, "witness",
+                        lambda self, terms: calls.append(type(terms[0]) is Insert) or witness(self, terms))
+    checks = example_check(example_id)["checks"]
+    assert all(c["pass"] for c in checks)
+    assert (len(calls), sum(calls)) == (sweeps, associator_sweeps)
 
 
 @pytest.mark.parametrize("example_id", [5, 6])
