@@ -3,9 +3,11 @@
 An :class:`Algebra` owns a sparse multiplication table ``e_i e_j = sum_k
 c[i][j][k] e_k`` over the Gaussian rationals, validates associativity of the
 table at construction time, and knows its unit (declared, or discovered by
-solving the unit equations). :class:`Element`, :class:`Operator` and basis
-aligned :class:`Decomposition` objects are thin immutable wrappers around
-sparse coefficient dicts.
+solving the unit equations). :class:`Element` (arity 0) and :class:`Operator`
+(arity 1) are multilinear maps on the algebra, as is the arity-n cochain of
+``hochschild``: all three share the base :class:`Multilinear`, which holds
+their algebra and does their linear arithmetic once, on tables over basis
+tuples. Basis-aligned :class:`Decomposition` objects split the basis in two.
 
 Builders for the concrete algebras used throughout the test corpus live here
 as well: full matrix algebras, upper-triangular algebras, dual numbers, a
@@ -21,16 +23,19 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import AlgebraError, check_size
 from .linalg import RowReducer
-from .scalar import ONE, ZERO, Scalar, as_scalar
+from .scalar import MINUS_ONE, ONE, ZERO, Scalar, as_scalar
 from .tables import (
     Sweep,
     Table,
     Vec,
     associator_terms,
+    table_add_into,
+    table_scaled,
+    table_sub,
+    table_tidy,
     vec_add_into,
     vec_eq,
     vec_mul,
-    vec_sub,
 )
 
 __all__ = [
@@ -219,14 +224,71 @@ def decompose(alg: Algebra, part1: Iterable[int]) -> "Decomposition":
     return Decomposition(alg, part1)
 
 
-class Element:
+class Multilinear:
+    """A multilinear map on an algebra, seen as a table over basis tuples.
+
+    Each kind has an ``arity`` and two hooks: ``_table()``, the map as a
+    table (a row per basis tuple of its arity, possibly shared with the
+    map), and ``_of(table)``, the map of the same kind, algebra and arity
+    with that tidy table. The linear structure is written here once on
+    them. Mixing kinds, algebras or arities raises the kind's ``error``.
+    """
+
+    __slots__ = ("algebra",)
+    error = AlgebraError
+
+    def _check(self, other) -> None:
+        if (type(other) is not type(self) or other.algebra is not self.algebra
+                or other.arity != self.arity):
+            raise self.error(f"{type(self).__name__.lower()} mismatch (algebra or arity)")
+
+    def __add__(self, other):
+        self._check(other)
+        acc = {t: dict(vec) for t, vec in self._table().items()}
+        table_add_into(acc, ONE, other._table())
+        return self._of(table_tidy(acc))
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._of(table_sub(self._table(), other._table()))
+
+    def __rmul__(self, coef):
+        return self._of(table_scaled(as_scalar(coef), self._table()))
+
+    def __neg__(self):
+        return self.__rmul__(MINUS_ONE)
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(v for vec in self._table().values() for v in vec.values())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.algebra is other.algebra
+            and self.arity == other.arity
+            and not table_sub(self._table(), other._table())
+        )
+
+    __hash__ = None  # equality is by value, and operators and cochains are mutable
+
+
+class Element(Multilinear):
     """An algebra element, stored as a sparse coordinate vector."""
 
-    __slots__ = ("algebra", "coords")
+    __slots__ = ("coords",)
+    arity = 0
 
     def __init__(self, algebra: Algebra, coords: Vec):
         self.algebra = algebra
         self.coords = coords
+
+    def _table(self) -> Table:
+        return {(): self.coords}
+
+    def _of(self, table: Table) -> "Element":
+        return Element(self.algebra, table.get((), {}))
 
     def dense(self) -> list[Scalar]:
         out = [ZERO] * self.algebra.dim
@@ -237,45 +299,10 @@ class Element:
     def coeff(self, i: int) -> Scalar:
         return self.coords.get(i, ZERO)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        out = dict(self.coords)
-        vec_add_into(out, ONE, other.coords)
-        return Element(self.algebra, {k: v for k, v in out.items() if v})
-
-    def __sub__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, vec_sub(self.coords, other.coords))
-
-    def __neg__(self) -> "Element":
-        return Element(self.algebra, {k: -v for k, v in self.coords.items()})
-
     def __mul__(self, other):
         if isinstance(other, Element):
             return self.algebra.multiply(self, other)
-        s = as_scalar(other)
-        if not s:
-            return Element(self.algebra, {})
-        return Element(self.algebra, {k: v * s for k, v in self.coords.items()})
-
-    def __rmul__(self, other):
-        s = as_scalar(other)
-        if not s:
-            return Element(self.algebra, {})
-        return Element(self.algebra, {k: s * v for k, v in self.coords.items()})
-
-    def _check(self, other: "Element") -> None:
-        if not isinstance(other, Element) or other.algebra is not self.algebra:
-            raise AlgebraError("algebra mismatch")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.algebra is other.algebra and vec_eq(self.coords, other.coords)
+        return self.__rmul__(other)
 
     def __hash__(self):
         return hash((id(self.algebra), frozenset((k, v) for k, v in self.coords.items() if v)))
@@ -291,16 +318,23 @@ class Element:
         return " + ".join(parts)
 
 
-class Operator:
+class Operator(Multilinear):
     """A linear map on an algebra; column j is the image of basis vector j."""
 
-    __slots__ = ("algebra", "columns")
+    __slots__ = ("columns",)
+    arity = 1
 
     def __init__(self, algebra: Algebra, columns: Sequence[Vec]):
         if len(columns) != algebra.dim:
             raise AlgebraError(f"expected {algebra.dim} columns")
         self.algebra = algebra
         self.columns = [{k: v for k, v in col.items() if v} for col in columns]
+
+    def _table(self) -> Table:
+        return {(j,): col for j, col in enumerate(self.columns) if col}
+
+    def _of(self, table: Table) -> "Operator":
+        return Operator(self.algebra, [table.get((j,), {}) for j in range(self.algebra.dim)])
 
     # -- constructors -------------------------------------------------------------
 
@@ -363,23 +397,6 @@ class Operator:
             out = self @ out
         return out
 
-    def __add__(self, other: "Operator") -> "Operator":
-        if other.algebra is not self.algebra:
-            raise AlgebraError("algebra mismatch")
-        cols = []
-        for a, b in zip(self.columns, other.columns):
-            acc = dict(a)
-            vec_add_into(acc, ONE, b)
-            cols.append(acc)
-        return Operator(self.algebra, cols)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return self + (-1) * other
-
-    def __rmul__(self, coef) -> "Operator":
-        s = as_scalar(coef)
-        return Operator(self.algebra, [{k: s * v for k, v in col.items()} for col in self.columns])
-
     def to_matrix_rows(self) -> list[list[Scalar]]:
         d = self.algebra.dim
         rows = [[ZERO] * d for _ in range(d)]
@@ -387,19 +404,6 @@ class Operator:
             for i, v in col.items():
                 rows[i][j] = v
         return rows
-
-    @property
-    def is_zero(self) -> bool:
-        return all(not col for col in self.columns)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return self.algebra is other.algebra and all(
-            vec_eq(a, b) for a, b in zip(self.columns, other.columns)
-        )
-
-    __hash__ = None  # mutable, and equality is by value
 
     def __repr__(self) -> str:
         return f"Operator(on {self.algebra.name}, dim={self.algebra.dim})"

@@ -2,9 +2,11 @@
 operator, cohomology dimensions, and the graded bracket of multilinear maps.
 
 A :class:`Cochain` of arity n is an n-linear map A x ... x A -> A stored as a
-sparse table over basis tuples. Supported arities are 0..3: arity 0 wraps a
+sparse table over basis tuples. Supported arities are 0..3: arity 0 holds a
 single element, arity 1 an operator, arity 2 a candidate product, and arity 3
-only ever appears as the image of the coboundary or as an associator.
+only ever appears as the image of the coboundary or as an associator. Like
+:class:`Element` and :class:`Operator`, it takes its linear arithmetic from
+their shared base, ``algebra.Multilinear``.
 
 The coboundary follows the classical alternating-sum convention
 
@@ -54,20 +56,16 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 from math import lcm
-from typing import Container, Optional
+from typing import Container
 
-from .algebra import Algebra, Element, Operator
+from .algebra import Algebra, Element, Multilinear, Operator
 from .errors import SIZE_GUARD, PreconditionError, check_size
 from .linalg import RowReducer
-from .scalar import MINUS_ONE, ONE, Scalar, as_scalar
+from .scalar import MINUS_ONE, ONE, Scalar
 from .tables import (
     Table,
     Vec,
-    first_witness,
-    table_add_into,
     table_insert_into,
-    table_scaled,
-    table_sub,
     table_tidy,
     vec_add_into,
 )
@@ -86,10 +84,11 @@ MAX_ARITY = 3
 COHOMOLOGY_SIZE_GUARD = SIZE_GUARD
 
 
-class Cochain:
+class Cochain(Multilinear):
     """A sparse n-linear map from basis tuples to coefficient vectors."""
 
-    __slots__ = ("algebra", "arity", "table")
+    __slots__ = ("arity", "table")
+    error = PreconditionError
 
     def __init__(self, algebra: Algebra, arity: int, table: Table, copy: bool = True):
         if not 0 <= arity <= MAX_ARITY:
@@ -104,16 +103,21 @@ class Cochain:
                 raise PreconditionError(f"table key {t} does not have arity {arity}")
         self.table = table
 
+    def _table(self) -> Table:
+        return self.table
+
+    def _of(self, table: Table) -> "Cochain":
+        return Cochain(self.algebra, self.arity, table, copy=False)
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def from_element(cls, x: Element) -> "Cochain":
-        return cls(x.algebra, 0, {(): dict(x.coords)}, copy=False)
+        return cls(x.algebra, x.arity, x._table())
 
     @classmethod
     def from_operator(cls, op: Operator) -> "Cochain":
-        table = {(j,): dict(col) for j, col in enumerate(op.columns) if col}
-        return cls(op.algebra, 1, table, copy=False)
+        return cls(op.algebra, op.arity, op._table())
 
     @classmethod
     def product_cochain(cls, algebra: Algebra) -> "Cochain":
@@ -147,47 +151,6 @@ class Cochain:
             if not dead and coef:
                 vec_add_into(acc, coef, vec)
         return Element(self.algebra, {k: v for k, v in acc.items() if v})
-
-    # -- linear structure -------------------------------------------------------
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        self._compatible(other)
-        acc = {t: dict(v) for t, v in self.table.items()}
-        table_add_into(acc, ONE, other.table)
-        return Cochain(self.algebra, self.arity, acc, copy=False)
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        self._compatible(other)
-        return Cochain(self.algebra, self.arity, table_sub(self.table, other.table), copy=False)
-
-    def __rmul__(self, coef) -> "Cochain":
-        s = as_scalar(coef)
-        return Cochain(self.algebra, self.arity, table_scaled(s, self.table), copy=False)
-
-    def __neg__(self) -> "Cochain":
-        return MINUS_ONE * self
-
-    def _compatible(self, other: "Cochain") -> None:
-        if self.algebra is not other.algebra or self.arity != other.arity:
-            raise PreconditionError("cochain mismatch (algebra or arity)")
-
-    @property
-    def is_zero(self) -> bool:
-        return not table_tidy(self.table)
-
-    def witness(self) -> Optional[tuple[tuple[int, ...], Vec]]:
-        return first_witness(self.table)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        return (
-            self.algebra is other.algebra
-            and self.arity == other.arity
-            and not table_sub(self.table, other.table)
-        )
-
-    __hash__ = None  # mutable (``is_zero`` tidies the table), and equality is by value
 
     def __repr__(self) -> str:
         return f"Cochain(arity={self.arity}, on {self.algebra.name}, {len(self.table)} rows)"

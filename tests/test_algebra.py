@@ -25,7 +25,14 @@ from algdeform.documents import (
     operator_from_doc,
     operator_to_doc,
 )
-from algdeform.errors import SIZE_GUARD, AlgebraError, DocumentError, SizeGuardError, check_size
+from algdeform.errors import (
+    SIZE_GUARD,
+    AlgebraError,
+    DocumentError,
+    PreconditionError,
+    SizeGuardError,
+    check_size,
+)
 from algdeform.hochschild import Cochain
 from algdeform.scalar import ONE, ZERO, Scalar
 
@@ -187,6 +194,40 @@ def test_equal_objects_hash_equally_and_mutable_ones_do_not_hash():
         assert a == b
         with pytest.raises(TypeError):
             hash(a)
+
+
+@pytest.mark.parametrize("alg", [full_matrix_algebra(2), dual_number_algebra(),
+                                 split_quaternion_algebra()], ids=lambda alg: alg.name)
+def test_elements_operators_and_cochains_share_one_linear_structure(alg):
+    """An element is an arity-0 cochain and an operator an arity-1 one: the
+    cochain of a sum, difference, negative or Gaussian multiple is the same
+    combination of cochains. A kind never equals its cochain, and mixing
+    kinds, algebras or arities raises the kind's own error."""
+    s = Scalar("1/2", 1)
+    d = alg.dim
+    x = alg.element([Scalar(k + 1, k % 2) for k in range(d)])
+    y = alg.element({0: 3, d - 1: Scalar(0, -1)})
+    f = Operator.left_multiplication(x)
+    g = Operator.from_matrix_rows(alg, [[Scalar(i - j, i * j) for j in range(d)] for i in range(d)])
+    for wrap, a, b in ((Cochain.from_element, x, y), (Cochain.from_operator, f, g)):
+        assert wrap(a + b) == wrap(a) + wrap(b)
+        assert wrap(a - b) == wrap(a) - wrap(b)
+        assert wrap(-a) == -wrap(a) == wrap((-1) * a)
+        assert wrap(s * a) == s * wrap(a) and wrap(0 * a).is_zero
+        assert (a - a).is_zero and not a.is_zero
+        assert a != wrap(a) and wrap(a) != a
+    assert (-f)(y) == -f(y) and x * s == s * x
+    mu = Cochain.product_cochain(alg)
+    stranger = upper_triangular_algebra(2).basis_element(0)
+    mismatched = [(f, 1, AlgebraError), (x, f, AlgebraError), (f, x, AlgebraError),
+                  (x, stranger, AlgebraError), (f, Cochain.from_operator(f), AlgebraError),
+                  (mu, alg.basis_element(0), PreconditionError),
+                  (mu, Cochain.from_operator(f), PreconditionError)]
+    for a, b, error in mismatched:
+        with pytest.raises(error):
+            a + b
+        with pytest.raises(error):
+            a - b
 
 
 def test_decomposition_flags_and_projections():

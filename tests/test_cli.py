@@ -754,6 +754,8 @@ def _golden_invocations(workdir):
         ("bihamiltonian", ["bihamiltonian", *alg, "--derivation", workdir["ad_h.json"],
                            "--product1", "mu", "--product2", p1_def]),
         ("example", ["example", "--id", "1"]),
+        *((f"example {i}", ["example", "--id", str(i)]) for i in (2, 3, 4)),
+        *((f"example {i} dim 4", ["example", "--id", str(i), "--dim", "4"]) for i in (5, 6)),
     ]
 
 
@@ -778,6 +780,11 @@ GOLDEN_REPORTS = {
     "inner-generator": "5a3a2df06a209ed0df6577404bc848f29cf662a5885d2d0faff8677b4f65af88",
     "bihamiltonian": "241002ff1f2cef09f7da0432849764df250a10d2e7edd15d4756fe1a51c7af23",
     "example": "d09b64a3bf4acae61f15bf4499f5f31422447e35839af599389bb82e736e6aa9",
+    "example 2": "0878777c9dd0368737fd96d1df6336ee714aeadd0657fceea0fbedfd1d7e06c9",
+    "example 3": "d89771f8389b2ed7c3b7c083ce7463ef8006c3b0fe95f1ef17043bb86f6ceac3",
+    "example 4": "ca6fc1e7bd4df863cfc2a732b96f2a0d97ab9bded1856cb5a1f9be540af8b796",
+    "example 5 dim 4": "78ce7cc847e9f7d6f65a8fcbb555166841f12dcd83801e12cf59e2cb44c91ec8",
+    "example 6 dim 4": "4f03477f0c5e0fea37de32a6334ce015b048246996699147b3c43ca3a7b19513",
 }
 
 
