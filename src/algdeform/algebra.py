@@ -265,11 +265,10 @@ class Multilinear:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return (
-            self.algebra is other.algebra
-            and self.arity == other.arity
-            and not table_sub(self._table(), other._table())
-        )
+        if self.algebra is not other.algebra or self.arity != other.arity:
+            return False
+        a, b = self._table(), other._table()
+        return all(vec_eq(a.get(t, {}), b.get(t, {})) for t in a.keys() | b.keys())
 
     __hash__ = None  # equality is by value, and operators and cochains are mutable
 

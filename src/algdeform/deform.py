@@ -18,25 +18,18 @@ CLI can report the first failing tuple.
 Every table here is a signed sum of ``tables`` terms, built by
 ``tables.table_of``. The deformed product mu o (N, 1) + mu o (1, N) - N o mu
 is the Hochschild coboundary of N, that is [mu, N] (``deform_terms``); an
-operator is a 1-cochain, so it is built by insertion, and so are the torsion,
-the hierarchy relations and the splitting products (the contraction, the
-conjugation by T_h = P1 + h P2 and the two-part construction), each a list
-of compositions of mu with operators. The Lie checks read only the commutator
-of mu (``table_alternation``): that of mu_N is its deformation by N, so the
+operator is a 1-cochain, so it is built by insertion, and so are the torsion
+and the splitting products (the contraction, the conjugation by T_h = P1 +
+h P2 and the two-part construction), each a list of compositions of mu with
+operators. The Lie checks read only the commutator of mu
+(``table_alternation``): that of mu_N is its deformation by N, so the
 deformed bracket identity holds for every N. As Assoc(mu_N) = -dT_N, a zero
 torsion needs no associator sweep either. Checks that only test a sum for
-zero read it with ``tables.Sweep``;
-``verify_hierarchy`` keeps one sweep for all its sums, and keeps its power
-products in it as integer forms, so each power and product is scaled once.
-Its first pass sweeps only the generating cases of each section, on the
-powers up to the first one in the span of those below it: the sections are
-linear in the powers, the power relation of exponent r follows from r = 1
-by a recursion, the composition law is symmetric and zero at the power 0,
-and the mixed associator with mu vanishes (it is -d(dX)), as does every one
-whose composition law is zero (it is its coboundary). The relation at (1, 0)
-is the torsion; once it is zero, so are B(N, N) = -2T_N and every relation
-R(1, N^k) = D_{N^k} T_N - N o B(N, N^k) whose composition law is. A section
-that fails there is swept again in full, for the first witness.
+zero read it with ``tables.Sweep``. ``verify_hierarchy`` sweeps the torsion
+alone: a zero one makes T_P(N) zero for every polynomial P
+(Kosmann-Schwarzbach and Magri 1990), and with it every composition law
+B(X, Y) = T_X + T_Y - T_{X+Y}, every power relation R(1, X) = D_X T_N -
+N o B(N, X) and every mixed associator Q(X, Y) = dB(X, Y) of its powers.
 """
 
 from __future__ import annotations
@@ -307,90 +300,90 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
     (k+i)-th), associativity of every power product, and pairwise mixed
     associator compatibility. Requires ``n`` to be torsion-free.
 
-    Only the first ``base`` powers are independent (an exact rank over Q(i)),
-    and every later power is a combination of them. A first pass sweeps each
-    section on its generating cases only; with mu_X = [mu, X] the product
-    deformed by X and D_Y the deformation by Y (``deform_terms``):
+    One sweep of the torsion T_N decides the whole report; it is also the
+    gate. With mu_X = [mu, X] the product deformed by X, D_Y the deformation
+    by Y (``deform_terms``) and T_X = X o mu_X - mu o (X, X), a zero T_N
+    gives, in turn (Kosmann-Schwarzbach and Magri 1990, Poisson-Nijenhuis
+    structures; Gerstenhaber's composition calculus):
 
-    - power relation, r = 1 and k < base: R(1, X) = N o mu_{NX} - mu_X o (N, N)
-      is linear in X = N^k, and R(r, k) = N^(r-1) o R(1, k+r-1) +
-      R(r-1, k) o (N, N) gives every r from r = 1. R(1, 0) is the torsion
-      T_N, swept first, whatever the torsion gate said. For X commuting with
-      N, R(1, X) = D_X T_N - N o B(N, X) (Gerstenhaber's composition
-      calculus), so once T_N is zero, R(1, N^k) is not swept where B(1, k)
-      was swept to zero;
-    - composition law, 1 <= i <= k < base: B(X, Y) = D_Y mu_X - mu_{XY} is
-      bilinear, B(1, Y) = 0 because the product of N^0 is mu itself, and
-      D_Y D_X mu - D_X D_Y mu = D_[X,Y] mu makes it symmetric on powers.
-      B(N, N) = -2 T_N, so a zero torsion decides (1, 1) with no sweep;
-    - associativity and compatibility, powers 1 <= k < base: the mixed
-      associator Q(X, Y) of mu_X and mu_Y is symmetric and bilinear, twice
-      the associator on its diagonal, and Q(1, X) = -d(dX) = 0 for d the
-      Hochschild coboundary of mu, which is associative (every ``Algebra``
-      is validated at construction). Q(X, Y) = dB(X, Y) for any X and Y, by
-      graded Jacobi and d o d = 0, so a pair whose composition law was swept
-      to zero is not swept again.
+    - T_P(N) = 0 for every polynomial P: T_{a+bN} = b^2 T_N, T_{N^2} =
+      T_N o (N, N) + N o T_N o (N, 1) + N o T_N o (1, N) + N^2 o T_N, and the
+      polar form 2Q(X, Y) = T_{X+Y} - T_X - T_Y has Q(N, N^2) = N o T_N +
+      T_N o (N, 1)/2 + T_N o (1, N)/2;
+    - the composition law: B(X, Y) = D_Y mu_X - mu_{XY} = -(T_{X+Y} - T_X -
+      T_Y) for commuting X and Y, so every B(N^i, N^k) is zero;
+    - the power relation: R(1, X) = N o mu_{NX} - mu_X o (N, N) = D_X T_N -
+      N o B(N, X) for X commuting with N, and R(r, k) = N^(r-1) o
+      R(1, k+r-1) + R(r-1, k) o (N, N), so every R(r, k) is zero;
+    - associativity and compatibility: the mixed associator of mu_X and mu_Y
+      is Q(X, Y) = dB(X, Y), d the Hochschild coboundary of mu (graded Jacobi
+      and d o d = 0), and twice the associator on its diagonal; mu itself is
+      associative (every ``Algebra`` is validated at construction).
 
-    A section that fails there is swept again over its full range, so its
-    witness is still the first failing case in order; associativity and
-    compatibility are reduced together, and so are swept again together.
-    The power products are kept as the sweep's integer forms
-    (``Sweep.kept_sum``), never built as Scalar tables, each when a swept
-    case first reads it.
+    So a torsion-free operator builds no power and sweeps nothing more.
+    """
+    return _hierarchy(n, maxk, refuse_torsion=True)
+
+
+def _hierarchy(n: Operator, maxk: int, refuse_torsion: bool = False) -> dict:
+    """The report of ``verify_hierarchy``, whose refusal of an operator with
+    torsion is lifted here so that failing sections can be compared with
+    their definitions.
+
+    For such an operator, the power relation first fails at R(1, 0) = T_N,
+    on the torsion's witness, and the composition law at B(N, N) = -2T_N,
+    as B(1, .) = 0: the product of N^0 is mu itself. Associativity and
+    compatibility are swept. The mixed associator Q(X, Y) is symmetric,
+    bilinear and zero at Q(1, X) = -d(dX), so they are first swept on the
+    powers from 1 up to the first one in the span of those below it (an
+    exact rank over Q(i)), and over every case only when one fails there,
+    for the first witness in order. The power products are kept as the
+    sweep's integer forms (``Sweep.kept_sum``), never built as Scalar tables.
     """
     if maxk < 0 or maxk > MAX_HIERARCHY_POWER:
         raise PreconditionError(f"maxk must be between 0 and {MAX_HIERARCHY_POWER}")
-    if not is_nijenhuis(n):
+    torsion = nijenhuis_witness(n)
+    if torsion is not None and refuse_torsion:
         raise PreconditionError("operator has nonzero torsion; hierarchy undefined")
+    witnesses = {}
+    if torsion is not None and maxk:
+        assoc, compat = _swept_associators(n, maxk)
+        witnesses = {
+            "power_relation": (1, 0) + torsion[0],
+            "composition_law": (1, 1) if maxk > 1 else None,
+            "associativity": assoc and assoc[0] + (assoc[1],),
+            "pairwise_compatibility": compat and compat[0] + (compat[1],),
+        }
+    report: dict = {"max_power": maxk, "nijenhuis": True}
+    for name in ("power_relation", "composition_law", "associativity", "pairwise_compatibility"):
+        w = witnesses.get(name)
+        report[name] = {"pass": w is None, "witness": w}
+    report["pass"] = not any(witnesses.values())
+    return report
+
+
+def _swept_associators(n: Operator, maxk: int) -> list:
+    """(case, basis triple) of the first failing associativity and
+    compatibility cases of the powers of ``n`` up to ``maxk``, or None."""
     alg, mu = n.algebra, n.algebra.structure
-    sweep = Sweep(alg.dim)  # one integer form per power and product
+    sweep = Sweep(alg.dim)  # one integer form per power product
     powers = [Operator.identity(alg)]
     for _ in range(maxk):
         powers.append(n @ powers[-1])
-    # prods[0] is mu itself: T o (1, 1) + T o (1, 1) - 1 o T = T. The others
-    # are kept when a swept case first reads them.
-    prods = {0: mu}
+    base = _span_degree(powers)
+    prods = {0: mu}  # T o (1, 1) + T o (1, 1) - 1 o T = T
 
     def prod(k):
         if k not in prods:
             prods[k] = sweep.kept_sum(deform_terms(ONE, mu, powers[k].columns))
         return prods[k]
 
-    def relation_terms(r, k):  # R(r, k) = N^r o mu_{N^(k+r)} - mu_{N^k} o (N^r, N^r)
-        nr = powers[r].columns
-        return [Compose(ONE, prod(k + r), outer=nr), Compose(MINUS_ONE, prod(k), inner=(nr, nr))]
-
-    base = _span_degree(powers)
-    # R(1, 0) is the torsion T_N of the operator itself, swept here whatever
-    # the gate above said; B(N, N) = -2 T_N.
-    torsion = sweep.witness(relation_terms(1, 0)) if maxk else None
-    b_zero = set() if torsion else {(1, 1)}  # the cases (i, k) whose B is zero, so Q = dB is too
-
-    # Each section lists its cases in report order; the first pass keeps only
-    # the generating ones. r = 0 (mu_{N^k} minus itself) and k = 0 in the
-    # composition law (B(X, 1) = D_1 mu_X - mu_X) are zero, so never swept.
-    def relation(full):
-        for r in range(1, maxk + 1):
-            for k in range(maxk + 1 - r):
-                if full or r == 1 and 0 < k < base and (1, k) not in b_zero:
-                    yield (r, k), relation_terms(r, k)
-
-    def composition(full):  # B(N^i, N^k) = D_{N^k} mu_{N^i} - mu_{N^(i+k)}
-        for i in range(maxk + 1):
-            for k in range(1, maxk + 1 - i):
-                if full or 1 <= i <= k < base and (i, k) not in b_zero:
-                    terms = deform_terms(ONE, prod(i), powers[k].columns)
-                    yield (i, k), terms + [Compose(MINUS_ONE, prod(i + k))]
-                    b_zero.add((i, k))  # resumed only after that sum swept to zero
-
     def associativity(full):  # Q(N^k, N^k) / 2
-        return (((k,), associator_terms(prod(k)))
-                for k in range(maxk + 1) if full or 1 <= k < base and (k, k) not in b_zero)
+        return (((k,), associator_terms(prod(k))) for k in range(maxk + 1) if full or 1 <= k < base)
 
     def compatibility(full):  # Q(N^k1, N^k2)
         return ((ks, mixed_associator_terms(prod(ks[0]), prod(ks[1])))
-                for ks in combinations(range(maxk + 1), 2)
-                if full or 1 <= ks[0] and ks[1] < base and ks not in b_zero)
+                for ks in combinations(range(maxk + 1), 2) if full or 1 <= ks[0] and ks[1] < base)
 
     def first(cases):
         """(case, basis tuple) of the first case whose sum is not zero."""
@@ -400,27 +393,11 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
                 return key, w[0]
         return None
 
-    def decide(*sections) -> list:
-        for full in (False, True):  # the generating cases, then every case
-            found = [first(section(full)) for section in sections]
-            if not any(found):
-                break
-        return found
-
-    (comp,) = decide(composition)  # before the relation, which reads b_zero
-    (rel,) = [((1, 0), torsion[0])] if torsion else decide(relation)
-    assoc, compat = decide(associativity, compatibility)
-    witnesses = {
-        "power_relation": rel and rel[0] + rel[1],
-        "composition_law": comp and comp[0],
-        "associativity": assoc and assoc[0] + (assoc[1],),
-        "pairwise_compatibility": compat and compat[0] + (compat[1],),
-    }
-    report: dict = {"max_power": maxk, "nijenhuis": True}
-    for name, w in witnesses.items():
-        report[name] = {"pass": w is None, "witness": w}
-    report["pass"] = not any(witnesses.values())
-    return report
+    for full in (False, True):  # the generating cases, then every case
+        found = [first(section(full)) for section in (associativity, compatibility)]
+        if not any(found):
+            break
+    return found
 
 
 def tensors_compatible(n1: Operator, n2: Operator) -> bool:

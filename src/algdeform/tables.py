@@ -36,8 +36,8 @@ is read in one of two ways:
   and only its residual is divided back into Scalars. Swept to the end
   (:meth:`Sweep.kept_sum`), a sum of compose terms is kept as an integer
   form instead, which later terms of the same sweep take in place of a
-  table; the power products of ``deform.verify_hierarchy`` are built so,
-  with no Scalar table.
+  table; the power products that the hierarchy sweeps for an operator with
+  torsion are built so, with no Scalar table.
 
 Both are flat and dict-based: their cost scales with the number of nonzero
 entries, never with dim**n, and a sweep holds one first-slot row block at a
@@ -51,7 +51,7 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
-from .scalar import MINUS_ONE, ONE, Scalar, _scalar
+from .scalar import MINUS_ONE, ONE, ZERO, Scalar, _scalar
 
 Vec = dict[int, Scalar]
 Table = dict[tuple[int, ...], Vec]
@@ -120,7 +120,8 @@ def vec_sub(a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> Vec:
 
 
 def vec_eq(a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> bool:
-    return not vec_sub(a, b)
+    """Entry by entry, an absent entry reading zero, up to the first that differs."""
+    return a == b or all(a.get(k, ZERO) == b.get(k, ZERO) for k in a.keys() | b.keys())
 
 
 def table_tidy(table: Table) -> Table:

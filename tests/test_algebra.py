@@ -6,6 +6,7 @@ import pytest
 
 from algdeform.algebra import (
     Algebra,
+    Element,
     Operator,
     banded_oscillator_algebra,
     decompose,
@@ -228,6 +229,30 @@ def test_elements_operators_and_cochains_share_one_linear_structure(alg):
             a + b
         with pytest.raises(error):
             a - b
+
+
+def test_equality_compares_entries_on_one_algebra_and_arity():
+    """``==`` on elements, operators and cochains reads an explicit zero entry
+    or an empty row as an absent one, in either order. The same entries on
+    another algebra of the same dimension, or a cochain of another arity, even
+    the zero one, are not equal."""
+    alg, other, s = full_matrix_algebra(2), split_quaternion_algebra(), Scalar(0, 1)
+    x = alg.element({0: 1, 3: s})
+    padded = Element(alg, {0: ONE, 1: ZERO, 3: s})
+    assert padded == x and x == padded
+    assert x != alg.element({0: 1}) and x != alg.element({0: 1, 3: -s}) and x != Element(other, x.coords)
+    f = Operator.left_multiplication(x)
+    padded = Operator.left_multiplication(x)
+    padded.columns[1][2] = ZERO
+    assert padded == f and f == padded
+    assert f != Operator.identity(alg) and f != Operator(other, f.columns)
+    mu, padded = Cochain.product_cochain(alg), Cochain.product_cochain(alg)
+    padded.table[(0, 3)] = {}
+    padded.table[(0, 0)][1] = ZERO
+    assert padded == mu and mu == padded
+    assert mu != Cochain(alg, 2, {**alg.structure, (0, 3): {0: ONE}})
+    assert mu != Cochain(other, 2, alg.structure)
+    assert Cochain(alg, 1, {}) != Cochain(alg, 2, {}) and Cochain.from_operator(f) != mu
 
 
 def test_decomposition_flags_and_projections():

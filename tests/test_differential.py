@@ -10,10 +10,12 @@ and with Gaussian, non-integer operators. The coboundary and the cohomology
 dimensions are compared against the alternating-sum definition, with ranks
 taken by ``sympy``, on the same algebras and on random changes of their basis.
 Sums of compositions with three distinct operators are compared too, since
-``table_of`` builds every one of them by insertion. The identities that let
-the power hierarchy sweep only its generating cases are checked on the dense
-side alone, for operators with torsion, and its report is compared where
-some of those cases are not implied by the composition law. For operators
+``table_of`` builds every one of them by insertion. The identities that
+decide the power hierarchy from its torsion sweep (T_{a+bN} = b^2 T_N, T_{N^2}
+and the polar form Q(N, N^2) in T_N, B(X, Y) = -(T_{X+Y} - T_X - T_Y)) are
+checked for operators with torsion, also on a random product that is not
+associative; its report is compared with the definitions at power 6 on
+torsion-free operators, and with the torsion gate lifted. For operators
 with torsion, the associator of the deformed product is compared with minus
 the coboundary of the torsion, its mixed associator with the product is
 zero, and the torsion of a sum is split into the two torsions and the cross
@@ -24,10 +26,8 @@ tables and random Gaussian tables, and random tables that are not
 associative must be refused.
 """
 
-import importlib
 from fractions import Fraction
 from itertools import product
-from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
@@ -40,15 +40,18 @@ from algdeform.algebra import (
     split_quaternion_algebra,
     table_is_unit,
     table_unit,
+    triangular_split,
     upper_triangular_algebra,
 )
 from algdeform.deform import (
+    _hierarchy,
     associativity_criterion,
     deform,
     deform_product,
     lie_bracket_checks,
     lie_nijenhuis_check,
     mu_product,
+    projection_tensor,
     tensors_compatible,
     torsion,
     verify_hierarchy,
@@ -72,8 +75,6 @@ ALGEBRAS = [
     split_quaternion_algebra(),
 ]
 SETTINGS = settings(max_examples=30, deadline=None)
-# The package re-exports the function ``deform`` under the module's name.
-deform_module = importlib.import_module("algdeform.deform")
 
 
 class Dense:
@@ -299,8 +300,7 @@ def test_hierarchy_power_relation_matches_dense(data):
                 if witness is None and lhs != rhs:
                     witness = (r, k, a, b)
     event(f"power relation holds: {witness is None}")
-    with mock.patch.object(deform_module, "is_nijenhuis", return_value=True):
-        report = verify_hierarchy(Operator.from_matrix_rows(alg, rows), maxk)
+    report = _hierarchy(Operator.from_matrix_rows(alg, rows), maxk)
     assert report["power_relation"] == {"pass": witness is None, "witness": witness}
 
     cubes = [[[p(dense.e(a), dense.e(b)) for b in range(dense.d)] for a in range(dense.d)]
@@ -750,8 +750,7 @@ def independent_powers(dense, rows, maxk):
 
 def assert_hierarchy_matches_dense(alg, dense, rows, maxk, event_prefix):
     expected = dense_hierarchy(dense, rows, maxk)
-    with mock.patch.object(deform_module, "is_nijenhuis", return_value=True):
-        report = verify_hierarchy(Operator.from_matrix_rows(alg, rows), maxk)
+    report = _hierarchy(Operator.from_matrix_rows(alg, rows), maxk)
     for name, witness in expected.items():
         event(f"{event_prefix}{name}: {'holds' if witness is None else 'fails'}")
         assert report[name] == {"pass": witness is None, "witness": witness}
@@ -761,9 +760,10 @@ def assert_hierarchy_matches_dense(alg, dense, rows, maxk, event_prefix):
 @given(st.data(), st.integers(3, 4))
 def test_hierarchy_on_few_independent_powers_matches_dense(data, maxk):
     """Every section of the report, with the hierarchy's definitions, on
-    operators whose powers are dependent early: the report sweeps each section
-    on the independent powers only, and again in full when one fails there.
-    The torsion gate is lifted so that both outcomes occur."""
+    operators whose powers are dependent early: associativity and
+    compatibility are swept on the independent powers only, and again in full
+    when one fails there. The torsion gate is lifted so that both outcomes
+    occur."""
     alg = data.draw(st.sampled_from(ALGEBRAS))
     dense = Dense(alg)
     rows = data.draw(low_span_rows(dense))
@@ -774,21 +774,48 @@ def test_hierarchy_on_few_independent_powers_matches_dense(data, maxk):
 @SETTINGS
 @given(st.data(), st.integers(1, 2))
 def test_hierarchy_below_twice_the_independent_powers_matches_dense(data, maxk):
-    """Every section of the report at maxk < 2(base - 1), base the number of
-    independent powers: some generating pairs (k1, k2) of associativity and
-    compatibility have k1 + k2 > maxk, so their composition law is never
-    swept, and they must be swept themselves. At maxk = 1 no composition case
-    is generating and the associator of mu_N is swept alone. The torsion gate
-    is lifted, and the Gaussian and fractional operators have torsion, so
-    that both outcomes occur."""
+    """Every section of the report at maxk 1 and 2, the torsion gate lifted,
+    on Gaussian and fractional operators, perturbed to have torsion: the
+    power relation then fails at R(1, 0) = T_N, and the composition law at
+    B(N, N) = -2T_N from maxk 2 on (at maxk 1 its only case is B(1, N) = 0),
+    with no sweep; associativity and compatibility are swept."""
     alg, dense, (rows,) = drawn_fractional(data, 1)
     with_torsion(data, dense, rows)
-    base = independent_powers(dense, rows, maxk)
-    event(f"maxk < 2(base - 1): {maxk < 2 * (base - 1)}")
     assert_hierarchy_matches_dense(alg, dense, rows, maxk, "")
 
 
-# -- the identities behind the hierarchy's generating cases ------------------------
+def truncated_polynomials(n):
+    return Algebra(f"Q[x]/x^{n}", n, [f"x{i}" for i in range(n)],
+                   {(i, j): {i + j: ONE} for i in range(n) for j in range(n - i)}, unit={0: ONE})
+
+
+def left_multiplication(alg, coords):
+    return Operator.left_multiplication(alg.element(coords))
+
+
+TORSION_FREE = {
+    "L_K on M2": left_multiplication(full_matrix_algebra(2), [Scalar(1, 1), 2, Scalar(0, -1), 3]),
+    "L_K on T3": left_multiplication(upper_triangular_algebra(3), [1, Scalar(2, 1), 0, -1, 1, 2]),
+    "L_x on Q[x]/x^7": left_multiplication(truncated_polynomials(7), {1: 1}),
+    "projection on M2": projection_tensor(triangular_split(full_matrix_algebra(2)), 1, Scalar(0, 2)),
+}
+
+
+@pytest.mark.parametrize("op", TORSION_FREE.values(), ids=TORSION_FREE.keys())
+def test_torsion_free_hierarchy_matches_dense(op):
+    """The whole report at the largest power, 6, against the definitions, on
+    torsion-free operators, whose report is decided by their torsion sweep
+    alone: every section holds on the dense side too."""
+    dense = Dense(op.algebra)
+    rows = [[col.get(i, ZERO) for col in op.columns] for i in range(dense.d)]
+    expected = dense_hierarchy(dense, rows, 6)
+    assert verify_hierarchy(op, 6) == {
+        "max_power": 6, "nijenhuis": True, "pass": True,
+        **{name: {"pass": w is None, "witness": w} for name, w in expected.items()},
+    }
+
+
+# -- the identities behind the hierarchy's decisions ------------------------------
 
 
 def composed(cube, outer=None, inner=(None, None)):
@@ -831,9 +858,9 @@ def deformed_cube(cube, p):
 @settings(max_examples=15, deadline=None)
 @given(st.data(), st.integers(0, 2))
 def test_hierarchy_reductions_hold_on_operators_with_torsion(data, k):
-    """The four identities that let the hierarchy's first pass sweep only its
-    generating cases, on the dense definitions and for any operator N, torsion
-    or none. With mu_X the product deformed by X, D_Y the deformation by Y and
+    """Four identities behind the hierarchy's decisions and the generating
+    cases it sweeps for an operator with torsion, on the dense definitions and
+    for any operator N, torsion or none. With mu_X the product deformed by X, D_Y the deformation by Y and
     R(r, k) = N^r o mu_{N^(k+r)} - mu_{N^k} o (N^r, N^r):
     R(r, k) = N^(r-1) o R(1, k+r-1) + R(r-1, k) o (N, N) for r <= 4;
     B(X, Y) = D_Y mu_X - mu_{XY} is symmetric on powers and B(1, .) = 0, on
@@ -978,6 +1005,104 @@ def test_power_relation_reduces_to_the_torsion_and_the_composition_law(alg, data
             assert table_row(engine_b, (a, b), d) == b_nx[a][b]
         zero = not any(any(map(any, line)) for line in relation)
         event(f"R(1, N^{k}) {'zero' if zero else 'nonzero'}")
+
+
+def drawn_with_torsion(data):
+    """(algebra or None, dense product, operator rows with torsion): one of
+    ``TORSION_ALGEBRAS``, or a random Gaussian product of dimension 3, which
+    is not associative (then no algebra)."""
+    alg = data.draw(st.sampled_from([*TORSION_ALGEBRAS, None]))
+    if alg is None:
+        cube = [[[data.draw(scalars(True)) for _ in range(3)] for _ in range(3)] for _ in range(3)]
+        dense = DenseProduct(3, cube_mul(cube))
+    else:
+        dense = Dense(alg)
+    event(alg.name if alg else "random product")
+    rows = data.draw(fractional_operator_rows(dense))
+    with_torsion(data, dense, rows)
+    return alg, dense, rows
+
+
+def torsion_cube(dense, rows):
+    return [[dense.torsion(rows, a, b) for b in range(dense.d)] for a in range(dense.d)]
+
+
+def combined(coefs, matrices):
+    """The operator sum of c * M over (c, M), as rows."""
+    d = len(matrices[0])
+    return [[sum((c * m[i][j] for c, m in zip(coefs, matrices)), ZERO) for j in range(d)]
+            for i in range(d)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_torsion_of_a_polynomial_in_n_reduces_to_t_n(data):
+    """Three identities that make T_P(N) zero for every polynomial P once T_N
+    is zero, for an operator N with torsion, with Gaussian entries:
+    T_{a+bN} = b^2 T_N; T_{N^2} = T_N o (N, N) + N o T_N o (N, 1) +
+    N o T_N o (1, N) + N^2 o T_N; and Q(N, N^2) = N o T_N + T_N o (N, 1)/2 +
+    T_N o (1, N)/2 for the polar form 2Q(X, Y) = T_{X+Y} - T_X - T_Y. They
+    hold for any bilinear product: on the dense definitions, also for a
+    random product that is not associative, and on algebras also on the
+    engine's torsion tables."""
+    alg, dense, rows = drawn_with_torsion(data)
+    d, one = dense.d, [dense.e(i) for i in range(dense.d)]
+    a, b = data.draw(scalars(True)), data.draw(scalars(True))
+    n2 = matmul(rows, rows)
+    t_n, t_n2 = torsion_cube(dense, rows), torsion_cube(dense, n2)
+    shifted = combined((a, b), (one, rows))
+    assert torsion_cube(dense, shifted) == cube_sum((b * b, t_n))
+    square = [(ONE, composed(t_n, inner=(rows, rows))), (ONE, composed(t_n, rows, (rows, None))),
+              (ONE, composed(t_n, rows, (None, rows))), (ONE, composed(t_n, outer=n2))]
+    assert t_n2 == cube_sum(*square)
+    polar = cube_sum((ONE, torsion_cube(dense, combined((ONE, ONE), (rows, n2)))), (-ONE, t_n), (-ONE, t_n2))
+    half = ONE / Scalar(2)
+    assert cube_sum((half, polar)) == cube_sum(
+        (ONE, composed(t_n, outer=rows)), (half, composed(t_n, inner=(rows, None))),
+        (half, composed(t_n, inner=(None, rows))))
+    if alg is None:
+        return
+    op = Operator.from_matrix_rows(alg, rows)
+    n, engine_t = op.columns, torsion(op).table
+    engine_square = table_of([Compose(ONE, engine_t, inner=(n, n)), Compose(ONE, engine_t, n, (n, None)),
+                              Compose(ONE, engine_t, n, (None, n)), Compose(ONE, engine_t, (op @ op).columns)])
+    engine_shifted = torsion(Operator.from_matrix_rows(alg, shifted)).table
+    for x, y in dense.pairs():
+        assert table_row(engine_t, (x, y), d) == t_n[x][y]
+        assert table_row(torsion(op @ op).table, (x, y), d) == t_n2[x][y] == table_row(engine_square, (x, y), d)
+        assert table_row(engine_shifted, (x, y), d) == [b * b * v for v in t_n[x][y]]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_composition_law_is_minus_the_polar_torsion(data):
+    """B(X, Y) = D_Y mu_X - mu_{XY} = -(T_{X+Y} - T_X - T_Y) for commuting X
+    and Y, here (1, N), (N, N), (N, N^2) and (a + bN, N^2), for an operator
+    N with torsion, with Gaussian entries: on the dense definitions, also for
+    a random product that is not associative, and on algebras also on the
+    engine's tables. A zero T_N so makes every composition law of its powers
+    zero."""
+    alg, dense, rows = drawn_with_torsion(data)
+    d, one = dense.d, [dense.e(i) for i in range(dense.d)]
+    a, b = data.draw(scalars(True)), data.draw(scalars(True))
+    n2 = matmul(rows, rows)
+    for x, y in ((one, rows), (rows, rows), (rows, n2), (combined((a, b), (one, rows)), n2)):
+        law = cube_sum((ONE, deformed_cube(deformed_cube(dense.c, x), y)),
+                       (-ONE, deformed_cube(dense.c, matmul(x, y))))
+        polar = cube_sum((ONE, torsion_cube(dense, combined((ONE, ONE), (x, y)))),
+                         (-ONE, torsion_cube(dense, x)), (-ONE, torsion_cube(dense, y)))
+        assert law == cube_sum((-ONE, polar))
+        if alg is None:
+            continue
+        ox, oy = (Operator.from_matrix_rows(alg, m) for m in (x, y))
+        mu_x = deform(ox, compute_flags=False).table
+        engine_law = table_of(deform_terms(ONE, mu_x, oy.columns)
+                              + [Compose(-ONE, deform(ox @ oy, compute_flags=False).table)])
+        engine_polar = table_of([Compose(ONE, torsion(ox + oy).table), Compose(-ONE, torsion(ox).table),
+                                 Compose(-ONE, torsion(oy).table)])
+        for p, q in dense.pairs():
+            assert table_row(engine_law, (p, q), d) == law[p][q]
+            assert table_row(engine_polar, (p, q), d) == polar[p][q]
 
 
 def dense_cube(table, d):

@@ -272,15 +272,16 @@ def test_displayed_formula_sweep_matches_the_basis_loop(example_id, monkeypatch)
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("example_id, sweeps, associator_sweeps", [(1, 2, 1), (4, 5, 0)])
+@pytest.mark.parametrize("example_id, sweeps, associator_sweeps", [(1, 1, 0), (4, 5, 0)])
 def test_examples_decide_associativity_from_the_torsion(example_id, sweeps, associator_sweeps,
                                                         monkeypatch):
     """Examples 1 and 4 sweep the torsion of their operator, and a zero
     torsion makes the deformed product associative (Assoc(mu_N) = -dT_N), so
     ``deformed_associative`` sweeps no associator. Counted on a second call,
-    after the example's algebra is cached: example 1 sweeps the torsion and
-    the associator of the complementary product; example 4 the torsion in
-    ``extend_tensor``, its three conditions and the displayed formula."""
+    after the example's algebra is cached: example 1 sweeps the torsion of
+    P1 alone, which is that of the complementary 1 - P1 (T_{a+bN} =
+    b^2 T_N); example 4 the torsion in ``extend_tensor``, its three
+    conditions and the displayed formula."""
     example_check(example_id)
     calls = []
     witness = Sweep.witness
