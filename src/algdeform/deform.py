@@ -26,22 +26,22 @@ operators. The Lie checks read only the commutator of mu
 deformed bracket identity holds for every N. As Assoc(mu_N) = -dT_N, a zero
 torsion needs no associator sweep either. Checks that only test a sum for
 zero read it with ``tables.Sweep``. ``verify_hierarchy`` sweeps the torsion
-alone: a zero one makes T_P(N) zero for every polynomial P
-(Kosmann-Schwarzbach and Magri 1990), and with it every composition law
-B(X, Y) = T_X + T_Y - T_{X+Y}, every power relation R(1, X) = D_X T_N -
-N o B(N, X) and every mixed associator Q(X, Y) = dB(X, Y) of its powers.
+alone and refuses a nonzero one: a zero one makes T_P(N) zero for every
+polynomial P (Kosmann-Schwarzbach and Magri 1990), and with it every
+composition law B(X, Y) = T_X + T_Y - T_{X+Y}, every power relation R(1, X)
+= D_X T_N - N o B(N, X) and every mixed associator Q(X, Y) = dB(X, Y) of its
+powers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .algebra import Algebra, Decomposition, Element, Operator, table_is_unit, table_unit
 from .errors import PreconditionError
 from .hochschild import Cochain
-from .linalg import RowReducer, inverse_columns
+from .linalg import inverse_columns
 from .records import Record
 from .scalar import MINUS_ONE, ONE, ZERO, as_scalar
 from .tables import (
@@ -281,16 +281,6 @@ def power_product(n: Operator, k: int) -> Product:
     return deform(n.power(k))
 
 
-def _span_degree(powers: Sequence[Operator]) -> int:
-    """The number of leading operators that are linearly independent."""
-    red, dim = RowReducer(), powers[0].algebra.dim
-    for k, op in enumerate(powers):
-        flat = {j * dim + i: v for j, col in enumerate(op.columns) for i, v in col.items()}
-        if not red.add_row(flat):
-            return k
-    return len(powers)
-
-
 def verify_hierarchy(n: Operator, maxk: int) -> dict:
     """Check the whole power hierarchy of a torsion-free operator.
 
@@ -300,10 +290,11 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
     (k+i)-th), associativity of every power product, and pairwise mixed
     associator compatibility. Requires ``n`` to be torsion-free.
 
-    One sweep of the torsion T_N decides the whole report; it is also the
-    gate. With mu_X = [mu, X] the product deformed by X, D_Y the deformation
-    by Y (``deform_terms``) and T_X = X o mu_X - mu o (X, X), a zero T_N
-    gives, in turn (Kosmann-Schwarzbach and Magri 1990, Poisson-Nijenhuis
+    One sweep of the torsion T_N is the gate: an operator with torsion is
+    refused, and for a torsion-free one every section passes. With mu_X =
+    [mu, X] the product deformed by X, D_Y the deformation by Y
+    (``deform_terms``) and T_X = X o mu_X - mu o (X, X), a zero T_N gives,
+    in turn (Kosmann-Schwarzbach and Magri 1990, Poisson-Nijenhuis
     structures; Gerstenhaber's composition calculus):
 
     - T_P(N) = 0 for every polynomial P: T_{a+bN} = b^2 T_N, T_{N^2} =
@@ -320,84 +311,17 @@ def verify_hierarchy(n: Operator, maxk: int) -> dict:
       and d o d = 0), and twice the associator on its diagonal; mu itself is
       associative (every ``Algebra`` is validated at construction).
 
-    So a torsion-free operator builds no power and sweeps nothing more.
-    """
-    return _hierarchy(n, maxk, refuse_torsion=True)
-
-
-def _hierarchy(n: Operator, maxk: int, refuse_torsion: bool = False) -> dict:
-    """The report of ``verify_hierarchy``, whose refusal of an operator with
-    torsion is lifted here so that failing sections can be compared with
-    their definitions.
-
-    For such an operator, the power relation first fails at R(1, 0) = T_N,
-    on the torsion's witness, and the composition law at B(N, N) = -2T_N,
-    as B(1, .) = 0: the product of N^0 is mu itself. Associativity and
-    compatibility are swept. The mixed associator Q(X, Y) is symmetric,
-    bilinear and zero at Q(1, X) = -d(dX), so they are first swept on the
-    powers from 1 up to the first one in the span of those below it (an
-    exact rank over Q(i)), and over every case only when one fails there,
-    for the first witness in order. The power products are kept as the
-    sweep's integer forms (``Sweep.kept_sum``), never built as Scalar tables.
+    So the report is built with no power and no sweep beyond the gate.
     """
     if maxk < 0 or maxk > MAX_HIERARCHY_POWER:
         raise PreconditionError(f"maxk must be between 0 and {MAX_HIERARCHY_POWER}")
-    torsion = nijenhuis_witness(n)
-    if torsion is not None and refuse_torsion:
+    if not is_nijenhuis(n):
         raise PreconditionError("operator has nonzero torsion; hierarchy undefined")
-    witnesses = {}
-    if torsion is not None and maxk:
-        assoc, compat = _swept_associators(n, maxk)
-        witnesses = {
-            "power_relation": (1, 0) + torsion[0],
-            "composition_law": (1, 1) if maxk > 1 else None,
-            "associativity": assoc and assoc[0] + (assoc[1],),
-            "pairwise_compatibility": compat and compat[0] + (compat[1],),
-        }
     report: dict = {"max_power": maxk, "nijenhuis": True}
     for name in ("power_relation", "composition_law", "associativity", "pairwise_compatibility"):
-        w = witnesses.get(name)
-        report[name] = {"pass": w is None, "witness": w}
-    report["pass"] = not any(witnesses.values())
+        report[name] = {"pass": True, "witness": None}
+    report["pass"] = True
     return report
-
-
-def _swept_associators(n: Operator, maxk: int) -> list:
-    """(case, basis triple) of the first failing associativity and
-    compatibility cases of the powers of ``n`` up to ``maxk``, or None."""
-    alg, mu = n.algebra, n.algebra.structure
-    sweep = Sweep(alg.dim)  # one integer form per power product
-    powers = [Operator.identity(alg)]
-    for _ in range(maxk):
-        powers.append(n @ powers[-1])
-    base = _span_degree(powers)
-    prods = {0: mu}  # T o (1, 1) + T o (1, 1) - 1 o T = T
-
-    def prod(k):
-        if k not in prods:
-            prods[k] = sweep.kept_sum(deform_terms(ONE, mu, powers[k].columns))
-        return prods[k]
-
-    def associativity(full):  # Q(N^k, N^k) / 2
-        return (((k,), associator_terms(prod(k))) for k in range(maxk + 1) if full or 1 <= k < base)
-
-    def compatibility(full):  # Q(N^k1, N^k2)
-        return ((ks, mixed_associator_terms(prod(ks[0]), prod(ks[1])))
-                for ks in combinations(range(maxk + 1), 2) if full or 1 <= ks[0] and ks[1] < base)
-
-    def first(cases):
-        """(case, basis tuple) of the first case whose sum is not zero."""
-        for key, terms in cases:
-            w = sweep.witness(terms)
-            if w is not None:
-                return key, w[0]
-        return None
-
-    for full in (False, True):  # the generating cases, then every case
-        found = [first(section(full)) for section in (associativity, compatibility)]
-        if not any(found):
-            break
-    return found
 
 
 def tensors_compatible(n1: Operator, n2: Operator) -> bool:

@@ -334,17 +334,10 @@ def _example_1() -> dict:
     )
     checks.append(_check("complementary_has_no_unit", comp.find_unit() is None))
 
-    ok = True
-    wit = None
-    for idx in dec.part1:
-        label = alg.basis[idx]
-        if label not in ("E11", "E22"):
-            continue
-        dE = alg.basis_element(idx)
-        if commutator_derivation(dE, prod) != commutator_derivation(dE, mu):
-            ok = False
-            wit = label
-    checks.append(_check("diagonal_inner_derivations_agree", ok, wit))
+    failing = next((alg.basis[matrix_unit_index(2, p, p)] for p in range(2)
+                    if commutator_derivation(e(p, p), prod)
+                    != commutator_derivation(e(p, p), mu)), None)
+    checks.append(_check("diagonal_inner_derivations_agree", failing is None, failing))
     return {"example": 1, "algebra": alg.name, "checks": checks}
 
 

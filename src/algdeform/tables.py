@@ -36,8 +36,8 @@ is read in one of two ways:
   and only its residual is divided back into Scalars. Swept to the end
   (:meth:`Sweep.kept_sum`), a sum of compose terms is kept as an integer
   form instead, which later terms of the same sweep take in place of a
-  table; the power products that the hierarchy sweeps for an operator with
-  torsion are built so, with no Scalar table.
+  table; ``deform.associativity_criterion`` keeps its deformed product and
+  torsion so, with no Scalar table.
 
 Both are flat and dict-based: their cost scales with the number of nonzero
 entries, never with dim**n, and a sweep holds one first-slot row block at a

@@ -18,7 +18,6 @@ from algdeform.algebra import (
 )
 from algdeform.deform import (
     Product,
-    _span_degree,
     associativity_criterion,
     contraction_product,
     conjugated_product,
@@ -254,10 +253,39 @@ def test_hierarchy_scaling_operator():
 
 def test_hierarchy_requires_torsion_free():
     alg, _ = m2_with_units()
-    with pytest.raises(PreconditionError):
-        verify_hierarchy(transpose_operator(alg), 3)
+    for maxk in (0, 3, 6):
+        with pytest.raises(PreconditionError, match="nonzero torsion"):
+            verify_hierarchy(transpose_operator(alg), maxk)
     with pytest.raises(PreconditionError):
         verify_hierarchy(Operator.identity(alg), 9)
+
+
+@pytest.mark.parametrize("maxk", [-1, 7])
+def test_hierarchy_checks_the_power_range_before_the_torsion(maxk, monkeypatch):
+    """A power out of 0..6 is refused before any sweep, with or without
+    torsion."""
+    alg, _ = m2_with_units()
+    calls = []
+    witness = Sweep.witness
+    monkeypatch.setattr(Sweep, "witness", lambda self, terms: calls.append(1) or witness(self, terms))
+    for op in (transpose_operator(alg), Operator.identity(alg)):
+        with pytest.raises(PreconditionError, match="maxk must be between 0 and 6"):
+            verify_hierarchy(op, maxk)
+    assert calls == []
+
+
+@pytest.mark.parametrize("maxk", [0, 6])
+def test_hierarchy_report_of_a_torsion_free_operator(maxk):
+    """At either end of the power range the report of a torsion-free
+    operator is the all-pass one, its sections in a fixed order."""
+    alg, _ = m2_with_units()
+    rep = verify_hierarchy(Operator.left_multiplication(alg.element({0: 1, 3: 2})), maxk)
+    section = {"pass": True, "witness": None}
+    assert list(rep.items()) == [
+        ("max_power", maxk), ("nijenhuis", True), ("power_relation", section),
+        ("composition_law", section), ("associativity", section),
+        ("pairwise_compatibility", section), ("pass", True),
+    ]
 
 
 def gaussian_left_multiplication():
@@ -274,16 +302,6 @@ def truncated_polynomial_multiplication(n):
     alg = Algebra(f"Q[x]/x^{n}", n, [f"x{i}" for i in range(n)],
                   {(i, j): {i + j: 1} for i in range(n) for j in range(n - i)}, unit={0: 1})
     return Operator.left_multiplication(alg.basis_element(1))
-
-
-def test_span_degree_of_the_powers():
-    alg = full_matrix_algebra(4)
-    for op, most in ((Operator.identity(alg), 1),
-                     (projection_tensor(triangular_split(alg), 1, 0), 2),
-                     (gaussian_left_multiplication(), 4),
-                     (truncated_polynomial_multiplication(7), 7)):
-        powers = [op.power(k) for k in range(7)]
-        assert _span_degree(powers) == most
 
 
 @pytest.mark.parametrize("op", [

@@ -15,15 +15,14 @@ decide the power hierarchy from its torsion sweep (T_{a+bN} = b^2 T_N, T_{N^2}
 and the polar form Q(N, N^2) in T_N, B(X, Y) = -(T_{X+Y} - T_X - T_Y)) are
 checked for operators with torsion, also on a random product that is not
 associative; its report is compared with the definitions at power 6 on
-torsion-free operators, and with the torsion gate lifted. For operators
-with torsion, the associator of the deformed product is compared with minus
-the coboundary of the torsion, its mixed associator with the product is
-zero, and the torsion of a sum is split into the two torsions and the cross
-sum, on both sides; so is the power relation R(1, N^k), into D_{N^k} T_N
-and N composed with the composition law B(N, N^k), and B(N, N) = -2 T_N.
-The unit check is compared with its definition on algebras, one-sided unit
-tables and random Gaussian tables, and random tables that are not
-associative must be refused.
+torsion-free operators. For operators with torsion, the associator of the
+deformed product is compared with minus the coboundary of the torsion, its
+mixed associator with the product is zero, and the torsion of a sum is
+split into the two torsions and the cross sum, on both sides; so is the
+power relation R(1, N^k), into D_{N^k} T_N and N composed with the
+composition law B(N, N^k), and B(N, N) = -2 T_N. The unit check is compared
+with its definition on algebras, one-sided unit tables and random Gaussian
+tables, and random tables that are not associative must be refused.
 """
 
 from fractions import Fraction
@@ -44,7 +43,6 @@ from algdeform.algebra import (
     upper_triangular_algebra,
 )
 from algdeform.deform import (
-    _hierarchy,
     associativity_criterion,
     deform,
     deform_product,
@@ -267,85 +265,6 @@ def cube_mul(cube):
         return out
 
     return mul
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.data())
-def test_hierarchy_power_relation_matches_dense(data):
-    """Every section of the hierarchy report against the dense definitions.
-
-    power_relation: N^r(A o_{N^(k+r)} B) = N^r(A) o_{N^k} N^r(B), smallest
-    (r, k, a, b) failing. composition_law: deforming o_{N^i} by N^k gives
-    o_{N^(i+k)}, first failing (i, k) in i-major order. associativity and
-    pairwise_compatibility: the first failing power (pair), with its smallest
-    failing basis triple. The hierarchy refuses operators with torsion; the
-    torsion gate is lifted here so that every section is also exercised where
-    it fails.
-    """
-    alg, dense, draw_rows = drawn(data)
-    rows = draw_rows()
-    maxk = 2
-    identity = [[ONE if i == j else ZERO for j in range(dense.d)] for i in range(dense.d)]
-    powers = [identity]
-    for _ in range(maxk):
-        powers.append(matmul(rows, powers[-1]))
-    prods = [dense.deformed(p, dense.mul) for p in powers]
-    witness = None
-    for r in range(maxk + 1):
-        for k in range(maxk + 1 - r):
-            for a, b in dense.pairs():
-                x, y = dense.e(a), dense.e(b)
-                lhs = dense.apply(powers[r], prods[k + r](x, y))
-                rhs = prods[k](dense.apply(powers[r], x), dense.apply(powers[r], y))
-                if witness is None and lhs != rhs:
-                    witness = (r, k, a, b)
-    event(f"power relation holds: {witness is None}")
-    report = _hierarchy(Operator.from_matrix_rows(alg, rows), maxk)
-    assert report["power_relation"] == {"pass": witness is None, "witness": witness}
-
-    cubes = [[[p(dense.e(a), dense.e(b)) for b in range(dense.d)] for a in range(dense.d)]
-             for p in prods]
-    muls = [cube_mul(cube) for cube in cubes]
-    witness = None
-    for i in range(maxk + 1):
-        for k in range(maxk + 1 - i):
-            redo = dense.deformed(powers[k], muls[i])
-            if witness is None and any(
-                redo(dense.e(a), dense.e(b)) != cubes[i + k][a][b] for a, b in dense.pairs()
-            ):
-                witness = (i, k)
-    event(f"composition law holds: {witness is None}")
-    assert report["composition_law"] == {"pass": witness is None, "witness": witness}
-
-    triples = list(product(range(dense.d), repeat=3))
-
-    def first_failing(lhs, rhs):
-        for a, b, c in triples:
-            x, y, z = dense.e(a), dense.e(b), dense.e(c)
-            if lhs(x, y, z) != rhs(x, y, z):
-                return (a, b, c)
-        return None
-
-    witness = None
-    for k, m in enumerate(muls):
-        w = first_failing(lambda x, y, z: m(m(x, y), z), lambda x, y, z: m(x, m(y, z)))
-        if witness is None and w is not None:
-            witness = (k, w)
-    event(f"associativity holds: {witness is None}")
-    assert report["associativity"] == {"pass": witness is None, "witness": witness}
-
-    witness = None
-    for k1 in range(maxk + 1):
-        for k2 in range(k1 + 1, maxk + 1):
-            m1, m2 = muls[k1], muls[k2]
-            w = first_failing(
-                lambda x, y, z: add(m1(m2(x, y), z), m2(m1(x, y), z)),
-                lambda x, y, z: add(m1(x, m2(y, z)), m2(x, m1(y, z))),
-            )
-            if witness is None and w is not None:
-                witness = (k1, k2, w)
-    event(f"pairwise compatibility holds: {witness is None}")
-    assert report["pairwise_compatibility"] == {"pass": witness is None, "witness": witness}
 
 
 # -- the coboundary and cohomology ------------------------------------------------
@@ -656,40 +575,7 @@ def test_composition_sums_match_dense(data):
         assert table_row(got, (a, b), dense.d) == expected
 
 
-# -- the hierarchy on operators whose powers span few dimensions -------------------
-
-
-@st.composite
-def low_span_rows(draw, dense):
-    """A diagonal, rank-1 or nilpotent operator plus a multiple of 1: its
-    powers span at most d dimensions, and often far fewer."""
-    d, sc = dense.d, scalars(True)
-    kind = draw(st.sampled_from(("diagonal", "rank-1", "nilpotent")))
-    if kind == "diagonal":
-        values = [draw(sc) for _ in range(2)]
-        diag = [draw(st.sampled_from(values)) for _ in range(d)]
-        rows = [[diag[i] if i == j else ZERO for j in range(d)] for i in range(d)]
-    elif kind == "rank-1":
-        u, v = [draw(sc) for _ in range(d)], [draw(sc) for _ in range(d)]
-        rows = [[u[i] * v[j] for j in range(d)] for i in range(d)]
-    else:
-        rows = [[draw(sc) if j > i else ZERO for j in range(d)] for i in range(d)]
-    shift = draw(sc)
-    return [[v + shift if i == j else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
-
-
-def dense_rank(rows):
-    rows, rank = [list(row) for row in rows], 0
-    for c in range(len(rows[0])):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][c] / rows[rank][c]
-            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+# -- the hierarchy report on torsion-free operators --------------------------------
 
 
 def dense_hierarchy(dense, rows, maxk):
@@ -736,52 +622,6 @@ def dense_hierarchy(dense, rows, maxk):
         "associativity": associativity,
         "pairwise_compatibility": compatibility,
     }
-
-
-def independent_powers(dense, rows, maxk):
-    """The number of leading powers N^0, N^1, ... up to N^maxk that are
-    linearly independent."""
-    powers = [[dense.e(i) for i in range(dense.d)]]
-    for _ in range(maxk):
-        powers.append(matmul(rows, powers[-1]))
-    flat = [[v for row in p for v in row] for p in powers]
-    return next((k for k in range(1, maxk + 1) if dense_rank(flat[:k + 1]) == k), maxk + 1)
-
-
-def assert_hierarchy_matches_dense(alg, dense, rows, maxk, event_prefix):
-    expected = dense_hierarchy(dense, rows, maxk)
-    report = _hierarchy(Operator.from_matrix_rows(alg, rows), maxk)
-    for name, witness in expected.items():
-        event(f"{event_prefix}{name}: {'holds' if witness is None else 'fails'}")
-        assert report[name] == {"pass": witness is None, "witness": witness}
-
-
-@SETTINGS
-@given(st.data(), st.integers(3, 4))
-def test_hierarchy_on_few_independent_powers_matches_dense(data, maxk):
-    """Every section of the report, with the hierarchy's definitions, on
-    operators whose powers are dependent early: associativity and
-    compatibility are swept on the independent powers only, and again in full
-    when one fails there. The torsion gate is lifted so that both outcomes
-    occur."""
-    alg = data.draw(st.sampled_from(ALGEBRAS))
-    dense = Dense(alg)
-    rows = data.draw(low_span_rows(dense))
-    reduced = independent_powers(dense, rows, maxk) <= maxk
-    assert_hierarchy_matches_dense(alg, dense, rows, maxk, "reduced, " if reduced else "")
-
-
-@SETTINGS
-@given(st.data(), st.integers(1, 2))
-def test_hierarchy_below_twice_the_independent_powers_matches_dense(data, maxk):
-    """Every section of the report at maxk 1 and 2, the torsion gate lifted,
-    on Gaussian and fractional operators, perturbed to have torsion: the
-    power relation then fails at R(1, 0) = T_N, and the composition law at
-    B(N, N) = -2T_N from maxk 2 on (at maxk 1 its only case is B(1, N) = 0),
-    with no sweep; associativity and compatibility are swept."""
-    alg, dense, (rows,) = drawn_fractional(data, 1)
-    with_torsion(data, dense, rows)
-    assert_hierarchy_matches_dense(alg, dense, rows, maxk, "")
 
 
 def truncated_polynomials(n):
@@ -858,9 +698,9 @@ def deformed_cube(cube, p):
 @settings(max_examples=15, deadline=None)
 @given(st.data(), st.integers(0, 2))
 def test_hierarchy_reductions_hold_on_operators_with_torsion(data, k):
-    """Four identities behind the hierarchy's decisions and the generating
-    cases it sweeps for an operator with torsion, on the dense definitions and
-    for any operator N, torsion or none. With mu_X the product deformed by X, D_Y the deformation by Y and
+    """Four identities behind the hierarchy's decisions, on the dense
+    definitions and for any operator N, torsion or none. With mu_X the
+    product deformed by X, D_Y the deformation by Y and
     R(r, k) = N^r o mu_{N^(k+r)} - mu_{N^k} o (N^r, N^r):
     R(r, k) = N^(r-1) o R(1, k+r-1) + R(r-1, k) o (N, N) for r <= 4;
     B(X, Y) = D_Y mu_X - mu_{XY} is symmetric on powers and B(1, .) = 0, on

@@ -219,6 +219,28 @@ def test_small_examples_pass(example_id):
     assert not failures, failures
 
 
+def test_example_1_reports_the_first_failing_diagonal_unit(monkeypatch):
+    """With 1 added at output E21 of the rows (E11, E12) and (E22, E12) of
+    the deformed product, the inner derivations of both E11 and E22 differ
+    from those of mu; the witness is the first, E11."""
+    dynamics = importlib.import_module("algdeform.dynamics")
+    build = dynamics._deform_after_torsion
+
+    def perturbed(*args):
+        prod = build(*args)
+        alg, table = prod.algebra, {t: dict(vec) for t, vec in prod.table.items()}
+        e = {label: i for i, label in enumerate(alg.basis)}
+        for row in ((e["E11"], e["E12"]), (e["E22"], e["E12"])):
+            vec = table.setdefault(row, {})
+            vec[e["E21"]] = vec.get(e["E21"], Scalar(0)) + Scalar(1)
+        return Product(Cochain(alg, 2, table, copy=False))
+
+    monkeypatch.setattr(dynamics, "_deform_after_torsion", perturbed)
+    checks = example_check(1)["checks"]
+    got = next(c for c in checks if c["name"] == "diagonal_inner_derivations_agree")
+    assert got == {"name": "diagonal_inner_derivations_agree", "pass": False, "witness": "E11"}
+
+
 def displayed_formula(example_id, alg):
     """The displayed product of example 3 or 4 in Element arithmetic, with K
     the diagonal 1, 2, 3 and P1 the projection onto the diagonal."""
