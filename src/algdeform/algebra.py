@@ -71,7 +71,7 @@ class Algebra:
     """An associative algebra with a fixed basis and exact structure constants.
 
     A table that is not associative is refused: ``deform.verify_hierarchy``
-    skips the cases that only a non-associative one could fail.
+    decides its whole report from the torsion because mu is associative.
     """
 
     def __init__(
@@ -333,7 +333,10 @@ class Operator(Multilinear):
         return {(j,): col for j, col in enumerate(self.columns) if col}
 
     def _of(self, table: Table) -> "Operator":
-        return Operator(self.algebra, [table.get((j,), {}) for j in range(self.algebra.dim)])
+        """The operator of a tidy table whose rows it may keep: no copy, no filter."""
+        op = object.__new__(Operator)
+        op.algebra, op.columns = self.algebra, [table.get((j,), {}) for j in range(self.algebra.dim)]
+        return op
 
     # -- constructors -------------------------------------------------------------
 
@@ -438,14 +441,8 @@ class Decomposition:
             return self.part2
         raise AlgebraError("part must be 1 or 2")
 
-    def project_vec(self, vec: Mapping[int, Scalar], part: int) -> Vec:
-        keep = set(self.indices(part))
-        return {k: v for k, v in vec.items() if k in keep}
-
     def project(self, x: Element, part: int) -> Element:
-        if x.algebra is not self.algebra:
-            raise AlgebraError("algebra mismatch")
-        return Element(self.algebra, self.project_vec(x.coords, part))
+        return self.projector(part)(x)
 
     def projector(self, part: int) -> Operator:
         keep = set(self.indices(part))

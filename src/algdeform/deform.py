@@ -81,7 +81,6 @@ __all__ = [
     "ExtensionReport",
     "extend_tensor",
     "lie_bracket_of",
-    "lie_bracket_checks",
     "lie_nijenhuis_check",
     "total_skew_associator",
     "product_sum",
@@ -350,7 +349,8 @@ def tensors_compatible(n1: Operator, n2: Operator) -> bool:
 
 
 def projection_tensor(dec: Decomposition, l1, l2) -> Operator:
-    """The operator l1*P1 + l2*P2 of a split into two subalgebras.
+    """The combination l1*P1 + l2*P2 of the projectors of a split into two
+    subalgebras.
 
     Guaranteed torsion-free; refuses decompositions where either part fails
     to be closed under multiplication.
@@ -359,13 +359,7 @@ def projection_tensor(dec: Decomposition, l1, l2) -> Operator:
         raise PreconditionError("part1 is not a subalgebra")
     if not dec.part2_closed:
         raise PreconditionError("part2 is not a subalgebra")
-    s1, s2 = as_scalar(l1), as_scalar(l2)
-    part1 = set(dec.part1)
-    cols: list[Vec] = []
-    for j in range(dec.algebra.dim):
-        s = s1 if j in part1 else s2
-        cols.append({j: s} if s else {})
-    return Operator(dec.algebra, cols)
+    return as_scalar(l1) * dec.projector(1) + as_scalar(l2) * dec.projector(2)
 
 
 def contraction_product(dec: Decomposition) -> Product:
@@ -391,30 +385,26 @@ def contraction_product(dec: Decomposition) -> Product:
 
 
 def _conjugation(dec: Decomposition, coef, h) -> Compose:
-    """coef * T_h^{-1} o mu o (T_h, T_h) with T_h = P1 + h P2, h != 0."""
+    """coef * T_h^{-1} o mu o (T_h, T_h), h != 0, with the scaling T_h =
+    P1 + h P2 and its inverse P1 + h^{-1} P2 combinations of the projectors."""
     if not h:
         raise PreconditionError("conjugation scale must be nonzero")
     if not dec.part1_closed:
         raise PreconditionError("part1 is not a subalgebra")
-    part1, inv = set(dec.part1), h.inverse()
-    t_h = [{j: ONE if j in part1 else h} for j in range(dec.algebra.dim)]
-    t_inv = [{j: ONE if j in part1 else inv} for j in range(dec.algebra.dim)]
-    return Compose(coef, dec.algebra.structure, t_inv, (t_h, t_h))
+    p1, p2 = dec.projector(1), dec.projector(2)
+    t_h = (p1 + h * p2).columns
+    return Compose(coef, dec.algebra.structure, (p1 + h.inverse() * p2).columns, (t_h, t_h))
 
 
 def conjugated_product(dec: Decomposition, h) -> Product:
-    """The conjugation T_h^{-1}(T_h(A) T_h(B)) with T_h = P1 + h P2, h != 0."""
+    """The conjugation T_h^{-1}(T_h(A) T_h(B)), h != 0, by the scaling T_h =
+    P1 + h P2 of the projectors; its unit is T_h^{-1} of the algebra's."""
     s = as_scalar(h)
     alg = dec.algebra
-    part1 = set(dec.part1)
     out = table_of([_conjugation(dec, ONE, s)])
     prod = Product(Cochain(alg, 2, out, copy=False), associative=True)
     if alg.unit is not None:
-        scaled = {
-            k: (v if k in part1 else v * s.inverse())
-            for k, v in alg.unit.coords.items()
-        }
-        prod.unit = Element(alg, scaled)
+        prod.unit = (dec.projector(1) + s.inverse() * dec.projector(2))(alg.unit)
     return prod
 
 
@@ -595,19 +585,6 @@ def extend_tensor(dec: Decomposition, n1: Operator) -> ExtensionReport:
 def lie_bracket_of(p: Product) -> Cochain:
     """The commutator [A, B] = A o B - B o A of a product, as a 2-cochain."""
     return Cochain(p.algebra, 2, table_alternation(p.table), copy=False)
-
-
-def lie_bracket_checks(n: Operator) -> tuple[Optional[tuple[tuple[int, ...], Vec]], bool]:
-    """Both Lie-side checks of ``n``.
-
-    Returns the smallest basis pair where [A, B]_N != [N A, B] + [A, N B] -
-    N[A, B], and whether N([A,B]_N) = [N(A), N(B)] on all basis pairs.
-    [.,.]_N is the commutator of the deformed product and [.,.] that of the
-    original one. The first is None for every N, as the commutator of D_N mu
-    is D_N of the commutator (alternation commutes with the deformation); the
-    second is ``lie_nijenhuis_check``.
-    """
-    return None, lie_nijenhuis_check(n)
 
 
 def lie_nijenhuis_check(n: Operator) -> bool:

@@ -249,19 +249,9 @@ def _labels(alg: Algebra, indices) -> list[str]:
     return [alg.basis[i] for i in indices]
 
 
-def _match_on_basis(alg: Algebra, got, expected) -> tuple[bool, Optional[list[str]]]:
-    """Whether got(x, y) == expected(x, y) on every basis pair; first failing pair."""
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            x, y = alg.basis_element(i), alg.basis_element(j)
-            if got(x, y) != expected(x, y):
-                return False, _labels(alg, (i, j))
-    return True, None
-
-
 def _match_sum(alg: Algebra, terms: list[Compose]) -> tuple[bool, Optional[list[str]]]:
-    """Whether the sum of ``terms`` vanishes on every basis pair; the first
-    failing pair, in the order of ``_match_on_basis``."""
+    """Whether the sum of ``terms`` vanishes on every basis pair; the
+    lexicographically first failing pair."""
     w = Sweep(alg.dim).witness(terms)
     return (True, None) if w is None else (False, _labels(alg, w[0]))
 
@@ -272,19 +262,11 @@ def _diag_element(alg: Algebra, n: int, values) -> Element:
     )
 
 
-def _restrict_left_multiplication(alg: Algebra, k: Element, part) -> Operator:
-    inside = set(part)
-    cols = []
-    for j in range(alg.dim):
-        cols.append(alg.mul_vec(k.coords, {j: ONE}) if j in inside else {})
-    return Operator(alg, cols)
-
-
 def _diagonal_rescaling_product(alg: Algebra, n: int, k: Element) -> Product:
     """The product K D(A) B + A K D(B) - K D(A) D(B) built via the two-part
     construction (diagonal part rescaled by K, identity on the off-diagonal)."""
     dec = diagonal_split(alg)
-    n1 = _restrict_left_multiplication(alg, k, dec.part1)
+    n1 = Operator.left_multiplication(k) @ dec.projector(1)
     # circ1(X, Y) = K X Y on the diagonal, that is mu o (N1, P1).
     circ1 = table_of([Compose(ONE, alg.structure, inner=(n1.columns, dec.projector(1).columns))])
     n2 = dec.projector(2)
@@ -304,36 +286,21 @@ def _example_1() -> dict:
         _check("unit_preserved", prod.unit == alg.unit),
     ]
 
-    e = lambda p, q: alg.basis_element(matrix_unit_index(2, p, q))
-
-    def displayed(x: Element, y: Element) -> Element:
-        a, b = x.coeff(0), x.coeff(1)
-        c, d = x.coeff(2), x.coeff(3)
-        a2, b2 = y.coeff(0), y.coeff(1)
-        c2, d2 = y.coeff(2), y.coeff(3)
-        return (
-            (a * a2) * e(0, 0)
-            + (a * b2 + b * d2) * e(0, 1)
-            + (c * a2 + d * c2) * e(1, 0)
-            + (d * d2) * e(1, 1)
-        )
-
-    checks.append(_check("table_matches_displayed_form", *_match_on_basis(alg, prod, displayed)))
+    # With O the projector onto the off-diagonal, mu o (O, O) is bc E11 +
+    # cb E22: the displayed product is mu minus it, the complementary one it.
+    o = diagonal_split(alg).projector(2).columns
+    displayed = [Compose(ONE, prod.table), Compose(MINUS_ONE, alg.structure),
+                 Compose(ONE, alg.structure, inner=(o, o))]
+    checks.append(_check("table_matches_displayed_form", *_match_sum(alg, displayed)))
 
     # 1 - P1 has the torsion of P1, as T_{a+bN} = b^2 T_N.
     comp = _deform_after_torsion(projection_tensor(dec, 0, 1), torsion_free)
     checks.append(_check("complementary_associative", bool(comp.associative)))
-
-    def displayed_comp(x: Element, y: Element) -> Element:
-        b, c = x.coeff(1), x.coeff(2)
-        b2, c2 = y.coeff(1), y.coeff(2)
-        return (b * c2) * e(0, 0) + (c * b2) * e(1, 1)
-
-    checks.append(
-        _check("complementary_matches_diag_bc_cb", *_match_on_basis(alg, comp, displayed_comp))
-    )
+    displayed = [Compose(ONE, comp.table), Compose(MINUS_ONE, alg.structure, inner=(o, o))]
+    checks.append(_check("complementary_matches_diag_bc_cb", *_match_sum(alg, displayed)))
     checks.append(_check("complementary_has_no_unit", comp.find_unit() is None))
 
+    e = lambda p, q: alg.basis_element(matrix_unit_index(2, p, q))
     failing = next((alg.basis[matrix_unit_index(2, p, p)] for p in range(2)
                     if commutator_derivation(e(p, p), prod)
                     != commutator_derivation(e(p, p), mu)), None)
@@ -415,13 +382,13 @@ def _example_4(n: int = 3) -> dict:
     diag = [i for i, label in enumerate(alg.basis) if label[1] == label[2]]
     dec = alg.decompose(diag)
     k = alg.element({idx: Scalar(t + 1) for t, idx in enumerate(diag)})
-    n1 = _restrict_left_multiplication(alg, k, dec.part1)
+    n1 = Operator.left_multiplication(k) @ dec.projector(1)
     rep = extend_tensor(dec, n1)
-    ideal = True
-    part2 = set(dec.part2)
-    for (i, j), vec in alg.structure.items():
-        if (i in part2 or j in part2) and any(t not in part2 for t in vec):
-            ideal = False
+    # part2 is an ideal iff P1 kills every product with a factor in it: the
+    # first term covers the pairs (part2, any), the second (part1, part2).
+    p1, p2 = dec.projector(1).columns, dec.projector(2).columns
+    ideal = Sweep(alg.dim).witness([Compose(ONE, alg.structure, p1, (p2, None)),
+                                    Compose(ONE, alg.structure, p1, (p1, p2))]) is None
     checks = [
         _check("part2_is_ideal", ideal),
         _check("three_conditions_hold", rep.conditions_conjunction, rep.witnesses),

@@ -158,7 +158,7 @@ def table_scaled(coef: Scalar, table: Table) -> Table:
     if not coef:
         return out
     for t, vec in table.items():
-        out[t] = {k: coef * v for k, v in vec.items()}
+        out[t] = {k: coef if v is ONE else coef * v for k, v in vec.items()}
     return out
 
 

@@ -282,6 +282,10 @@ def test_project_on_mixed_element():
     dec = triangular_split(m2)
     x = m2.basis_element(0) + m2.basis_element(2)  # E11 + E21
     assert dec.project(x, 1) == m2.basis_element(0)
+    with pytest.raises(AlgebraError, match="^algebra mismatch$"):
+        dec.project(split_quaternion_algebra().basis_element(0), 1)
+    with pytest.raises(AlgebraError, match="^part must be 1 or 2$"):
+        dec.project(x, 3)
 
 
 def test_algebra_document_round_trip():

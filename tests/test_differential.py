@@ -46,7 +46,6 @@ from algdeform.deform import (
     associativity_criterion,
     deform,
     deform_product,
-    lie_bracket_checks,
     lie_nijenhuis_check,
     mu_product,
     projection_tensor,
@@ -1054,11 +1053,11 @@ def dense_first_failure(values, d):
 
 @settings(max_examples=20, deadline=None)
 @given(st.data())
-def test_lie_bracket_checks_match_dense_on_operators_with_torsion(data):
+def test_lie_checks_match_dense_on_operators_with_torsion(data):
     """The commutator of D_N mu is D_N of the commutator of mu on the dense
     definitions, so the deformed bracket identity never fails, and
-    ``lie_bracket_checks`` returns None with the dense verdict of
-    N o [.,.]_N = [.,.] o (N, N)."""
+    ``lie_nijenhuis_check`` gives the dense verdict of N o [.,.]_N =
+    [.,.] o (N, N)."""
     alg, dense, pair = torsion_operator_pair(data)
 
     def bracket(x, y):
@@ -1074,7 +1073,7 @@ def test_lie_bracket_checks_match_dense_on_operators_with_torsion(data):
             nx, ny = dense.apply(rows, x), dense.apply(rows, y)
             verdict = verdict and dense.apply(rows, bracket_n) == bracket(nx, ny)
         event(f"Lie torsion {'zero' if verdict else 'nonzero'}")
-        assert lie_bracket_checks(Operator.from_matrix_rows(alg, rows)) == (None, verdict)
+        assert lie_nijenhuis_check(Operator.from_matrix_rows(alg, rows)) == verdict
 
 
 @settings(max_examples=20, deadline=None)

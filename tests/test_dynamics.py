@@ -14,6 +14,7 @@ from algdeform.algebra import (
     matrix_unit_index,
     transpose_operator,
     triangular_split,
+    upper_triangular_algebra,
 )
 from algdeform.deform import (
     Product,
@@ -31,7 +32,7 @@ from algdeform.dynamics import (
     is_bi_hamiltonian,
     is_derivation,
 )
-from algdeform.dynamics import _diag_element, _diagonal_rescaling_product, _match_on_basis
+from algdeform.dynamics import _diag_element, _diagonal_rescaling_product
 from algdeform.errors import PreconditionError
 from algdeform.hochschild import Cochain, is_cocycle
 from algdeform.scalar import Scalar
@@ -241,9 +242,37 @@ def test_example_1_reports_the_first_failing_diagonal_unit(monkeypatch):
     assert got == {"name": "diagonal_inner_derivations_agree", "pass": False, "witness": "E11"}
 
 
-def displayed_formula(example_id, alg):
-    """The displayed product of example 3 or 4 in Element arithmetic, with K
-    the diagonal 1, 2, 3 and P1 the projection onto the diagonal."""
+def match_on_basis(alg, got, expected):
+    """Whether got(x, y) == expected(x, y) on every basis pair; the first
+    failing pair, in lexicographic order."""
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            x, y = alg.basis_element(i), alg.basis_element(j)
+            if got(x, y) != expected(x, y):
+                return False, [alg.basis[i], alg.basis[j]]
+    return True, None
+
+
+def displayed_formulas(example_id, alg):
+    """The displayed products of an example in Element arithmetic, by check
+    name, in the order the example builds the products they describe. In
+    example 1 they are given in coordinates; in examples 3 and 4, K is the
+    diagonal 1, 2, 3 and P1 the projection onto the diagonal."""
+    if example_id == 1:
+        e = lambda p, q: alg.basis_element(matrix_unit_index(2, p, q))
+
+        def displayed(x, y):
+            a, b, c, d = (x.coeff(i) for i in range(4))
+            a2, b2, c2, d2 = (y.coeff(i) for i in range(4))
+            return ((a * a2) * e(0, 0) + (a * b2 + b * d2) * e(0, 1)
+                    + (c * a2 + d * c2) * e(1, 0) + (d * d2) * e(1, 1))
+
+        def displayed_comp(x, y):
+            b, c, b2, c2 = x.coeff(1), x.coeff(2), y.coeff(1), y.coeff(2)
+            return (b * c2) * e(0, 0) + (c * b2) * e(1, 1)
+
+        return {"table_matches_displayed_form": displayed,
+                "complementary_matches_diag_bc_cb": displayed_comp}
     if example_id == 3:
         dec, k = diagonal_split(alg), _diag_element(alg, 3, range(1, 4))
     else:
@@ -256,14 +285,15 @@ def displayed_formula(example_id, alg):
         last = dx * dy if example_id == 3 else dec.project(x * y, 1)
         return k * dx * y + x * (k * dy) - k * last
 
-    return expected
+    return {"matches_displayed_formula": expected}
 
 
-@pytest.mark.parametrize("example_id", [3, 4])
+@pytest.mark.parametrize("example_id", [1, 3, 4])
 def test_displayed_formula_sweep_matches_the_basis_loop(example_id, monkeypatch):
-    """Examples 3 and 4 decide their displayed formula with one sweep. On the
-    example's product perturbed in none, one or two entries, the verdict and
-    the first failing pair are those of ``_match_on_basis``."""
+    """Examples 1, 3 and 4 decide each displayed formula with one sweep. On
+    the example's products perturbed in none, one or two entries, each
+    verdict and first failing pair are those of the basis loop, and each
+    check both passes and fails."""
     dynamics = importlib.import_module("algdeform.dynamics")
     rng = random.Random(example_id)
     built = []
@@ -285,16 +315,33 @@ def test_displayed_formula_sweep_matches_the_basis_loop(example_id, monkeypatch)
         monkeypatch.setattr(dynamics, "_deform_after_torsion", lambda *a: perturbed(build(*a)))
     verdicts = set()
     for _ in range(12):
-        checks = example_check(example_id)["checks"]
-        got = next(c for c in checks if c["name"] == "matches_displayed_formula")
-        prod = built[-1]
-        ok, pair = _match_on_basis(prod.algebra, prod, displayed_formula(example_id, prod.algebra))
-        assert got == {"name": "matches_displayed_formula", "pass": ok, **({} if ok else {"witness": pair})}
-        verdicts.add(ok)
-    assert verdicts == {True, False}
+        checks = {c["name"]: c for c in example_check(example_id)["checks"]}
+        formulas = displayed_formulas(example_id, built[-1].algebra)
+        for prod, (name, expected) in zip(built[-len(formulas):], formulas.items()):
+            ok, pair = match_on_basis(prod.algebra, prod, expected)
+            assert checks[name] == {"name": name, "pass": ok, **({} if ok else {"witness": pair})}
+            verdicts.add((name, ok))
+    assert verdicts == {(name, ok) for name in formulas for ok in (True, False)}
 
 
-@pytest.mark.parametrize("example_id, sweeps, associator_sweeps", [(1, 1, 0), (4, 5, 0)])
+@pytest.mark.parametrize("full", [False, True])
+def test_part2_is_ideal_matches_the_basis_loop(full, monkeypatch):
+    """Example 4 decides with one sweep whether the off-diagonal part is an
+    ideal. It is in T3; in M3, patched in for T3, it is not. The verdict is
+    that of a loop over the basis pairs with a factor in that part."""
+    dynamics = importlib.import_module("algdeform.dynamics")
+    if full:
+        monkeypatch.setattr(dynamics, "upper_triangular_algebra", full_matrix_algebra)
+    got = next(c for c in example_check(4)["checks"] if c["name"] == "part2_is_ideal")
+    alg = (full_matrix_algebra if full else upper_triangular_algebra)(3)
+    part2 = {i for i, label in enumerate(alg.basis) if label[1] != label[2]}
+    ideal = all(set((alg.basis_element(i) * alg.basis_element(j)).coords) <= part2
+                for i in range(alg.dim) for j in range(alg.dim) if i in part2 or j in part2)
+    assert ideal is not full
+    assert got == {"name": "part2_is_ideal", "pass": ideal}
+
+
+@pytest.mark.parametrize("example_id, sweeps, associator_sweeps", [(1, 3, 0), (4, 6, 0)])
 def test_examples_decide_associativity_from_the_torsion(example_id, sweeps, associator_sweeps,
                                                         monkeypatch):
     """Examples 1 and 4 sweep the torsion of their operator, and a zero
@@ -302,8 +349,9 @@ def test_examples_decide_associativity_from_the_torsion(example_id, sweeps, asso
     ``deformed_associative`` sweeps no associator. Counted on a second call,
     after the example's algebra is cached: example 1 sweeps the torsion of
     P1 alone, which is that of the complementary 1 - P1 (T_{a+bN} =
-    b^2 T_N); example 4 the torsion in ``extend_tensor``, its three
-    conditions and the displayed formula."""
+    b^2 T_N), and its two displayed forms; example 4 the ideal test, the
+    torsion in ``extend_tensor``, its three conditions and the displayed
+    formula. None of these sweeps is an associator."""
     example_check(example_id)
     calls = []
     witness = Sweep.witness
