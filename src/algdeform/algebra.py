@@ -22,13 +22,14 @@ from math import isqrt
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import AlgebraError, check_size
-from .linalg import RowReducer
+from .linalg import solve_sparse_system
 from .scalar import MINUS_ONE, ONE, ZERO, Scalar, as_scalar
 from .tables import (
     Sweep,
     Table,
     Vec,
     associator_terms,
+    slot_rows,
     table_add_into,
     table_scaled,
     table_sub,
@@ -193,30 +194,16 @@ def table_is_unit(table: Table, dim: int, u: Vec) -> bool:
 
 
 def table_unit(table: Table, dim: int) -> Optional[Vec]:
-    """Solve u*e_j = e_j = e_j*u exactly; None when ``table`` has no unit."""
-    # Row (j, c) of the left system: sum_g u_g (e_g e_j)_c = delta_{jc}.
-    left_rows: dict[tuple[int, int], Vec] = {}
-    right_rows: dict[tuple[int, int], Vec] = {}
-    for (g, j), vec in table.items():
-        for c, s in vec.items():
-            left_rows.setdefault((j, c), {})[g] = s
-            right_rows.setdefault((g, c), {})[j] = s
-    red = RowReducer()
-    for rows in (left_rows, right_rows):
-        for j in range(dim):
-            diag = rows.get((j, j), {})
-            red.add_row(diag, ONE)
-            if red.inconsistent:
-                return None
-        for (j, c), row in rows.items():
-            if j != c:
-                red.add_row(row, ZERO)
-                if red.inconsistent:
-                    return None
-    candidate = red.particular_sparse()
-    if candidate is None or not table_is_unit(table, dim, candidate):
+    """Solve u*e_j = e_j = e_j*u exactly; None when ``table`` has no unit.
+    The rows are ``slot_rows`` with signs (1, none) and (none, 1), the
+    rows (j, j), whose right-hand side is one, first."""
+    sides = (slot_rows(table, (ONE, None)), slot_rows(table, (None, ONE)))
+    system = [(rows.get((j, j), {}), ONE) for rows in sides for j in range(dim)]
+    system += [(row, ZERO) for rows in sides for (j, c), row in rows.items() if j != c]
+    solved = solve_sparse_system(system, dim)
+    if solved is None or not table_is_unit(table, dim, solved[0]):
         return None
-    return candidate
+    return solved[0]
 
 
 def decompose(alg: Algebra, part1: Iterable[int]) -> "Decomposition":

@@ -177,8 +177,8 @@ def _cmd_compat(args, alg, inputs) -> dict:
 def _cmd_tensors_compat(args, alg, inputs) -> dict:
     op1 = _load_operator(alg, args.operator, inputs, "operator")
     op2 = _load_operator(alg, args.operator2, inputs, "operator2")
-    # tensors_compatible refuses an operator with torsion, and then
-    # T_{N1+N2} = T_{N1} + T_{N2} + C(N1, N2) is the cross sum it sweeps.
+    # tensors_compatible refuses an operator with torsion, so by T_{N1+N2} =
+    # T_{N1} + T_{N2} + C(N1, N2) the torsion of N1 + N2 it sweeps is C.
     return {
         "checks": [
             _check("compatible", tensors_compatible(op1, op2)),

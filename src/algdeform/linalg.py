@@ -365,12 +365,19 @@ def solve_sparse_system(
     rows: Iterable[tuple[Mapping[int, Scalar], Scalar]], ncols: int
 ) -> Optional[tuple[dict[int, Scalar], list[dict[int, Scalar]]]]:
     """``(particular, kernel_basis)`` in sparse form of a (possibly huge)
-    system of (row, rhs) pairs, or None when it is inconsistent."""
+    system of (row, rhs) pairs, or None when it is inconsistent. A pair equal
+    to one fed before is skipped, and the first inconsistent row ends the
+    reduction, so rows with a right-hand side are best fed first."""
     red = RowReducer()
+    fed = set()  # equal (row, rhs) pairs are fed once, keyed by integer triples
     for row, rhs in rows:
+        pair = (frozenset((k, v.a, v.b, v.d) for k, v in row.items()), rhs.a, rhs.b, rhs.d)
+        if pair in fed:
+            continue
+        fed.add(pair)
         red.add_row(row, rhs)
-    if red.inconsistent:
-        return None
+        if red.inconsistent:
+            return None
     return red.particular_sparse(), red.kernel_basis_sparse(ncols)
 
 

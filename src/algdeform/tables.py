@@ -80,6 +80,7 @@ __all__ = [
     "associator_table",
     "mixed_associator_table",
     "table_alternation",
+    "slot_rows",
     "first_witness",
     "Sweep",
 ]
@@ -308,6 +309,22 @@ def table_alternation(table: Table) -> Table:
             row = out.setdefault(tuple(t[i] for i in perm), {})
             vec_add_into(row, sign, vec)
     return table_tidy(out)
+
+
+def slot_rows(table: Table, signs: Sequence[Optional[Scalar]]) -> dict[tuple[int, int], Vec]:
+    """The rows of the linear map x -> sum_pos signs[pos] * table(x in slot
+    pos, e_j) of an arity-2 ``table``, a slot whose sign is None left out:
+    row (j, c), over the coordinates of x, gives coordinate c at e_j."""
+    slots = [(pos, sign) for pos, sign in enumerate(signs) if sign is not None]
+    rows: dict[tuple[int, int], Vec] = {}
+    for pair, vec in table.items():
+        for c, s in vec.items():
+            for pos, sign in slots:
+                row = rows.setdefault((pair[1 - pos], c), {})
+                w = s if sign is ONE else -s if sign is MINUS_ONE else sign * s
+                cur = row.get(pair[pos])
+                row[pair[pos]] = w if cur is None else cur + w
+    return rows
 
 
 def first_witness(table: Table) -> tuple[tuple[int, ...], Vec] | None:

@@ -952,8 +952,9 @@ def test_torsion_free_checks_build_no_table(tmp_path, capsys, monkeypatch):
     counted by wrapping ``table_of``, ``coboundary`` and ``Sweep.witness``:
     ``check-nijenhuis`` makes one sweep beyond the algebra's own validation
     and builds no table; ``lie-check``, ``criterion`` and ``tensors-compat``
-    build no table (the commutator of mu is an alternation) and take no
-    coboundary."""
+    build no table (the commutator of mu is an alternation, and the cross sum
+    of two torsion-free operators is swept as the torsion of their sum) and
+    take no coboundary."""
     calls = Counter()
 
     def counted(name, fn):

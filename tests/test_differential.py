@@ -22,7 +22,9 @@ split into the two torsions and the cross sum, on both sides; so is the
 power relation R(1, N^k), into D_{N^k} T_N and N composed with the
 composition law B(N, N^k), and B(N, N) = -2 T_N. The unit check is compared
 with its definition on algebras, one-sided unit tables and random Gaussian
-tables, and random tables that are not associative must be refused.
+tables, and random tables that are not associative must be refused. The
+inner-generator solve is compared with the system ad_h = D written from the
+definitions, its consistency and the rank of ad decided by ``sympy``.
 """
 
 from fractions import Fraction
@@ -53,7 +55,7 @@ from algdeform.deform import (
     torsion,
     verify_hierarchy,
 )
-from algdeform.dynamics import is_derivation
+from algdeform.dynamics import commutator_derivation, inner_generator, is_derivation
 from algdeform.errors import AlgebraError, PreconditionError
 from algdeform.hochschild import Cochain, coboundary, cohomology_dimension
 from algdeform.scalar import ONE, ZERO, Scalar
@@ -763,7 +765,8 @@ def test_torsion_identities_hold_on_operators_with_torsion(data):
     Assoc(mu_N) = -dT_N; the mixed associator Q(mu, mu_N) is zero; and
     T_(N1+N2) = T_N1 + T_N2 + C(N1, N2), where the cross sum
     C(N1, N2)(a, b) = N1(a o_N2 b) + N2(a o_N1 b) - N1(a)N2(b) - N2(a)N1(b)
-    is what ``tensors_compatible`` sweeps."""
+    is what ``tensors_compatible`` decides: with both torsions zero it is
+    the torsion of N1 + N2, which it sweeps."""
     alg = data.draw(st.sampled_from(TORSION_ALGEBRAS))
     event(alg.name)
     dense, d = Dense(alg), alg.dim
@@ -1095,3 +1098,57 @@ def test_criterion_witnesses_match_dense_on_operators_with_torsion(data):
         event(f"deformed product {'not ' if res.associator_witness else ''}associative")
         assert res.associator_witness == dense_first_failure(assoc, d)
         assert res.cocycle_witness == dense_first_failure(d_torsion, d)
+
+
+# -- inner generators against the dense system ad_h = D ----------------------------
+
+
+def sympy_rank(sympy, grid):
+    """Rank of a nonempty dense grid of scalars, over Q(i) by ``sympy``."""
+    from sympy.polys.matrices import DomainMatrix
+
+    matrix = sympy.Matrix(len(grid), len(grid[0]), lambda i, j: (
+        sympy.Rational(grid[i][j].re.numerator, grid[i][j].re.denominator)
+        + sympy.I * sympy.Rational(grid[i][j].im.numerator, grid[i][j].im.denominator)))
+    return DomainMatrix.from_Matrix(matrix).rank()
+
+
+@SETTINGS
+@given(st.data(), st.booleans(), st.booleans())
+def test_inner_generator_matches_dense(data, use_deformed, inner):
+    """D is ad_h for a random Gaussian h, or a random matrix, over mu or a
+    deformation of it. Row (j, c) of the dense system is g -> (e_g e_j -
+    e_j e_g)_c with right-hand side D(e_j)_c: ``inner`` is its consistency,
+    the generator reproduces D, and the ambiguity is a basis of the center,
+    the kernel of ad, of size dim - rank."""
+    sympy = pytest.importorskip("sympy")
+    alg, dense, draw_rows = drawn(data, ("matrix",))
+    prod = mu_product(alg)
+    if use_deformed:
+        base = draw_rows()
+        prod = deform(Operator.from_matrix_rows(alg, base), compute_flags=False)
+        dense = DenseProduct(dense.d, dense.deformed(base, dense.mul))
+    d, e = dense.d, dense.e
+    if inner:
+        h = [data.draw(scalars(True)) for _ in range(d)]
+        cols = [sub(dense.mul(h, e(j)), dense.mul(e(j), h)) for j in range(d)]
+        rows = [[cols[j][i] for j in range(d)] for i in range(d)]
+    else:
+        rows = draw_rows()
+    ad = [[sub(dense.mul(e(g), e(j)), dense.mul(e(j), e(g)))[c] for g in range(d)]
+          for j in range(d) for c in range(d)]
+    rank = sympy_rank(sympy, ad)
+    augmented = [row + [rows[c][j]] for row, (j, c) in zip(ad, product(range(d), repeat=2))]
+    consistent = sympy_rank(sympy, augmented) == rank
+    event(f"{'ad_h' if inner else 'random'}: {'inner' if consistent else 'not inner'}")
+    op = Operator.from_matrix_rows(alg, rows)
+    rep = inner_generator(op, prod)
+    assert rep.inner == consistent
+    if not consistent:
+        assert rep.generator is None and rep.ambiguity == []
+        return
+    assert commutator_derivation(rep.generator, prod) == op
+    center = [[z.coords.get(k, ZERO) for k in range(d)] for z in rep.ambiguity]
+    assert len(center) == d - rank
+    assert not center or sympy_rank(sympy, center) == len(center)
+    assert all(dense.mul(z, e(j)) == dense.mul(e(j), z) for z in center for j in range(d))

@@ -385,6 +385,33 @@ def test_example_6_annihilation_small():
     assert prod(adag, a).is_zero
 
 
+EXAMPLE_6_CHECKS = [
+    "construction_associative", "adag_circ_a_is_zero", "diagonal_bracket_is_KA_commutator",
+    "not_compatible_with_original", "dynamics_inner_for_new_product",
+    "generator_is_KinvH_mod_center", "generator_reproduces_dynamics", "inner_wrt_both",
+    "strong_is_false",
+]
+
+
+def test_example_6_reads_one_bi_hamiltonian_report(monkeypatch):
+    """Example 6 takes its innerness, generator, center and compatibility
+    from its one ``is_bi_hamiltonian(ad_h, mu, prod)``: two inner-generator
+    solves, one per product, and one mixed-associator sweep."""
+    dynamics = importlib.import_module("algdeform.dynamics")
+    calls = {"inner_generator": 0, "mixed_associator_witness": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(dynamics, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(dynamics, name, counted)
+    rep = example_check(6, dim=4)
+    assert calls == {"inner_generator": 2, "mixed_associator_witness": 1}
+    assert rep == {
+        "example": 6, "algebra": "Osc4", "dim": 4, "band": 1, "sum_bracket_jacobi": False,
+        "checks": [{"name": name, "pass": True} for name in EXAMPLE_6_CHECKS],
+    }
+
+
 def test_example_check_rejects_unknown_id():
     with pytest.raises(PreconditionError):
         example_check(7)

@@ -230,12 +230,18 @@ def _sympy_rref(sympy, m, b=None):
 
 
 @SYSTEMS
-@given(systems())
-def test_solve_affine_matches_sympy_rref(system):
+@given(systems(), st.randoms(use_true_random=False))
+def test_solve_affine_matches_sympy_rref(system, rnd):
+    """Also solved with every row fed twice, in a shuffled order: equal pairs
+    are skipped and the reduced echelon form does not depend on row order,
+    so the result is the same."""
     sympy = pytest.importorskip("sympy")
     m, b = system
     rref, pivots = _sympy_rref(sympy, m, b)
     sol = solve_affine(m, b)
+    pairs = list(zip(m.entries, b)) * 2
+    rnd.shuffle(pairs)
+    assert solve_affine(Matrix.from_rows([r for r, _ in pairs]), [s for _, s in pairs]) == sol
     if m.cols in pivots:  # a pivot in the right-hand side column
         event("inconsistent")
         assert sol is None

@@ -1,6 +1,7 @@
 """The package's own surface: every name in a module's ``__all__`` resolves,
-the runtime imports nothing outside the standard library, and importing the
-package does not load ``dataclasses`` or ``inspect``.
+the runtime imports nothing outside the standard library, importing the
+package does not load ``dataclasses`` or ``inspect``, and only ``linalg`` and
+``hochschild`` feed a ``RowReducer`` by hand.
 
 The package itself and ``cli`` have no ``__all__`` and pass trivially.
 """
@@ -61,3 +62,20 @@ def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_only_linalg_and_hochschild_use_the_row_reducer():
+    """Every other module states its linear systems as (row, rhs) pairs and
+    solves them with ``linalg.solve_sparse_system``; the cochain complex
+    streams integer rows, which only a reducer of its own takes."""
+    users = set()
+    for path in Path(algdeform.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            if isinstance(node, ast.ClassDef):
+                names.add(node.name)
+            if "RowReducer" in names:
+                users.add(path.stem)
+    assert users == {"linalg", "hochschild"}
