@@ -120,12 +120,18 @@ class DerivationReport(Record):
 def inner_generator(d: Operator, p: Product) -> DerivationReport:
     """Solve h o e_j - e_j o h = d(e_j) exactly for a generator h.
 
-    The rows are ``slot_rows`` with signs (1, -1), those with a right-hand
-    side first. Returns the particular generator plus a basis of the product's
-    center (the full ambiguity of the generator), or flags the derivation as
-    non-inner when the system is inconsistent. Non-inner is a report state,
-    not an error.
+    Returns the particular generator plus a basis of the product's center
+    (the full ambiguity of the generator), or flags the derivation as
+    non-inner when the system is inconsistent, with the Leibniz verdict.
+    Non-inner is a report state, not an error.
     """
+    generator, ambiguity = _generator_solve(d, p)
+    return DerivationReport(*is_derivation(d, p), generator is not None, generator, ambiguity)
+
+
+def _generator_solve(d: Operator, p: Product) -> tuple[Optional[Element], list[Element]]:
+    """``inner_generator``'s generator and center basis, ``(None, [])`` if not
+    inner: ``slot_rows`` with signs (1, -1), right-hand sides first."""
     if d.algebra is not p.algebra:
         raise PreconditionError("operator and product live on different algebras")
     alg, cols = d.algebra, d.columns
@@ -133,12 +139,9 @@ def inner_generator(d: Operator, p: Product) -> DerivationReport:
     system = [(rows.get((j, c), {}), rhs) for j in range(alg.dim) for c, rhs in cols[j].items()]
     system += [(row, ZERO) for (j, c), row in rows.items() if c not in cols[j]]
     solved = solve_sparse_system(system, alg.dim)
-    leibniz, lw = is_derivation(d, p)
     if solved is None:
-        return DerivationReport(leibniz, lw, False, None, [])
-    particular, kernel = solved
-    return DerivationReport(leibniz, lw, True, Element(alg, particular),
-                            [Element(alg, v) for v in kernel])
+        return None, []
+    return Element(alg, solved[0]), [Element(alg, v) for v in solved[1]]
 
 
 def in_span(x: Element, basis: Sequence[Element]) -> bool:
@@ -190,20 +193,19 @@ def is_bi_hamiltonian(d: Operator, p1: Product, p2: Product) -> BiHamiltonianRep
     for p in (p1, p2):
         if not p.ensure_associativity_flag():
             raise PreconditionError("bi-Hamiltonian check needs associative products")
-    rep1 = inner_generator(d, p1)
-    rep2 = inner_generator(d, p2)
+    (gen1, amb1), (gen2, amb2) = _generator_solve(d, p1), _generator_solve(d, p2)
     # Both products are associative, so the associator of p1 + p2 is their
     # mixed associator, and Jacobi for the sum bracket is its alternation;
     # the table is built only when the mixed associator does not vanish.
     compatible = mixed_associator_witness(p1, p2) is None
     return BiHamiltonianReport(
-        inner_first=rep1.inner,
-        inner_second=rep2.inner,
+        inner_first=gen1 is not None,
+        inner_second=gen2 is not None,
         sum_bracket_jacobi=compatible
         or not table_alternation(mixed_associator_table(p1.table, p2.table)),
         products_compatible=compatible,
-        generators=(rep1.generator, rep2.generator),
-        ambiguities=(rep1.ambiguity, rep2.ambiguity),
+        generators=(gen1, gen2),
+        ambiguities=(amb1, amb2),
     )
 
 

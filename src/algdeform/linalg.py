@@ -18,19 +18,23 @@ exact elimination, :class:`RowReducer`, fed sparse rows one at a time:
   still the lowest ones, so the rank, the pivot set and the order of the
   pivot keys do not change; only the fill-in does.
 
+A row may also be offered by its leading column alone. If no pivot row leads
+there it is stored unbuilt, and built when first read: by an elimination, the
+realification, the back-substitution or ``rows``. So the pivots and each row
+built are those of the rows fed built, and a row nothing reads is never built.
+
 The stored rows are an echelon basis, which gives the rank. Solutions are
 read from the reduced echelon form, made by one back-substitution when first
 asked for, and again after a row is added or a pivot row replaced. That form
 is unique, so particular solutions (free variables zero) and kernel bases
 (one per free column) do not depend on row order or on which rows were kept.
-Rows enter without zero entries: one check per row drops any it is given.
+Rows are stored without zero entries: a row built late drops any it has.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from math import gcd, inf, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .records import Record
 from .scalar import ONE, ZERO, Scalar, _scalar, as_scalar
@@ -130,17 +134,25 @@ class RowReducer:
 
     Rows are dicts ``{column: scalar}`` with an optional right-hand side.
     :attr:`inconsistent` holds from the moment a row reduces to a nonzero
-    right-hand side alone; :attr:`pivots` maps pivot columns to stored rows.
+    right-hand side alone; :attr:`pivots` maps pivot columns to stored rows,
+    or to the ``(build, key, half)`` of a row not built yet.
     """
 
     def __init__(self) -> None:
-        self.pivots: dict[float, dict] = {}
+        self.pivots: dict[float, dict | tuple] = {}
         self.realified = False
         self._reduced = 0  # pivots when last back-substituted; -1 after a swap
 
     @property
     def rows(self) -> list[dict]:
-        return list(self.pivots.values())
+        return [self._stored(p) for p in self.pivots]
+
+    def _stored(self, p: float) -> dict:
+        """The stored row of pivot ``p``, built first if it was deferred."""
+        row = self.pivots[p]
+        if type(row) is tuple:
+            row = self.pivots[p] = _primitive(_built(row), p)
+        return row
 
     @property
     def inconsistent(self) -> bool:
@@ -158,15 +170,24 @@ class RowReducer:
         scale = den // rhs.d
         return self._add_parts(re, im, rhs.a * scale, rhs.b * scale)
 
-    def add_integer_rows(self, re_rows: Iterable[Mapping[int, int]],
-                         im_rows: Optional[Iterable[Mapping[int, int]]] = None) -> None:
-        """Reduce the Gaussian integer rows ``re + i*im``, imaginary parts
-        paired in order (or none), all with right-hand side zero."""
-        if im_rows is None and not self.realified:
-            self._insert(re_rows)  # one loop: no per-row call
-        else:
-            for re, im in zip(re_rows, im_rows or repeat({})):
-                self._add_parts(re, im, 0, 0)
+    def add_deferred_rows(self, rows: Iterable[tuple], build: Callable) -> None:
+        """Reduce the Gaussian integer rows ``re + i*im``, right-hand side
+        zero, fed as ``(key, leading column of re, of im)``, ``inf`` for a zero
+        part, and built as new dicts ``(re, im) = build(key)`` when read. A
+        realified half leads at 2c or 2c + 1, c the row's leading column."""
+        for key, re_lead, im_lead in rows:
+            if im_lead != inf and not self.realified:
+                self._realify()
+            c = min(re_lead, im_lead)
+            if c == inf:
+                continue
+            halves = (((2 * c + (re_lead != c), 0), (2 * c + (im_lead != c), 1))
+                      if self.realified else ((c, None),))
+            for lead, half in halves:
+                if lead in self.pivots:
+                    self._insert((_built((build, key, half)),))
+                else:
+                    self.pivots[lead] = (build, key, half)
 
     def _add_parts(self, re: Mapping, im: Mapping, rhs_re: int, rhs_im: int) -> bool:
         """Reduce the Gaussian integer row ``re + i*im`` with right-hand side
@@ -175,11 +196,7 @@ class RowReducer:
             return self._insert(({**re, _RHS: rhs_re} if rhs_re else re,))
         if not self.realified:
             self._realify()
-        top = {2 * c: v for c, v in re.items()}
-        bottom = {2 * c + 1: v for c, v in re.items()}
-        for c, v in im.items():
-            top[2 * c + 1] = -v
-            bottom[2 * c] = v
+        top, bottom = _half(re, im, 0), _half(re, im, 1)
         if rhs_re:
             top[_RHS] = rhs_re
         if rhs_im:
@@ -187,14 +204,12 @@ class RowReducer:
         return self._insert((top, bottom))
 
     def _insert(self, rows: Iterable[Mapping]) -> bool:
-        """Eliminate each row against the stored rows and store what is left;
-        True if a row was stored in a column other than the right-hand side's."""
+        """Eliminate each row (which may change) against the stored rows and
+        store what is left; True if a row was stored in a column other than
+        the right-hand side's."""
         pivots = self.pivots
         grew = False
-        for row in rows:
-            work = dict(row)
-            if 0 in work.values():
-                work = {c: v for c, v in row.items() if v}
+        for work in rows:
             while work:
                 p = min(work)
                 prow = pivots.get(p)
@@ -202,6 +217,8 @@ class RowReducer:
                     pivots[p] = _primitive(work, p)
                     grew = grew or p != _RHS
                     break
+                if type(prow) is tuple:
+                    prow = self._stored(p)
                 if len(work) < len(prow):  # the sparser row keeps the pivot
                     pivots[p], work = _primitive(work, p), prow
                     prow = pivots[p]
@@ -212,7 +229,7 @@ class RowReducer:
     def _realify(self) -> None:
         """Realify the stored rows: a real row R becomes [R, 0] and [0, R]."""
         pivots = {}
-        for p, row in self.pivots.items():
+        for p, row in zip(self.pivots, self.rows):
             pivots[2 * p] = {2 * c: v for c, v in row.items()}
             if p != _RHS:
                 pivots[2 * p + 1] = {2 * c + 1: v for c, v in row.items() if c != _RHS}
@@ -227,7 +244,7 @@ class RowReducer:
         # Rows below are reduced first, so clearing one pivot column touches
         # only non-pivot columns and the other pivot entries stay as found.
         for p in sorted(pivots, reverse=True):
-            work = pivots[p]
+            work = self._stored(p)
             hits = [q for q in work if q != p and q in pivots]
             if hits:
                 for q in hits:
@@ -289,6 +306,22 @@ def _cleared(work: dict, prow: Mapping, c: float) -> dict:
         else:
             del work[k]
     return work
+
+
+def _half(re: Mapping, im: Mapping, half: int) -> dict:
+    """Half 0, ``[re, -im]``, or half 1, ``[im, re]``, of ``re + i*im`` realified."""
+    row = {2 * c + half: v for c, v in re.items()}
+    row.update({2 * c + 1 - half: v if half else -v for c, v in im.items()})
+    return row
+
+
+def _built(deferred: tuple) -> dict:
+    """The row, without zeros, of a deferred ``(build, key, half)``: ``re`` of
+    ``build(key)``, or its realified half 0 (top) or 1 (bottom)."""
+    build, key, half = deferred
+    re, im = build(key)
+    row = re if half is None else _half(re, im, half)
+    return {c: v for c, v in row.items() if v} if 0 in row.values() else row
 
 
 def _primitive(work: dict, lead: float) -> dict:

@@ -395,17 +395,18 @@ EXAMPLE_6_CHECKS = [
 
 def test_example_6_reads_one_bi_hamiltonian_report(monkeypatch):
     """Example 6 takes its innerness, generator, center and compatibility
-    from its one ``is_bi_hamiltonian(ad_h, mu, prod)``: two inner-generator
-    solves, one per product, and one mixed-associator sweep."""
+    from its one ``is_bi_hamiltonian(ad_h, mu, prod)``: two generator solves,
+    one per product, one mixed-associator sweep and no Leibniz sweep, whose
+    verdict the report would not carry."""
     dynamics = importlib.import_module("algdeform.dynamics")
-    calls = {"inner_generator": 0, "mixed_associator_witness": 0}
+    calls = {"_generator_solve": 0, "is_derivation": 0, "mixed_associator_witness": 0}
     for name in calls:
         def counted(*args, _fn=getattr(dynamics, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(dynamics, name, counted)
     rep = example_check(6, dim=4)
-    assert calls == {"inner_generator": 2, "mixed_associator_witness": 1}
+    assert calls == {"_generator_solve": 2, "is_derivation": 0, "mixed_associator_witness": 1}
     assert rep == {
         "example": 6, "algebra": "Osc4", "dim": 4, "band": 1, "sum_bracket_jacobi": False,
         "checks": [{"name": name, "pass": True} for name in EXAMPLE_6_CHECKS],

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product as iproduct
+from math import inf
 
 import pytest
 
@@ -22,7 +23,8 @@ from algdeform.hochschild import (
     gerstenhaber_bracket,
     is_cocycle,
 )
-from algdeform.linalg import Matrix, kernel_basis, rank
+from algdeform import linalg
+from algdeform.linalg import Matrix, RowReducer, kernel_basis, rank
 from algdeform.scalar import Scalar, as_scalar
 from algdeform.tables import vec_mul
 
@@ -350,18 +352,21 @@ def _truncated_polynomials():
 
 def test_the_reducer_gets_only_the_cochains_off_the_lower_pivots(monkeypatch):
     # d^n kills im d^(n-1), so of the rows of d^n only those of the basis
-    # cochains off the pivot columns of d^(n-1) are fed: on M4, 241 of the
+    # cochains off the pivot columns of d^(n-1) are offered: on M4, 241 of the
     # 256 rows of d^1 and 3855 of the 4096 rows of d^2.
     fed = []
-    rows = hochschild._basis_rows
 
-    def counted(*args):
-        fed.append(0)
-        for row in rows(*args):
-            fed[-1] += 1
-            yield row
+    class Counted(RowReducer):
+        def add_deferred_rows(self, rows, build):
+            fed.append(0)
 
-    monkeypatch.setattr(hochschild, "_basis_rows", counted)
+            def counted():
+                for row in rows:
+                    fed[-1] += 1
+                    yield row
+            super().add_deferred_rows(counted(), build)
+
+    monkeypatch.setattr(hochschild, "RowReducer", Counted)
     m4 = full_matrix_algebra(4)
     for n, counts in ((1, [16, 241]), (2, [256, 3855])):
         fed.clear()
@@ -369,7 +374,22 @@ def test_the_reducer_gets_only_the_cochains_off_the_lower_pivots(monkeypatch):
         assert fed == counts
 
 
-@pytest.mark.parametrize("alg, dims", [
+@pytest.mark.parametrize("alg, built", [
+    (full_matrix_algebra(4), 183),
+    (_twisted_m3(((3, 5, -2), (2, 3, 1), (1, 2, -1))), 370),
+], ids=["M4", "M3 dense"])
+def test_h2_builds_only_the_rows_an_elimination_reads(alg, built, monkeypatch):
+    # A row whose leading column holds no pivot is stored unbuilt, and most
+    # are never read: H^2 of M4 builds 183 of the 4111 rows of d^1 and d^2
+    # offered, and on the dense M3 fill-in makes more rows read.
+    count = [0]
+    build = linalg._built
+    monkeypatch.setattr(linalg, "_built", lambda row: count.__setitem__(0, count[0] + 1) or build(row))
+    assert cohomology_dimension(alg, 2) == 0
+    assert count == [built]
+
+
+KNOWN_DIMS = pytest.mark.parametrize("alg, dims", [
     (full_matrix_algebra(3), [1, 0, 0]),
     (upper_triangular_algebra(4), [1, 0, 0]),
     (_twisted_m3(((3, 5, -2), (2, 3, 1), (1, 2, -1))), [1, 0, 0]),
@@ -378,6 +398,9 @@ def test_the_reducer_gets_only_the_cochains_off_the_lower_pivots(monkeypatch):
     (_twisted(upper_triangular_algebra(3), ((0, 4, Scalar(1, 1)), (5, 1, Scalar(Fraction(1, 2), -1)),
                                             (3, 0, Scalar(0, 2)))), [1, 0, 0]),
 ], ids=["M3", "T4", "M3 dense", "k[x]/(x^3)", "k[x]/(x^3) Gaussian", "T3 Gaussian"])
+
+
+@KNOWN_DIMS
 def test_the_kept_rows_have_the_rank_of_all_rows(alg, dims, monkeypatch):
     # Differential guard: the rows fed to the reducer for d^n must have the
     # rank of all its rows, and d^(n-1) is fed in full.
@@ -398,3 +421,22 @@ def test_the_kept_rows_have_the_rank_of_all_rows(alg, dims, monkeypatch):
         assert ranks == {n - 1: full[n - 1], n: full[n]}
     assert cohomology_dimension(alg, 0) == dims[0] == alg.dim - full[0]
     assert dims[1:] == [alg.dim ** (n + 1) - full[n] - full[n - 1] for n in (1, 2)]
+
+
+@KNOWN_DIMS
+def test_rows_stored_unbuilt_reduce_as_rows_built_up_front(alg, dims):
+    # Each row's leading column is the first nonzero column of the row built
+    # in full, so the reducer that builds rows only when it reads them has
+    # the pivots and stored rows of one fed every row built, through add_row.
+    indexes = hochschild._integer_indexes(alg)
+    for n in (0, 1, 2):
+        sources = [hochschild._coboundary_rows(index, alg.dim, n) for index in indexes]
+        eager = RowReducer()
+        for flat in range(alg.dim ** (n + 1)):
+            re, im = [row(flat) for _, row in sources] + [{}] * (2 - len(sources))
+            for (lead, _), part in zip(sources, (re, im)):
+                assert lead(flat) == min((c for c, v in part.items() if v), default=inf)
+            eager.add_row({c: Scalar(re.get(c, 0), im.get(c, 0)) for c in {*re, *im}})
+        deferred = hochschild._reduced_coboundary(indexes, alg.dim, n, ())
+        assert list(deferred.pivots) == list(eager.pivots)
+        assert deferred.rows == eager.rows

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import inf
 
 import pytest
 from fractions import Fraction
@@ -350,17 +351,56 @@ def test_sparser_rows_leave_the_read_out_on_the_reduced_echelon_form(system):
     assert [list(v) for v in (second[0], *second[1])] == [list(v) for v in (first[0], *first[1])]
 
 
-def test_add_integer_rows_drops_explicit_zeros():
-    re_rows = [{0: 0, 1: 2, 2: 4}, {0: 0, 3: 0}, {1: 0, 2: 3}, {0: 5, 1: 0}]
-    im_rows = [{}, {2: 0}, {1: 1, 3: 0}, {0: 0}]
+def _random_gaussian_rows(rng, ncols, gaussian):
+    """Sparse Gaussian integer rows ``(re, im)``, with explicit zeros, rows of
+    zeros, repeated rows and their multiples, and rows with a zero real part."""
+    rows = []
+    for _ in range(rng.randint(6, 24)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append(({rng.randrange(ncols): 0}, {}))  # vanishes on entry
+        elif kind < 0.3 and rows:
+            re, im = rng.choice(rows)
+            k = rng.choice((1, -1, 2, -3))
+            rows.append(({c: k * v for c, v in re.items()}, {c: k * v for c, v in im.items()}))
+        else:
+            size = rng.randint(1, ncols) if rng.random() < 0.3 else rng.randint(1, 3)
+            cols = rng.sample(range(ncols), size)
+            re, im = {c: rng.randint(-3, 3) for c in cols}, {}
+            if gaussian and len(rows) > 2 and rng.random() < 0.5:  # real rows stored first
+                im = {c: rng.randint(-2, 2) for c in rng.sample(cols, rng.randint(1, len(cols)))}
+                if rng.random() < 0.2:
+                    re = {}
+            rows.append((re, im))
+    return rows
 
-    def clean(rows):
-        return [{c: v for c, v in row.items() if v} for row in rows]
 
-    for im in (None, im_rows):
-        with_zeros, without = RowReducer(), RowReducer()
-        with_zeros.add_integer_rows(re_rows, im)
-        without.add_integer_rows(clean(re_rows), im and clean(im))
-        assert with_zeros.rank == without.rank == 3
-        assert with_zeros.pivots == without.pivots
-        assert all(all(row.values()) for row in with_zeros.rows)
+def _lead(part):
+    return min((c for c, v in part.items() if v), default=inf)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["integer", "Gaussian"])
+def test_deferred_rows_read_as_rows_built_up_front(gaussian):
+    # Differential guard: rows stored unbuilt and built when first read give
+    # the reducer that the same rows fed built, through add_row, give.
+    swapped = realified = unbuilt = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        ncols = rng.randint(3, 12)
+        rows = _random_gaussian_rows(rng, ncols, gaussian)
+        deferred, eager = RowReducer(), RowReducer()
+        deferred.add_deferred_rows(((i, _lead(re), _lead(im)) for i, (re, im) in enumerate(rows)),
+                                   lambda i: tuple(dict(part) for part in rows[i]))
+        for re, im in rows:
+            eager.add_row({c: Scalar(re.get(c, 0), im.get(c, 0)) for c in {*re, *im}})
+        swapped += eager._reduced == -1
+        realified += eager.realified
+        unbuilt += sum(type(row) is tuple for row in deferred.pivots.values())
+        assert list(deferred.pivots) == list(eager.pivots)
+        assert deferred.rank == eager.rank and deferred.realified == eager.realified
+        assert deferred.rows == eager.rows
+        assert deferred.pivots == eager.pivots
+        assert all(all(row.values()) for row in deferred.rows)
+        assert deferred.kernel_basis_sparse(ncols) == eager.kernel_basis_sparse(ncols)
+        assert deferred.particular_sparse() == eager.particular_sparse() == {}
+    assert swapped and unbuilt and bool(realified) == gaussian  # the cases were met
