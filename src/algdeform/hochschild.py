@@ -28,7 +28,8 @@ a sum of ``tables.table_insert_into`` terms, and so is the coboundary:
 d f = (-1)^(n+1) [mu, f] for f of arity n (Gerstenhaber 1963).
 
 Cohomology dimensions need the exact rank of the coboundary on arity-n
-cochains, a d^(n+1) x d^(n+2) matrix. Its rows are never built as cochains:
+cochains, at most a d^(n+1) x d^(n+2) matrix. Its rows are never built as
+cochains:
 
 * the structure constants are multiplied once by D, the common denominator
   of their real and imaginary parts. The coboundary is linear in them, so
@@ -37,9 +38,19 @@ cochains, a d^(n+1) x d^(n+2) matrix. Its rows are never built as cochains:
   nonzero constants (as either factor or as output) comes earlier. A basis
   permutation does not change H^n, and this one lowers the elimination's
   fill-in on dense bases;
+* where a basis vector e_u is the unit (e_u e_k = e_k = e_k e_u for every
+  k, read off the constants), only the normalized cochains are enumerated:
+  those that vanish when an argument is e_u, (d - 1)^n * d basis cochains
+  of arity n. Their coboundaries vanish there too, so the terms whose
+  argument is e_u are dropped, and the normalized complex has the same
+  cohomology (Loday, Cyclic Homology, 1.5.7). With no unit basis vector the
+  excluded set is empty and every cochain is enumerated;
 * the row of each basis cochain e_t -> e_k comes from those scaled,
   relabeled constants, term by term of the alternating sum above. Kept in
-  column order, the terms give its leading column without building it;
+  column order, the terms give its leading column without building it.
+  The term lists and their heads depend only on the algebra and n, so each
+  degree's are built on first use and kept with the algebra; what a
+  reduction finds (pivots, stored rows, ranks) is never kept;
 * the integer rows, with their imaginary parts when the constants have any,
   are offered by leading column to a ``linalg.RowReducer``, the package's one
   fraction-free echelon elimination (after Bareiss 1968), which builds a row
@@ -178,7 +189,7 @@ def is_cocycle(c: Cochain) -> bool:
     return coboundary(c).is_zero
 
 
-def _integer_indexes(alg: Algebra) -> list[tuple[dict, dict, dict]]:
+def _integer_indexes(alg: Algebra) -> tuple[list[tuple[dict, dict, dict]], frozenset, dict]:
     """D times the structure constants, D their common denominator, on the
     sparsest-first basis: the index that touches the fewest nonzero constants
     (as left factor, right factor or output) becomes e_0, ties kept in order.
@@ -186,7 +197,13 @@ def _integer_indexes(alg: Algebra) -> list[tuple[dict, dict, dict]]:
     Each integer part, the real one and then the imaginary one if it is not
     zero, is indexed three ways for :func:`_coboundary_rows`, in sorted lists:
     ``left[k]`` of (a, m, e_a e_k at m), ``right[k]`` of (b, m, e_k e_b at m)
-    and ``pairs[m]`` of (x, y, e_x e_y at m). Kept on the algebra by
+    and ``pairs[m]`` of (x, y, e_x e_y at m). The parts come with ``units``,
+    the label of e_u if that basis vector is the unit (e_u e_k = e_k = e_k e_u
+    for every k) and empty otherwise, and with an empty dict in which
+    :func:`_reduced_coboundary` keeps each degree's rows. Only the normalized
+    cochains are enumerated, those that vanish when an argument is in
+    ``units``; their coboundaries vanish there too, so no entry whose argument
+    a, b, x or y is in ``units`` is indexed. Kept on the algebra by
     :func:`cohomology_dimension`, as the structure constants do not change.
     """
     structure = alg.structure
@@ -200,26 +217,33 @@ def _integer_indexes(alg: Algebra) -> list[tuple[dict, dict, dict]]:
     label = [0] * alg.dim
     for new, old in enumerate(sorted(range(alg.dim), key=touches.__getitem__)):
         label[old] = new
+    units = frozenset(label[u] for u in range(alg.dim) if all(
+        structure.get((u, k)) == {k: ONE} == structure.get((k, u)) for k in range(alg.dim)))
     real, imag = ({}, {}, {}), ({}, {}, {})
     for (x, y), vec in structure.items():
         x, y = label[x], label[y]
         for m, s in vec.items():
             m, scale = label[m], den // s.d
             for c, (left, right, pairs) in zip((s.a * scale, s.b * scale), (real, imag)):
-                if c:
+                if not c:
+                    continue
+                if x not in units:
                     left.setdefault(y, []).append((x, m, c))
+                if y not in units:
                     right.setdefault(x, []).append((y, m, c))
+                if units.isdisjoint((x, y)):
                     pairs.setdefault(m, []).append((x, y, c))
     for terms in (terms for lists in (*real, *imag) for terms in lists.values()):
         terms.sort()
-    return [real, imag] if imag[0] else [real]
+    return ([real, imag] if any(imag) else [real]), units, {}
 
 
-def _coboundary_rows(index: tuple[dict, dict, dict], d: int, n: int):
-    """The rows of the coboundary on arity-n cochains, one integer part of
-    :func:`_integer_indexes` in place of the product, as two functions of the
-    flat index t * d + k of the basis cochain e_t -> e_k: its row's leading
-    column (inf for a zero row) and its row.
+def _coboundary_rows(index: tuple[dict, dict, dict], d: int, n: int, units: frozenset):
+    """The rows of the coboundary on the normalized arity-n cochains, one
+    integer part of :func:`_integer_indexes` in place of the product, as two
+    functions of the flat index t * d + k of the basis cochain e_t -> e_k, t
+    free of ``units``: its row's leading column (inf for a zero row) and its
+    row. :func:`_reduced_coboundary` keeps them, one pair per degree and part.
 
     Columns flatten (a_1, ..., a_{n+1}, output coordinate) in mixed radix
     base d. The three terms of the alternating sum follow ``coboundary``, in
@@ -230,8 +254,10 @@ def _coboundary_rows(index: tuple[dict, dict, dict], d: int, n: int):
     left, right, pairs = index
     right_sign = 1 if (n + 1) % 2 == 0 else -1
     top = d ** (n + 1)
-    middles = []  # f(..., a_i a_{i+1}, ...), shifted by k
+    middles = {}  # f(..., a_i a_{i+1}, ...) by t, shifted by k
     for tflat, t in enumerate(iter_product(range(d), repeat=n)):
+        if not units.isdisjoint(t):
+            continue
         terms: dict[int, int] = {}
         for i in range(1, n + 1):
             # x and y go to digits i-1 and i, of weights wy * d and wy.
@@ -241,7 +267,7 @@ def _coboundary_rows(index: tuple[dict, dict, dict], d: int, n: int):
             for x, y, c in pairs.get(t[i - 1], ()):
                 col = base + x * wy * d + y * wy
                 terms[col] = terms.get(col, 0) + sign * c
-        middles.append(sorted([term for term in terms.items() if term[1]]))
+        middles[tflat] = sorted([term for term in terms.items() if term[1]])
 
     def row(flat: int) -> dict[int, int]:
         t, k = divmod(flat, d)
@@ -257,7 +283,7 @@ def _coboundary_rows(index: tuple[dict, dict, dict], d: int, n: int):
               for terms in map(left.get, range(d))]
     rheads = [(terms[0][0] * d + terms[0][1], right_sign * terms[0][2]) if terms else (inf, 0)
               for terms in map(right.get, range(d))]
-    mheads = [terms[0] if terms else (inf, 0) for terms in middles]
+    mheads = {t: terms[0] if terms else (inf, 0) for t, terms in middles.items()}
 
     def lead(flat: int) -> float:
         t, k = divmod(flat, d)
@@ -271,17 +297,23 @@ def _coboundary_rows(index: tuple[dict, dict, dict], d: int, n: int):
     return lead, row
 
 
-def _reduced_coboundary(indexes: list, d: int, n: int, skip: Container[int]) -> RowReducer:
-    """The coboundary on arity-n cochains reduced to echelon form, rows in
-    ``skip`` left out: the rows of D * d over the integer parts of
+def _reduced_coboundary(indexes: tuple, d: int, n: int, skip: Container[int]) -> RowReducer:
+    """The coboundary on normalized arity-n cochains reduced to echelon form,
+    rows in ``skip`` left out: the rows of D * d over the integer parts of
     :func:`_integer_indexes`, Gaussian integer rows when the constants have
-    an imaginary part. A row is built only when the reducer reads it."""
-    parts = [_coboundary_rows(index, d, n) for index in indexes]
-    pad = 2 - len(parts)  # a real row's imaginary part is zero
-    flats = [flat for flat in range(d ** (n + 1)) if flat not in skip]
+    an imaginary part. Each part's rows are built on the first call for the
+    degree and kept with the indexes; a row is built only when the reducer
+    reads it."""
+    parts, units, kept = indexes
+    sources = kept.get(n)
+    if sources is None:  # d^n depends only on the algebra: keep it
+        sources = kept[n] = [_coboundary_rows(index, d, n, units) for index in parts]
+    pad = 2 - len(sources)  # a real row's imaginary part is zero
+    flats = [flat for tflat, t in enumerate(iter_product(range(d), repeat=n)) if units.isdisjoint(t)
+             for flat in range(tflat * d, tflat * d + d) if flat not in skip]
     red = RowReducer()
-    red.add_deferred_rows(zip(flats, *(map(lead, flats) for lead, _ in parts), *[repeat(inf)] * pad),
-                          lambda flat: [row(flat) for _, row in parts] + [{}] * pad)
+    red.add_deferred_rows(zip(flats, *(map(lead, flats) for lead, _ in sources), *[repeat(inf)] * pad),
+                          lambda flat: [row(flat) for _, row in sources] + [{}] * pad)
     return red
 
 
@@ -299,7 +331,8 @@ def cohomology_dimension(alg: Algebra, n: int) -> int:
         skip, boundaries = low.pivots, low.rank
         if low.realified:  # pivots come in pairs 2c, 2c + 1
             skip = {p // 2 for p in skip}
-    return alg.dim ** (n + 1) - _reduced_coboundary(indexes, alg.dim, n, skip).rank - boundaries
+    cochains = (alg.dim - len(indexes[1])) ** n * alg.dim  # dim of normalized C^n
+    return cochains - _reduced_coboundary(indexes, alg.dim, n, skip).rank - boundaries
 
 
 def _circle_into(acc: Table, coef: Scalar, p: Cochain, q: Cochain) -> None:

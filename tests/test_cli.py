@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -985,3 +987,68 @@ def test_torsion_free_checks_build_no_table(tmp_path, capsys, monkeypatch):
         assert calls["table_of"] == 0 and calls["coboundary"] == 0, argv[0]
         if argv[0] == "check-nijenhuis":
             assert calls["witness"] == validation + 1
+
+
+def _leaves(doc, path=()):
+    """The paths to every value of a JSON document that is not a list or an object."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else None
+    if items is None:
+        return [path]
+    return [leaf for key, value in items for leaf in _leaves(value, path + (key,))]
+
+
+# What a leaf may become: nearby and malformed scalars and indices, and other
+# JSON types. Every number stays short; long entries are a budget's concern.
+SCALAR_MUTANTS = ["0", "-1", "2", "1/2", "-3/4", "i", "1+i", "2-3i/5", "1/0", "0/0", "",
+                  " 1", "x", "1e3", "1.5", "--1", "+", "i i", "1//2", "١"]
+INDEX_MUTANTS = [-1, 0, 1, 3, 4, 5, 16, 2 ** 31, 10 ** 6]
+TYPE_MUTANTS = [None, True, False, [], {}, 0.5, "1", [0], {"": 0}]
+
+
+def _mutated(doc, rng):
+    """A deep copy of ``doc`` with one leaf replaced, and the leaf's path."""
+    doc = json.loads(json.dumps(doc))
+    path = rng.choice(_leaves(doc))
+    *parents, key = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    old = node[key]
+    pool = SCALAR_MUTANTS if isinstance(old, str) else INDEX_MUTANTS if isinstance(old, int) else []
+    node[key] = rng.choice(pool + TYPE_MUTANTS)
+    return doc, path
+
+
+DOCUMENT_FLAGS = {"--algebra", "--operator", "--operator2", "--decomposition", "--product",
+                  "--product1", "--product2", "--circ1", "--n1", "--n2", "--derivation"}
+
+
+def test_one_leaf_mutations_of_the_documents_exit_0_1_or_2(workdir, capsys, tmp_path):
+    """Seeded one-leaf mutations of the M2 documents (and the dual numbers',
+    which ``cohomology`` reads), each fed to every subcommand that reads it:
+    the CLI must answer with exit 0, 1 or 2, never a traceback, in at most 5 s
+    per run."""
+    covered = set()
+    for label, argv in _golden_invocations(workdir):
+        slots = [i for i in range(1, len(argv)) if argv[i - 1] in DOCUMENT_FLAGS and argv[i] != "mu"]
+        if not slots:
+            continue
+        covered.add(argv[0])
+        rng = random.Random(f"one-leaf {label}")
+        for run_index in range(12):
+            slot = rng.choice(slots)
+            doc, path = _mutated(json.loads(Path(argv[slot]).read_text()), rng)
+            mutant = tmp_path / f"mutant-{run_index}.json"
+            mutant.write_text(json.dumps(doc))
+            case = f"{label}: {argv[slot - 1]} {Path(argv[slot]).name} at {list(path)}"
+            start = time.perf_counter()
+            try:
+                code = main([*argv[:slot], str(mutant), *argv[slot + 1:]])
+            except Exception as exc:  # a traceback would reach the user
+                pytest.fail(f"{case} raised {exc!r}")
+            seconds = time.perf_counter() - start
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), case
+            assert "Traceback" not in err, case
+            assert seconds <= 5, f"{case} took {seconds:.1f} s"
+    assert covered == set(COMMANDS) - {"example"}

@@ -9,6 +9,9 @@ and the mixed associator are compared entry by entry, also on direct sums
 and with Gaussian, non-integer operators. The coboundary and the cohomology
 dimensions are compared against the alternating-sum definition, with ranks
 taken by ``sympy``, on the same algebras and on random changes of their basis.
+Where a basis vector is the unit, the engine enumerates only the normalized
+cochains; their cohomology is compared with the full complex's, also after a
+change of basis that moves the unit off the basis.
 Sums of compositions with three distinct operators are compared too, since
 ``table_of`` builds every one of them by insertion. The identities that
 decide the power hierarchy from its torsion sweep (T_{a+bN} = b^2 T_N, T_{N^2}
@@ -55,6 +58,7 @@ from algdeform.deform import (
     torsion,
     verify_hierarchy,
 )
+from algdeform import hochschild
 from algdeform.dynamics import commutator_derivation, inner_generator, is_derivation
 from algdeform.errors import AlgebraError, PreconditionError
 from algdeform.hochschild import Cochain, coboundary, cohomology_dimension
@@ -413,6 +417,56 @@ def test_coboundary_matches_dense(alg, n, gaussian, rng):
     got = coboundary(Cochain(alg, n, table)).table
     for a, vec in dense_coboundary(dense, values, n).items():
         assert [got.get(a, {}).get(k, ZERO) for k in range(dense.d)] == vec
+
+
+def unit_off_the_basis(alg):
+    """``alg``, whose unit is e_0, in the basis f_0 = 2 (e_0 + e_1) and
+    f_j = 2 e_j otherwise (f_0 = 2 e_0 in dimension 1): no f_j is the unit."""
+    dense = Dense(alg)
+    d = dense.d
+    p = [[2 * v for v in dense.e(j)] for j in range(d)]  # row i of P
+    p_inv = [[v / 2 for v in dense.e(j)] for j in range(d)]
+    if d > 1:  # P = 2 (1 + E), E = e_1 e_0^T, so P^-1 = (1 - E) / 2
+        p[1][0], p_inv[1][0] = Scalar(2), Scalar(Fraction(-1, 2))
+    assert matmul(p, p_inv) == [dense.e(j) for j in range(d)]
+    columns = [[p[i][j] for i in range(d)] for j in range(d)]
+    structure = {}
+    for a, b in dense.pairs():
+        vec = dense.apply(p_inv, dense.mul(columns[a], columns[b]))
+        structure[(a, b)] = {k: v for k, v in enumerate(vec) if v}
+    return Algebra(alg.name + "'", d, [f"f{j}" for j in range(d)], structure)
+
+
+# Algebras whose basis vector e_0 is the unit, with their H^0, H^1, H^2.
+UNIT_BASIS_ALGEBRAS = {
+    "dual": (dual_number_algebra(), [2, 1, 1]),
+    "split quaternions": (split_quaternion_algebra(), [1, 0, 0]),
+    "k[x]/(x^3)": (TRUNCATED_POLYNOMIALS, [3, 2, 2]),
+    # y = x, z = x^2 / c for c = 1/2 - i: y y = c z.
+    "k[x]/(x^3) Gaussian": (Algebra("k[x]/(x^3)", 3, ["1", "y", "z"], {
+        **{(0, j): {j: ONE} for j in range(3)}, **{(j, 0): {j: ONE} for j in range(3)},
+        (1, 1): {2: Scalar(Fraction(1, 2), -1)}}), [3, 2, 2]),
+    "k[C3]": (Algebra("k[C3]", 3, ["1", "g", "g2"], {
+        (i, j): {(i + j) % 3: ONE} for i in range(3) for j in range(3)}), [3, 0, 0]),
+    "k": (Algebra("k", 1, ["1"], {(0, 0): {0: ONE}}), [1, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["unit basis vector", "unit moved off"])
+@pytest.mark.parametrize("alg, dims", UNIT_BASIS_ALGEBRAS.values(), ids=UNIT_BASIS_ALGEBRAS.keys())
+def test_normalized_cohomology_matches_sympy_rank_of_the_full_complex(alg, dims, moved):
+    """Where a basis vector is the unit, only the normalized cochains are
+    enumerated; their cohomology must be that of the full complex, ranked by
+    ``sympy``. After a change of basis that moves the unit off the basis,
+    every cochain is enumerated again, and H^n does not change."""
+    sympy = pytest.importorskip("sympy")
+    alg = unit_off_the_basis(alg) if moved else alg
+    units = hochschild._integer_indexes(alg)[1]
+    assert len(units) == (not moved)
+    dense = Dense(alg)
+    ranks = [0] + [coboundary_rank(sympy, dense, n) for n in (0, 1, 2)]
+    assert [dense.d ** (n + 1) - ranks[n + 1] - ranks[n] for n in (0, 1, 2)] == dims
+    assert [cohomology_dimension(alg, n) for n in (0, 1, 2)] == dims
 
 
 # -- deformed tables, associators and mixed associators ---------------------------

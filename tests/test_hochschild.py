@@ -11,6 +11,7 @@ from algdeform.algebra import (
     banded_oscillator_algebra,
     dual_number_algebra,
     full_matrix_algebra,
+    split_quaternion_algebra,
     transpose_operator,
     upper_triangular_algebra,
 )
@@ -353,7 +354,10 @@ def _truncated_polynomials():
 def test_the_reducer_gets_only_the_cochains_off_the_lower_pivots(monkeypatch):
     # d^n kills im d^(n-1), so of the rows of d^n only those of the basis
     # cochains off the pivot columns of d^(n-1) are offered: on M4, 241 of the
-    # 256 rows of d^1 and 3855 of the 4096 rows of d^2.
+    # 256 rows of d^1 and 3855 of the 4096 rows of d^2. Where a basis vector
+    # is the unit, only the (d - 1)^n * d normalized cochains count: the split
+    # quaternions offer 4, 9 and 27 rows for d^0, d^1 and d^2 (4, 13 and 51 in
+    # the full complex), and the dual numbers, whose d^0 is zero, 2, 2 and 1.
     fed = []
 
     class Counted(RowReducer):
@@ -367,11 +371,31 @@ def test_the_reducer_gets_only_the_cochains_off_the_lower_pivots(monkeypatch):
             super().add_deferred_rows(counted(), build)
 
     monkeypatch.setattr(hochschild, "RowReducer", Counted)
-    m4 = full_matrix_algebra(4)
-    for n, counts in ((1, [16, 241]), (2, [256, 3855])):
-        fed.clear()
-        assert cohomology_dimension(m4, n) == 0
-        assert fed == counts
+    for alg, pins in (
+        (full_matrix_algebra(4), ((1, 0, [16, 241]), (2, 0, [256, 3855]))),
+        (split_quaternion_algebra(), ((0, 1, [4]), (1, 0, [4, 9]), (2, 0, [12, 27]))),
+        (dual_number_algebra(), ((0, 2, [2]), (1, 1, [2, 2]), (2, 1, [2, 1]))),
+    ):
+        for n, dim, counts in pins:
+            fed.clear()
+            assert cohomology_dimension(alg, n) == dim
+            assert fed == counts
+
+
+def test_each_degree_of_the_coboundary_is_built_once_per_algebra(monkeypatch):
+    # d^n depends only on the algebra, so its rows are built on first use, one
+    # source per integer part, and kept: H^0, H^1, H^2 and back again build
+    # each degree once. Another Algebra on the same structure builds its own.
+    built = []
+    build = hochschild._coboundary_rows
+    monkeypatch.setattr(hochschild, "_coboundary_rows", lambda *args: built.append(args[2]) or build(*args))
+    gaussian = _twisted(_truncated_polynomials(), ((1, 2, Scalar(1, 1)), (2, 1, Scalar(0, -1))))
+    for shared, parts, dims in ((full_matrix_algebra(3), 1, [1, 0, 0]), (gaussian, 2, [3, 2, 2])):
+        for _ in range(2):
+            alg = Algebra(shared.name, shared.dim, shared.basis, shared.structure)
+            built.clear()
+            assert [cohomology_dimension(alg, n) for n in (0, 1, 2, 2, 1, 0)] == dims + dims[::-1]
+            assert sorted(built) == [0] * parts + [1] * parts + [2] * parts
 
 
 @pytest.mark.parametrize("alg, built", [
@@ -403,8 +427,11 @@ KNOWN_DIMS = pytest.mark.parametrize("alg, dims", [
 @KNOWN_DIMS
 def test_the_kept_rows_have_the_rank_of_all_rows(alg, dims, monkeypatch):
     # Differential guard: the rows fed to the reducer for d^n must have the
-    # rank of all its rows, and d^(n-1) is fed in full.
+    # rank of all its rows, and d^(n-1) is fed in full. Where a basis vector
+    # is the unit (k[x]/(x^3), both bases), the rows are the normalized
+    # cochains', (d - 1)^n * d of them.
     indexes = hochschild._integer_indexes(alg)
+    cochains = [(alg.dim - len(indexes[1])) ** n * alg.dim for n in (0, 1, 2)]
     reduce = hochschild._reduced_coboundary
     full = [reduce(indexes, alg.dim, n, ()).rank for n in (0, 1, 2)]
     ranks = {}
@@ -419,8 +446,15 @@ def test_the_kept_rows_have_the_rank_of_all_rows(alg, dims, monkeypatch):
         ranks.clear()
         assert cohomology_dimension(alg, n) == dims[n]
         assert ranks == {n - 1: full[n - 1], n: full[n]}
-    assert cohomology_dimension(alg, 0) == dims[0] == alg.dim - full[0]
-    assert dims[1:] == [alg.dim ** (n + 1) - full[n] - full[n - 1] for n in (1, 2)]
+    assert cohomology_dimension(alg, 0) == dims[0] == cochains[0] - full[0]
+    assert dims[1:] == [cochains[n] - full[n] - full[n - 1] for n in (1, 2)]
+
+
+def _normalized_cochains(d, n, units):
+    """Flat indexes t * d + k of the basis cochains e_t -> e_k with no label of
+    ``units`` in t, in order."""
+    return [t * d + k for t, digits in enumerate(iproduct(range(d), repeat=n))
+            if units.isdisjoint(digits) for k in range(d)]
 
 
 @KNOWN_DIMS
@@ -428,11 +462,12 @@ def test_rows_stored_unbuilt_reduce_as_rows_built_up_front(alg, dims):
     # Each row's leading column is the first nonzero column of the row built
     # in full, so the reducer that builds rows only when it reads them has
     # the pivots and stored rows of one fed every row built, through add_row.
-    indexes = hochschild._integer_indexes(alg)
+    # Where a basis vector is the unit, the rows are the normalized cochains'.
+    indexes = parts, units, _ = hochschild._integer_indexes(alg)
     for n in (0, 1, 2):
-        sources = [hochschild._coboundary_rows(index, alg.dim, n) for index in indexes]
+        sources = [hochschild._coboundary_rows(index, alg.dim, n, units) for index in parts]
         eager = RowReducer()
-        for flat in range(alg.dim ** (n + 1)):
+        for flat in _normalized_cochains(alg.dim, n, units):
             re, im = [row(flat) for _, row in sources] + [{}] * (2 - len(sources))
             for (lead, _), part in zip(sources, (re, im)):
                 assert lead(flat) == min((c for c, v in part.items() if v), default=inf)
