@@ -320,9 +320,14 @@ class Operator(Multilinear):
         return {(j,): col for j, col in enumerate(self.columns) if col}
 
     def _of(self, table: Table) -> "Operator":
-        """The operator of a tidy table whose rows it may keep: no copy, no filter."""
+        """The operator of a tidy table whose rows it may keep."""
+        return Operator._of_columns(self.algebra, [table.get((j,), {}) for j in range(self.algebra.dim)])
+
+    @staticmethod
+    def _of_columns(algebra: Algebra, columns: list[Vec]) -> "Operator":
+        """The operator that keeps ``columns``, new dicts with no zero entry."""
         op = object.__new__(Operator)
-        op.algebra, op.columns = self.algebra, [table.get((j,), {}) for j in range(self.algebra.dim)]
+        op.algebra, op.columns = algebra, columns
         return op
 
     # -- constructors -------------------------------------------------------------
@@ -346,7 +351,7 @@ class Operator(Multilinear):
                 s = as_scalar(v)
                 if s:
                     cols[j][i] = s
-        return cls(algebra, cols)
+        return cls._of_columns(algebra, cols)
 
     @classmethod
     def left_multiplication(cls, k: Element) -> "Operator":
@@ -376,7 +381,7 @@ class Operator(Multilinear):
     def __matmul__(self, other: "Operator") -> "Operator":
         if other.algebra is not self.algebra:
             raise AlgebraError("algebra mismatch")
-        return Operator(self.algebra, [self.apply_vec(col) for col in other.columns])
+        return Operator._of_columns(self.algebra, [self.apply_vec(col) for col in other.columns])
 
     def power(self, k: int) -> "Operator":
         if k < 0:
@@ -433,7 +438,7 @@ class Decomposition:
 
     def projector(self, part: int) -> Operator:
         keep = set(self.indices(part))
-        return Operator(
+        return Operator._of_columns(
             self.algebra,
             [({j: ONE} if j in keep else {}) for j in range(self.algebra.dim)],
         )

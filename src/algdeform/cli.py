@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 from typing import Optional
 
@@ -53,6 +52,7 @@ from .documents import (
     product_to_doc,
     algebra_from_doc,
     decomposition_from_doc,
+    dump_json,
     parse_json,
     structure_to_triples,
 )
@@ -104,7 +104,8 @@ def _load_decomposition(alg: Algebra, args, inputs: dict):
 
 
 def _emit(report: dict) -> int:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    """Print the report as sorted, indented JSON; 0 if every check passed, else 1."""
+    print(dump_json(report))
     return 0 if all(c["pass"] for c in report["checks"]) else 1
 
 
@@ -150,8 +151,7 @@ def _cmd_deform(args, alg, inputs) -> dict:
     doc = product_to_doc(prod, name=f"{alg.name}-deformed")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(dump_json(doc) + "\n")
     return {"outputs": {"product": doc}}
 
 
@@ -445,13 +445,8 @@ COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """A fresh CLI parser; given a subcommand name, with only that subparser.
-
-    Building every subparser costs more than most invocations' work, so
-    :func:`main` shares one parser per name, built lazily on first use, with
-    only the subparser that runs; its help, errors and exit codes are the full one's.
-    """
+def _build(command: Optional[str] = None):
+    """:func:`build_parser` and, given a subcommand name, its one subparser."""
     parser = argparse.ArgumentParser(
         prog="algdeform",
         description="Exact checks for deformations of associative algebras.",
@@ -474,23 +469,36 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         for flags, kwargs in specs:
             p.add_argument(*flags, **kwargs)
-    return parser
+    return parser, p
 
 
-# The shared parser of each subcommand name (None: the full parser), built on first use.
-_parser = functools.lru_cache(maxsize=None)(build_parser)
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """A fresh CLI parser; given a subcommand name, with only that subparser,
+    whose help, errors and exit codes are the full parser's."""
+    return _build(command)[0]
+
+
+# Each name's (parser, subparser), built on first use; None: the full parser.
+_parser = functools.lru_cache(maxsize=None)(_build)
 
 
 def main(argv=None) -> int:
-    """Run the CLI on ``argv`` with the subcommand's shared parser, built on its
-    first use in the process; every call reads its documents anew. The
-    report's ``checks`` are empty unless the handler gives them, and it has
-    ``inputs`` when a document was read."""
+    """Run the CLI on ``argv``; return the exit code. An argv that starts with
+    a subcommand name is parsed by that name's shared subparser alone, any
+    other (help, an unknown command, an option first) by the full parser.
+    Only parsers are kept across calls: each call reads, digests and
+    validates its documents anew. ``checks`` is empty unless the handler
+    gives some; ``inputs`` lists each document read."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Any argv that does not start with a subcommand name (help, no
-    # arguments, an unknown command, an option first) gets the full parser.
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = _parser(command).parse_args(argv)
+    parser, sub = _parser(command)
+    if command is None:
+        args, extras = parser.parse_known_args(argv)
+    else:
+        args, extras = sub.parse_known_args(argv[1:])
+        args.command = command
+    if extras:  # reported as parse_args reports them
+        parser.error("unrecognized arguments: " + " ".join(extras))
     inputs: dict = {}
     try:
         alg = None

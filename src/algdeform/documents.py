@@ -33,6 +33,8 @@ from .hochschild import Cochain
 from .scalar import Scalar, ScalarError, as_scalar
 from .tables import Table
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
 __all__ = [
     "algebra_to_doc",
     "algebra_from_doc",
@@ -47,6 +49,7 @@ __all__ = [
     "element_to_list",
     "read_json",
     "parse_json",
+    "dump_json",
 ]
 
 
@@ -73,6 +76,32 @@ def parse_json(data: bytes, where: str) -> dict:
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: top-level JSON value must be an object")
     return doc
+
+
+def dump_json(obj, indent: str = "\n") -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)`` for dicts with
+    str keys, lists, str, int, bool and None; TypeError for anything else.
+    ``indent`` is the newline and indentation of the level ``obj`` sits at. A
+    list of str and int leaves is written with one join, no call per leaf."""
+    if type(obj) is str:
+        return _ESCAPE(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if type(obj) in (list, dict) and not obj:
+        return "[]" if type(obj) is list else "{}"
+    inner = indent + "  "
+    if type(obj) is list:
+        if all(type(x) is str or type(x) is int for x in obj):
+            items = [_ESCAPE(x) if type(x) is str else int.__repr__(x) for x in obj]
+        else:
+            items = [dump_json(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if type(obj) is dict:  # a key that is not a str fails to sort or escape
+        items = [_ESCAPE(k) + ": " + dump_json(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _parse_scalar_field(value, where: str) -> Scalar:
@@ -146,7 +175,7 @@ def triples_to_table(raw, dim: int, where: str) -> dict[tuple[int, int], dict[in
             raise DocumentError(f"{where}: bad structure entry {entry!r}")
         i, j, k, s = entry
         for idx in (i, j, k):
-            if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < dim:
+            if not (type(idx) is int and 0 <= idx < dim):
                 raise DocumentError(f"{where}: structure index {idx!r} out of range")
         cell = table.setdefault((i, j), {})
         if k in cell:
@@ -182,9 +211,7 @@ def algebra_from_doc(doc: dict, where: str = "algebra document") -> Algebra:
         raise DocumentError(f"{where}: dim must be a nonnegative integer")
     check_size(f"{where}: dim^2", dim ** 2)
     basis = doc["basis"]
-    if not isinstance(basis, list) or len(basis) != dim or not all(
-        isinstance(b, str) for b in basis
-    ):
+    if not isinstance(basis, list) or len(basis) != dim or any(type(b) is not str for b in basis):
         raise DocumentError(f"{where}: basis must be a list of {dim} labels")
     structure = triples_to_table(doc["structure"], dim, where)
     unit_vec = _read_unit(doc, dim, where)
@@ -208,16 +235,18 @@ def operator_to_doc(op: Operator) -> dict:
 def operator_from_doc(alg: Algebra, doc: dict, where: str = "operator document") -> Operator:
     _require(doc, ("matrix",), where)
     _check_declared_algebra(doc, alg, "operator", where)
-    matrix = doc["matrix"]
-    if (
-        not isinstance(matrix, list)
-        or len(matrix) != alg.dim
-        or any(not isinstance(r, list) or len(r) != alg.dim for r in matrix)
+    matrix, d = doc["matrix"], alg.dim
+    if not isinstance(matrix, list) or len(matrix) != d or any(
+        not isinstance(r, list) or len(r) != d for r in matrix
     ):
-        raise DocumentError(f"{where}: matrix must be {alg.dim}x{alg.dim}")
+        raise DocumentError(f"{where}: matrix must be {d}x{d}")
     read = _scalar_reader(where)
-    rows = [list(map(read, r)) for r in matrix]
-    return Operator.from_matrix_rows(alg, rows)
+    cols: list[dict[int, Scalar]] = [{} for _ in range(d)]
+    for i, row in enumerate(matrix):
+        for col, s in zip(cols, map(read, row)):
+            if s:
+                col[i] = s
+    return Operator._of_columns(alg, cols)
 
 
 def decomposition_to_doc(dec: Decomposition) -> dict:
@@ -229,9 +258,7 @@ def decomposition_from_doc(
 ) -> Decomposition:
     _require(doc, ("part1",), where)
     part1 = doc["part1"]
-    if not isinstance(part1, list) or any(
-        not isinstance(i, int) or isinstance(i, bool) for i in part1
-    ):
+    if not isinstance(part1, list) or any(type(i) is not int for i in part1):
         raise DocumentError(f"{where}: part1 must be a list of integers")
     for i in part1:
         if not 0 <= i < alg.dim:

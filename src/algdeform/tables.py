@@ -373,7 +373,7 @@ def _index(role: int, part: list, dim: int):
             idx.setdefault(t[0], []).append((t[1], entries))
         elif role == _FLAT:  # (m, c) -> m: [(c*dim + k, v)]
             base = t[1] * dim
-            idx.setdefault(t[0], []).extend((base + k, v) for k, v in entries)
+            idx.setdefault(t[0], []).extend([(base + k, v) for k, v in entries])
         else:  # _OUT: (b, c) -> m: [((b*dim + c)*dim, v)]; _PRE: column a -> m: [(a*dim, v)]
             base = (t[0] * dim + t[1]) * dim if role == _OUT else t * dim
             for m, v in entries:

@@ -35,7 +35,7 @@ from algdeform.errors import (
     check_size,
 )
 from algdeform.hochschild import Cochain
-from algdeform.scalar import ONE, ZERO, Scalar
+from algdeform.scalar import ONE, ZERO, Scalar, as_scalar
 
 
 def units(n):
@@ -181,6 +181,39 @@ def test_operator_basics():
     rows = NK.to_matrix_rows()
     assert operator_from_doc(alg, operator_to_doc(NK)) == NK
     assert rows[2][2] == Scalar(2)
+
+
+def _owns_its_columns(op):
+    """No zero entry, and no column dict shared with another column."""
+    cols = op.columns
+    return (len(cols) == op.algebra.dim and len({id(c) for c in cols}) == len(cols)
+            and all(v for col in cols for v in col.values()))
+
+
+def test_operators_built_without_a_copy_hold_fresh_zero_free_columns():
+    """Operator documents, matrix rows, projectors and products hand their
+    columns to the operator uncopied; each column must be new and zero-free."""
+    alg = full_matrix_algebra(2)
+    texts = [["1", "0", "-0", "1/2"], ["0/3", "0i", "0+0i", "2i"], ["00", "1/2", "0", "0"],
+             ["1", "1/2", "3-1i", "0"]]
+    want = Operator(alg, [{i: as_scalar(texts[i][j]) for i in range(4)} for j in range(4)])
+    from_doc = operator_from_doc(alg, {"algebra": "M2", "matrix": texts})
+    assert from_doc.columns[2] == {3: Scalar(3, -1)}  # "-0", "0+0i" and "00" are dropped
+    dec = triangular_split(alg)
+    p1, p2 = dec.projector(1), dec.projector(2)
+    for op in (from_doc, Operator.from_matrix_rows(alg, texts)):
+        assert op == want and _owns_its_columns(op)
+    for op in (p1, p2, p1 @ p2, p1 @ p1, from_doc @ from_doc, from_doc @ p2):
+        assert _owns_its_columns(op)
+    assert p1 @ p2 == Operator.zero(alg) and p1 @ p1 == p1 and p1 + p2 == Operator.identity(alg)
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, "0", None, -1, 2])
+def test_structure_indices_must_be_ints_in_range(index):
+    doc = algebra_to_doc(dual_number_algebra())
+    doc["structure"].append([1, index, 1, "3"])
+    with pytest.raises(DocumentError, match=f"structure index {index!r} out of range"):
+        algebra_from_doc(doc)
 
 
 def test_equal_objects_hash_equally_and_mutable_ones_do_not_hash():

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from algdeform import hochschild, tables
+from algdeform import cli, hochschild, tables
 from algdeform.algebra import (
     Operator,
     diagonal_split,
@@ -27,6 +28,7 @@ from algdeform.documents import (
     algebra_from_doc,
     algebra_to_doc,
     decomposition_to_doc,
+    dump_json,
     operator_to_doc,
     product_to_doc,
 )
@@ -578,6 +580,16 @@ def _parser_cases():
     for name in COMMANDS:
         full = _with_required(name)
         cases += [[name, "-h"], full[:-2], full + ["--bogus"], full + ["extra"]]
+        # The first required option as --flag=value, abbreviated (--alg, --i)
+        # and given twice, the -- separator, and --he (for --help) at the end.
+        flag, value, rest = full[1], full[2], full[3:]
+        cases += [
+            [name, f"{flag}={value}", *rest, "extra"],
+            [name, flag[:max(3, len(flag) - 4)], value, *rest, "extra"],
+            full + [flag, "y", "extra"],
+            [name, "--", *full[1:]],
+            full + ["--he"],
+        ]
     return cases
 
 
@@ -607,6 +619,23 @@ def test_repeated_main_calls_parse_like_a_fresh_parser(argv, capsys, monkeypatch
 
     first, second = outcome(main), outcome(main)
     assert first == second == outcome(build_parser().parse_args)
+
+
+def test_a_valid_invocation_parses_its_arguments_once(workdir, capsys, monkeypatch):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    argv = ["cohomology", "--algebra", workdir["dual.json"], "--degree", "1"]
+    for _ in range(2):  # the first call builds the shared parser
+        assert main(argv) == 0
+        assert calls == ["algdeform cohomology"]
+        assert json.loads(capsys.readouterr().out)["outputs"] == {"dimension": 1}
+        calls.clear()
 
 
 def _fresh_python(*args):
@@ -947,6 +976,75 @@ def test_hierarchy_reports_match_the_golden_digests(workdir, capsys):
         assert tmp not in out and tmp not in captured.err
         digests[label] = hashlib.sha256("\0".join([str(code), out, captured.err]).encode()).hexdigest()
     assert digests == HIERARCHY_REPORTS
+
+
+# Beyond the reports: empty containers at the top and nested, lists of lists
+# and mixed lists, escapes, non-ASCII and astral strings, big ints, constants.
+WRITER_INPUTS = [
+    {}, [], {"a": {}, "b": [], "c": [[], {}, [[]]]}, [[1, 2], ["x", [3, []]], [], [{}]],
+    [1, "two", True, None, {"k": False}, [None, -3]], [True, False, None], [True, 1, "x", False],
+    ['quote " backslash \\ slash /', "tab\tnewline\nreturn\rnul\x00bell\x07del\x7f",
+     "é ü ж 中文  ", "\U0001F600 \U00010348", ""],
+    {"z": 1, "a": [2], "é": "é", "": None, "A": {"b": True}, "\U0001F600": 0},
+    [2 ** 64, -(2 ** 64) - 1, 10 ** 100, 0, -1], 2 ** 70, -5, "astral \U0001D400",
+    True, False, None,
+]
+
+
+@pytest.fixture()
+def written(monkeypatch):
+    """Every object that ``cli`` hands to ``dump_json``, in order."""
+    objs = []
+
+    def recorded(obj):
+        objs.append(obj)
+        return dump_json(obj)
+
+    monkeypatch.setattr(cli, "dump_json", recorded)
+    return objs
+
+
+def test_the_writer_writes_the_bytes_of_json_dumps(workdir, capsys, written):
+    """``dump_json`` against ``json.dumps(indent=2, sort_keys=True)`` on every
+    report and ``--out`` document of the golden invocations, and on the inputs
+    above."""
+    invocations = (_golden_invocations(workdir) + _identity_route_invocations(workdir)
+                   + _hierarchy_invocations(workdir))
+    reports = sum(main(argv) != 2 for _, argv in invocations)
+    capsys.readouterr()
+    out_documents = sum("--out" in argv for _, argv in invocations)
+    assert out_documents and len(written) == reports + out_documents
+    for obj in written + WRITER_INPUTS:
+        assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [1.5, [0, 0.5], {"a": {"b": 2.0}}, {1: "a"}, {"a": {None: 1}},
+                                 {"a": 1, 2: "b"}, ("a",), [{"a", "b"}], b"bytes"],
+                         ids=repr)
+def test_the_writer_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        dump_json(obj)
+
+
+def test_non_ascii_labels_are_written_as_the_stdlib_writes_them(tmp_path, capsys, written):
+    """Basis labels reach stdout in witnesses and product documents."""
+    doc = algebra_to_doc(full_matrix_algebra(2))
+    doc["basis"] = ["É₁₁", 'e"12\\', "\U0001D400", "ж\t22"]
+    alg = tmp_path / "labels.json"
+    alg.write_text(json.dumps(doc))
+    op = tmp_path / "transpose.json"
+    op.write_text(json.dumps(operator_to_doc(transpose_operator(full_matrix_algebra(2)))))
+    out = tmp_path / "deformed.json"
+    base = ["--algebra", str(alg), "--operator", str(op)]
+    assert main(["check-nijenhuis", *base]) == 1
+    report = capsys.readouterr().out
+    assert main(["deform", *base, "--out", str(out)]) == 0
+    deformed = capsys.readouterr().out
+    stdlib = [json.dumps(obj, indent=2, sort_keys=True) + "\n" for obj in written]
+    assert stdlib == [report, out.read_text(), deformed]
+    witness = json.loads(report)["checks"][0]["witness"]
+    assert set(witness) <= set(doc["basis"]) and "\\u00c9" in report + deformed
+    assert json.loads(out.read_text())["basis"] == doc["basis"]
 
 
 def test_torsion_free_checks_build_no_table(tmp_path, capsys, monkeypatch):
