@@ -303,7 +303,9 @@ def _reduced_coboundary(indexes: tuple, d: int, n: int, skip: Container[int]) ->
     :func:`_integer_indexes`, Gaussian integer rows when the constants have
     an imaginary part. Each part's rows are built on the first call for the
     degree and kept with the indexes; a row is built only when the reducer
-    reads it."""
+    reads it. With an imaginary part the reducer is realified before the
+    first row, so every row is fed as two halves and no stored row is
+    realified; otherwise every row is fed whole."""
     parts, units, kept = indexes
     sources = kept.get(n)
     if sources is None:  # d^n depends only on the algebra: keep it
@@ -312,6 +314,8 @@ def _reduced_coboundary(indexes: tuple, d: int, n: int, skip: Container[int]) ->
     flats = [flat for tflat, t in enumerate(iter_product(range(d), repeat=n)) if units.isdisjoint(t)
              for flat in range(tflat * d, tflat * d + d) if flat not in skip]
     red = RowReducer()
+    if not pad:  # feed every row as halves, never realifying stored rows
+        red._realify()
     red.add_deferred_rows(zip(flats, *(map(lead, flats) for lead, _ in sources), *[repeat(inf)] * pad),
                           lambda flat: [row(flat) for _, row in sources] + [{}] * pad)
     return red

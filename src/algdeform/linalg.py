@@ -33,6 +33,7 @@ Rows are stored without zero entries: a row built late drops any it has.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, inf, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -173,21 +174,29 @@ class RowReducer:
     def add_deferred_rows(self, rows: Iterable[tuple], build: Callable) -> None:
         """Reduce the Gaussian integer rows ``re + i*im``, right-hand side
         zero, fed as ``(key, leading column of re, of im)``, ``inf`` for a zero
-        part, and built as new dicts ``(re, im) = build(key)`` when read. A
-        realified half leads at 2c or 2c + 1, c the row's leading column."""
+        part, and built as new dicts ``(re, im) = build(key)`` when read. A real
+        row costs one dict operation unless a pivot row leads where it does.
+        From the first imaginary part on, the reducer is realified and each row
+        is fed as two halves, leading at 2c or 2c + 1, c its leading column:
+        realify the empty reducer first, and no stored row is realified."""
+        rows, pivots = iter(rows), self.pivots
+        if not self.realified:
+            for key, lead, im_lead in rows:
+                if im_lead != inf:  # realify, then feed this row and the rest as halves
+                    self._realify()
+                    rows, pivots = chain(((key, lead, im_lead),), rows), self.pivots
+                    break
+                if lead != inf and pivots.setdefault(lead, deferred := (build, key, None)) is not deferred:
+                    self._insert((_built(deferred),))
+            else:
+                return
         for key, re_lead, im_lead in rows:
-            if im_lead != inf and not self.realified:
-                self._realify()
             c = min(re_lead, im_lead)
             if c == inf:
                 continue
-            halves = (((2 * c + (re_lead != c), 0), (2 * c + (im_lead != c), 1))
-                      if self.realified else ((c, None),))
-            for lead, half in halves:
-                if lead in self.pivots:
-                    self._insert((_built((build, key, half)),))
-                else:
-                    self.pivots[lead] = (build, key, half)
+            for lead, half in ((2 * c + (re_lead != c), 0), (2 * c + (im_lead != c), 1)):
+                if pivots.setdefault(lead, deferred := (build, key, half)) is not deferred:
+                    self._insert((_built(deferred),))
 
     def _add_parts(self, re: Mapping, im: Mapping, rhs_re: int, rhs_im: int) -> bool:
         """Reduce the Gaussian integer row ``re + i*im`` with right-hand side

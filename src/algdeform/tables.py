@@ -17,15 +17,15 @@ N o T as three compose terms, :func:`associator_terms` and
 :func:`mixed_associator_terms` the associators as insertions. A sum of terms
 is read in one of two ways:
 
-- :func:`table_of` builds it with the one Scalar kernel, which also builds
-  every table the package outputs (in ``hochschild`` the graded bracket and
-  the coboundary d = (-1)^(n+1) [mu, .] are insertions of any arity):
+- :func:`table_of` builds it with the Scalar kernel that also builds every
+  table the package outputs (in ``hochschild`` the graded bracket and the
+  coboundary d = (-1)^(n+1) [mu, .] are insertions of any arity):
 
       table_insert_into   acc += c * P(..., Q(...), ...)  (Q in one slot of P)
 
-  An operator is a 1-cochain, the arity-1 table {(j,): column j}, so a
-  compose term is insertions too: N o T inserts T into N, and T o (N1, N2)
-  inserts N1 and N2 into the slots of T. :func:`first_witness` returns the
+  An operator is a 1-cochain, the arity-1 table {(j,): column j}, so N o T
+  inserts T into N; T o (N1, N2) is read in one pass over T, from the
+  preimage lists of N1 and N2. :func:`first_witness` returns the
   sum's lexicographically smallest failing tuple, with the residual there.
 - :class:`Sweep` returns that same witness without building the table, for
   checks that only test it. Each table and operator is scaled once to
@@ -227,33 +227,32 @@ class Compose:
 
 
 def table_of(terms: Sequence[Insert | Compose]) -> Table:
-    """The signed sum of ``terms``, built in full by insertion.
-
-    A compose term is lowered to insertions of its operators, each the
-    arity-1 table {(j,): column j}: T o (.., N, ..) inserts N into a slot of
-    T, and N o T inserts T into N. The inner slots are substituted first,
-    the outer operator last, and the coefficient rides on the last step.
-    """
+    """The signed sum of ``terms``, built in full with Scalars. A compose
+    term's inner operators are substituted in one pass over its table, read
+    from their preimage lists x -> [(a, N[a][x])], a missing one as 1; its
+    outer operator, the arity-1 table {(j,): column j}, is inserted last."""
     acc: Table = {}
     for term in terms:
         if type(term) is Insert:
             table_insert_into(acc, term.coef, term.p, 2, term.q, 2, term.pos)
             continue
-        steps = [(s, op) for s, op in enumerate(term.inner or ()) if op is not None]
-        if term.outer is not None:
-            steps.append((None, term.outer))
-        if not steps:
-            table_add_into(acc, term.coef, term.table)
-            continue
-        table = term.table
-        for n, (s, op) in enumerate(steps, 1):
-            out, coef = (acc, term.coef) if n == len(steps) else ({}, ONE)
-            op = {(j,): col for j, col in enumerate(op) if col}
-            if s is None:
-                table_insert_into(out, coef, op, 1, table, 2, 0)
-            else:
-                table_insert_into(out, coef, table, 2, op, 1, s)
-            table = out
+        table, outer, coef = term.table, term.outer, term.coef if term.outer is None else ONE
+        if term.inner:  # (a, b) gets N1[a][x] N2[b][y] T(x, y); coef rides on slot 0
+            pre = [None if op is None else {} for op in term.inner]
+            for p, op, k in zip(pre, term.inner, (coef, ONE)):
+                for a, col in enumerate(op or ()):
+                    for x, c in col.items():
+                        p.setdefault(x, []).append((a, c if k is ONE else k * c))
+            inner, table = table, acc if outer is None else {}
+            for (x, y), vec in inner.items():
+                for a, c1 in ((x, coef),) if pre[0] is None else pre[0].get(x, ()):
+                    for b, c2 in ((y, ONE),) if pre[1] is None else pre[1].get(y, ()):
+                        c = c1 if c2 is ONE else c2 if c1 is ONE else c1 * c2
+                        vec_add_into(table.setdefault((a, b), {}), c, vec)
+        if outer is not None:
+            table_insert_into(acc, term.coef, {(j,): col for j, col in enumerate(outer) if col}, 1, table, 2, 0)
+        elif table is not acc:
+            table_add_into(acc, coef, table)
     return table_tidy(acc)
 
 

@@ -413,6 +413,28 @@ def test_h2_builds_only_the_rows_an_elimination_reads(alg, built, monkeypatch):
     assert count == [built]
 
 
+@pytest.mark.parametrize("shared, dims, builds", [
+    (_twisted(_truncated_polynomials(), ((1, 2, Scalar(1, 1)), (2, 1, Scalar(0, -1)))), [3, 2, 2], [0, 12, 26]),
+    (_twisted(upper_triangular_algebra(3), ((0, 4, Scalar(1, 1)), (5, 1, Scalar(Fraction(1, 2), -1)),
+                                            (3, 0, Scalar(0, 2)))), [1, 0, 0], [10, 50, 252]),
+], ids=["k[x]/(x^3) Gaussian", "T3 Gaussian"])
+def test_gaussian_constants_realify_each_reducer_before_its_first_row(shared, dims, builds, monkeypatch):
+    # With an imaginary part in the constants, every reduction realifies its
+    # reducer while it is empty, so no stored row is ever realified; the rows
+    # built are those of a reducer realified at its first imaginary row.
+    found, count = [], [0]
+    realify, build = RowReducer._realify, linalg._built
+    monkeypatch.setattr(RowReducer, "_realify", lambda self: found.append(len(self.pivots)) or realify(self))
+    monkeypatch.setattr(linalg, "_built", lambda row: count.__setitem__(0, count[0] + 1) or build(row))
+    for n in (0, 1, 2):
+        alg = Algebra(shared.name, shared.dim, shared.basis, shared.structure)
+        found.clear()
+        count[0] = 0
+        assert cohomology_dimension(alg, n) == dims[n]
+        assert found == [0] * (1 + (n > 0))  # one per reduction: d^n, and d^(n-1) for n > 0
+        assert count == [builds[n]]
+
+
 KNOWN_DIMS = pytest.mark.parametrize("alg, dims", [
     (full_matrix_algebra(3), [1, 0, 0]),
     (upper_triangular_algebra(4), [1, 0, 0]),
