@@ -24,6 +24,7 @@ All scalars are strings in the grammar of :mod:`algdeform.scalar`; indices are
 from __future__ import annotations
 
 import json
+import sys
 from typing import Optional
 
 from .algebra import Algebra, Decomposition, Element, Operator
@@ -71,6 +72,9 @@ def parse_json(data: bytes, where: str) -> dict:
         raise DocumentError(f"{where}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{where}: invalid JSON ({exc})") from None
+    except ValueError:  # an integer past Python's limit on int/str conversion
+        raise DocumentError(f"{where}: JSON integer over the "
+                            f"{sys.get_int_max_str_digits()}-digit limit") from None
     except RecursionError:
         raise DocumentError(f"{where}: JSON nested too deeply") from None
     if not isinstance(doc, dict):

@@ -377,17 +377,11 @@ def _example_4(n: int = 3) -> dict:
     return {"example": 4, "algebra": alg.name, "checks": checks}
 
 
-def _example_5(
-    dim: int,
-    band: int,
-    lambdas: Sequence,
-    bihamiltonian_lambda,
-) -> dict:
+def _example_5(dim: int, band: int, lambdas: Sequence) -> dict:
     alg, a, adag, h = banded_oscillator_algebra(dim, band)
     dec = triangular_split(alg)
     mu = mu_product(alg)
     ad_h = commutator_derivation(h, mu)
-    bih_lam = as_scalar(bihamiltonian_lambda)
     checks = []
     diag_indices = [matrix_unit_index(dim, p, p) for p in range(dim)]
     for lam_raw in lambdas:
@@ -425,7 +419,7 @@ def _example_5(
                 commutator_derivation(h, prod) == ad_h,
             )
         )
-        if lam == bih_lam:
+        if lam == Fraction(1, 2):
             report = is_bi_hamiltonian(ad_h, mu, prod)
             checks.append(_check(f"inner_wrt_both{tag}", report.inner_pair))
             checks.append(_check(f"strong_bihamiltonian{tag}", report.strong))
@@ -498,14 +492,13 @@ def example_check(
     dim: int = 16,
     band: int = 1,
     lambdas: Optional[Sequence] = None,
-    bihamiltonian_lambda=Fraction(1, 2),
 ) -> dict:
     """Reproduce one worked example and report every asserted identity.
 
     ``dim``, ``band`` and ``lambdas`` only affect the oscillator examples
     (5 and 6); ``lambdas`` defaults to (0, 1, 1/2, -2). The bi-Hamiltonian
-    classification in example 5 runs for ``bihamiltonian_lambda`` only, since
-    it is by far the most expensive step.
+    classification in example 5 runs for lambda = 1/2 only, since it is by
+    far the most expensive step.
     """
     if example_id == 1:
         return _example_1()
@@ -518,7 +511,7 @@ def example_check(
     if lambdas is None:
         lambdas = (0, 1, Fraction(1, 2), -2)
     if example_id == 5:
-        return _example_5(dim, band, lambdas, bihamiltonian_lambda)
+        return _example_5(dim, band, lambdas)
     if example_id == 6:
         return _example_6(dim, band)
     raise PreconditionError(f"example id must be one of {EXAMPLE_IDS}")

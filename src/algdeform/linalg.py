@@ -38,7 +38,7 @@ from math import gcd, inf, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .records import Record
-from .scalar import ONE, ZERO, Scalar, _scalar, as_scalar
+from .scalar import ONE, ZERO, Scalar, _canonical, as_scalar
 
 __all__ = [
     "Matrix", "RowReducer", "AffineSolution", "rank", "scaled_parts", "kernel_basis",
@@ -349,8 +349,7 @@ def _entry(a: int, b: int, d1: int, d2: int) -> Scalar:
     """The Scalar ``a/d1 + (b/d2) i`` for positive ``d1``, ``d2``."""
     if d1 != d2:
         a, b, d1 = a * d2, b * d1, d1 * d2
-    g = gcd(a, b, d1)
-    return _scalar(a // g, b // g, d1 // g)
+    return _canonical(a, b, d1)
 
 
 def _reduced(rows: Iterable[Mapping[int, Scalar]]) -> RowReducer:

@@ -6,9 +6,9 @@ meaning ``(a + b*i) / d``, kept canonical:
 
     d > 0,    gcd(a, b, d) == 1,    zero is (0, 0, 1).
 
-Canonical triples make equality structural. Each operation restores the
-invariant with at most one three-argument ``math.gcd``, and with none when
-both denominators are 1 (the common case) or when an integer is added.
+Canonical triples make equality structural. Every operation restores the
+invariant through one constructor, ``_canonical``, which divides by the
+three-argument ``math.gcd``; a result with denominator 1 needs no division.
 
 Text grammar (used by all JSON documents and CLI flags)::
 
@@ -88,8 +88,8 @@ class Scalar:
 
     # -- ring/field operations ----------------------------------------------
     #
-    # The hot methods build their result in place (``_new`` plus three slot
-    # stores) rather than through a helper call.
+    # A result with denominator 1, behind most products, is built in place
+    # (``_new`` plus three slot stores); every other one through _canonical.
 
     def __add__(self, other):
         if type(other) is Scalar:
@@ -100,95 +100,23 @@ class Scalar:
                 return NotImplemented
             c, e, f = t
         d = self.d
-        if d == f:
-            a = self.a + c
-            b = self.b + e
-            if d != 1:
-                g = gcd(a, b, d)
-                if g != 1:
-                    a //= g
-                    b //= g
-                    d //= g
-        elif f == 1:  # adding a multiple of d keeps gcd(a, b, d) == 1
-            a = self.a + c * d
-            b = self.b + e * d
-        elif d == 1:
-            a = self.a * f + c
-            b = self.b * f + e
-            d = f
-        else:
-            a = self.a * f + c * d
-            b = self.b * f + e * d
-            d *= f
-            g = gcd(a, b, d)
-            if g != 1:
-                a //= g
-                b //= g
-                d //= g
+        if d != f:
+            return _canonical(self.a * f + c * d, self.b * f + e * d, d * f)
+        if d != 1:
+            return _canonical(self.a + c, self.b + e, d)
         s = _new(Scalar)
-        s.a = a
-        s.b = b
-        s.d = d
+        s.a = self.a + c
+        s.b = self.b + e
+        s.d = 1
         return s
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is Scalar:
-            c, e, f = other.a, other.b, other.d
-        else:
-            t = _triple(other)
-            if t is None:
-                return NotImplemented
-            c, e, f = t
-        d = self.d
-        if d == f:
-            a = self.a - c
-            b = self.b - e
-            if d != 1:
-                g = gcd(a, b, d)
-                if g != 1:
-                    a //= g
-                    b //= g
-                    d //= g
-        elif f == 1:
-            a = self.a - c * d
-            b = self.b - e * d
-        elif d == 1:
-            a = self.a * f - c
-            b = self.b * f - e
-            d = f
-        else:
-            a = self.a * f - c * d
-            b = self.b * f - e * d
-            d *= f
-            g = gcd(a, b, d)
-            if g != 1:
-                a //= g
-                b //= g
-                d //= g
-        s = _new(Scalar)
-        s.a = a
-        s.b = b
-        s.d = d
-        return s
+        return self + -other if type(other) is Scalar or _triple(other) else NotImplemented
 
     def __rsub__(self, other):
-        t = _triple(other)
-        if t is None:
-            return NotImplemented
-        c, _, f = t
-        d = self.d
-        a = c * d - self.a * f
-        b = -self.b * f
-        d *= f
-        if d != 1:
-            g = gcd(a, b, d)
-            if g != 1:
-                a //= g
-                b //= g
-                d //= g
-        return _scalar(a, b, d)
+        return -self + other if _triple(other) else NotImplemented
 
     def __mul__(self, other):
         if type(other) is Scalar:
@@ -198,29 +126,13 @@ class Scalar:
             if t is None:
                 return NotImplemented
             c, e, f = t
-        a1, b1 = self.a, self.b
-        d = self.d * f
-        if b1 or e:
-            a = a1 * c - b1 * e
-            b = a1 * e + b1 * c
-            if d != 1:
-                g = gcd(a, b, d)
-                if g != 1:
-                    a //= g
-                    b //= g
-                    d //= g
-        else:
-            a = a1 * c
-            b = 0
-            if d != 1:
-                g = gcd(a, d)
-                if g != 1:
-                    a //= g
-                    d //= g
+        a1, b1, d = self.a, self.b, self.d * f
+        if d != 1:
+            return _canonical(a1 * c - b1 * e, a1 * e + b1 * c, d)
         s = _new(Scalar)
-        s.a = a
-        s.b = b
-        s.d = d
+        s.a = a1 * c - b1 * e
+        s.b = a1 * e + b1 * c
+        s.d = 1
         return s
 
     __rmul__ = __mul__
@@ -250,20 +162,11 @@ class Scalar:
 
     def inverse(self) -> "Scalar":
         a, b, d = self.a, self.b, self.d
-        if not b:
-            if not a:
-                raise ZeroDivisionError("inverse of zero")
-            # gcd(a, d) == 1 already; keep the denominator positive.
-            return _scalar(-d, 0, -a) if a < 0 else _scalar(d, 0, a)
-        # d / (a + b*i) = d * (a - b*i) / (a^2 + b^2), with a^2 + b^2 > 0.
         n = a * a + b * b
-        a, b = d * a, -d * b
-        g = gcd(a, b, n)
-        if g != 1:
-            a //= g
-            b //= g
-            n //= g
-        return _scalar(a, b, n)
+        if not n:
+            raise ZeroDivisionError("inverse of zero")
+        # d / (a + b*i) = d * (a - b*i) / (a^2 + b^2)
+        return _canonical(d * a, -d * b, n)
 
     # -- comparison / hashing -------------------------------------------------
 
@@ -307,6 +210,15 @@ def _scalar(a: int, b: int, d: int) -> Scalar:
     s.b = b
     s.d = d
     return s
+
+
+def _canonical(a: int, b: int, d: int) -> Scalar:
+    """The Scalar ``(a + b*i) / d`` for ``d > 0``: the one place a triple is
+    divided by ``gcd(a, b, d)`` into canonical form."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _scalar(a, b, d)
 
 
 def _triple(value):
@@ -389,14 +301,4 @@ def parse_scalar(text: str) -> Scalar:
     if not q or not s:
         raise ScalarError(f"zero denominator in scalar: {text!r}")
     # p/q + (r/s) i = (p*s + r*q i) / (q*s)
-    if q == s:
-        a, b, d = p, r, q
-    else:
-        a, b, d = p * s, r * q, q * s
-    if d != 1:
-        g = gcd(a, b, d)
-        if g != 1:
-            a //= g
-            b //= g
-            d //= g
-    return _scalar(a, b, d)
+    return _canonical(p, r, q) if q == s else _canonical(p * s, r * q, q * s)

@@ -51,7 +51,7 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
-from .scalar import MINUS_ONE, ONE, ZERO, Scalar, _scalar
+from .scalar import MINUS_ONE, ONE, ZERO, Scalar, _canonical
 
 Vec = dict[int, Scalar]
 Table = dict[tuple[int, ...], Vec]
@@ -423,8 +423,7 @@ class Sweep:
             for key in range(rest * dim, rest * dim + dim):
                 r, i = re.get(key, 0), im.get(key, 0)
                 if r or i:
-                    g = gcd(r, i, scale)
-                    residual[key - rest * dim] = _scalar(r // g, i // g, scale // g)
+                    residual[key - rest * dim] = _canonical(r, i, scale)
             tail = divmod(rest, dim) if kind < 2 else (rest,)
             return (a, *tail), residual
         return None

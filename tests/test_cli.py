@@ -31,8 +31,10 @@ from algdeform.documents import (
     dump_json,
     operator_to_doc,
     product_to_doc,
+    read_json,
 )
 from algdeform.dynamics import commutator_derivation
+from algdeform.errors import DocumentError
 from algdeform.scalar import ONE, Scalar
 
 
@@ -721,6 +723,39 @@ def test_scalar_beyond_the_int_conversion_limit_exits_2(workdir, tmp_path, capsy
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "5000 digits" in captured.err and scalar[:50] not in captured.err
+
+
+@pytest.mark.parametrize("where", ["dim", "structure", "matrix", "unit"])
+def test_json_integer_beyond_the_int_conversion_limit_exits_2(workdir, tmp_path, capsys, where):
+    """A JSON integer longer than Python's int/str limit fails inside
+    ``json.loads`` itself: one error line naming the path, and exit 2."""
+    m2 = full_matrix_algebra(2)
+    algebra = ["--algebra", workdir["m2.json"]]
+    if where in ("dim", "structure"):
+        doc = algebra_to_doc(m2)
+        if where == "dim":
+            doc["dim"] = "HUGE"
+        else:
+            doc["structure"][0][0] = "HUGE"
+        argv = ["cohomology", "--degree", "0", "--algebra"]
+    elif where == "matrix":
+        doc = json.loads(Path(workdir["p1.json"]).read_text())
+        doc["matrix"][1][2] = "HUGE"
+        argv = ["torsion", *algebra, "--operator"]
+    else:
+        doc = product_to_doc(deform(projection_tensor(triangular_split(m2), 1, 0)))
+        doc["unit"] = ["HUGE", "0", "0", "1"]
+        argv = ["compat", *algebra, "--product1", "mu", "--product2"]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * 4999))
+    assert main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+    assert f"{sys.get_int_max_str_digits()}-digit limit" in captured.err
+    assert "Traceback" not in captured.err
+    with pytest.raises(DocumentError):
+        read_json(str(path))
 
 
 def test_result_beyond_the_int_conversion_limit_exits_2(workdir, tmp_path, capsys):

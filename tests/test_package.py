@@ -1,7 +1,8 @@
 """The package's own surface: every name in a module's ``__all__`` resolves,
 the runtime imports nothing outside the standard library, importing the
-package does not load ``dataclasses`` or ``inspect``, and only ``linalg`` and
-``hochschild`` feed a ``RowReducer`` by hand.
+package does not load ``dataclasses`` or ``inspect``, only ``linalg`` and
+``hochschild`` feed a ``RowReducer`` by hand, and only ``scalar`` makes a
+Scalar from a raw triple.
 
 The package itself and ``cli`` have no ``__all__`` and pass trivially.
 """
@@ -79,3 +80,18 @@ def test_only_linalg_and_hochschild_use_the_row_reducer():
             if "RowReducer" in names:
                 users.add(path.stem)
     assert users == {"linalg", "hochschild"}
+
+
+def test_only_scalar_makes_a_scalar_from_a_raw_triple():
+    """``scalar._scalar`` and ``scalar._new`` trust a triple to be canonical.
+    Every other module makes its Scalars through the public API or through
+    ``scalar._canonical``, the one place a triple is divided by its gcd."""
+    users = set()
+    for path in Path(algdeform.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            if names & {"_scalar", "_new"}:
+                users.add(path.stem)
+    assert users <= {"scalar"}

@@ -1,3 +1,4 @@
+import operator
 import pytest
 from decimal import Decimal
 from fractions import Fraction
@@ -115,6 +116,20 @@ def test_constructor_keeps_ints_and_fractions():
     assert (s.a, s.b, s.d) == (3, -6, 2)
     assert Scalar(Fraction(1, 3), Fraction(1, 6)) == Scalar(Fraction(2, 6), Fraction(1, 6))
     assert str(Scalar(7)) == "7"
+
+
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@pytest.mark.parametrize("other", [1.5, Decimal("1.5"), 1.5j, None],
+                         ids=["float", "Decimal", "complex", "None"])
+@pytest.mark.parametrize("op", OPERATORS)
+def test_unsupported_operands_raise_a_type_error_naming_the_operator(op, other):
+    for s in (Scalar(2), Scalar(Fraction(1, 2), 3)):
+        for left, right in ((s, other), (other, s)):
+            with pytest.raises(TypeError, match=f"for \\{op}:"):
+                OPERATORS[op](left, right)
+        assert (s == other) is False and (other == s) is False
 
 
 small_fractions = st.fractions(
