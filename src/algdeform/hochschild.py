@@ -200,10 +200,10 @@ def _integer_indexes(alg: Algebra) -> tuple[list[tuple[dict, dict, dict]], froze
     and ``pairs[m]`` of (x, y, e_x e_y at m). The parts come with ``units``,
     the label of e_u if that basis vector is the unit (e_u e_k = e_k = e_k e_u
     for every k) and empty otherwise, and with an empty dict in which
-    :func:`_reduced_coboundary` keeps each degree's rows. Only the normalized
-    cochains are enumerated, those that vanish when an argument is in
-    ``units``; their coboundaries vanish there too, so no entry whose argument
-    a, b, x or y is in ``units`` is indexed. Kept on the algebra by
+    :func:`_reduced_coboundary` keeps each degree's tuples and rows. Only the
+    normalized cochains are enumerated, those that vanish when an argument
+    is in ``units``; their coboundaries vanish there too, so no entry whose
+    argument a, b, x or y is in ``units`` is indexed. Kept on the algebra by
     :func:`cohomology_dimension`, as the structure constants do not change.
     """
     structure = alg.structure
@@ -301,18 +301,19 @@ def _reduced_coboundary(indexes: tuple, d: int, n: int, skip: Container[int]) ->
     """The coboundary on normalized arity-n cochains reduced to echelon form,
     rows in ``skip`` left out: the rows of D * d over the integer parts of
     :func:`_integer_indexes`, Gaussian integer rows when the constants have
-    an imaginary part. Each part's rows are built on the first call for the
-    degree and kept with the indexes; a row is built only when the reducer
-    reads it. With an imaginary part the reducer is realified before the
-    first row, so every row is fed as two halves and no stored row is
-    realified; otherwise every row is fed whole."""
+    an imaginary part. Each part's rows, and the flat indexes of the
+    unit-free tuples, are built on the first call for the degree and kept
+    with the indexes, so a later call enumerates no tuple; a row is built
+    only when the reducer reads it. With an imaginary part the reducer is
+    realified before the first row, so every row is fed as two halves and no
+    stored row is realified; otherwise every row is fed whole."""
     parts, units, kept = indexes
-    sources = kept.get(n)
-    if sources is None:  # d^n depends only on the algebra: keep it
-        sources = kept[n] = [_coboundary_rows(index, d, n, units) for index in parts]
+    if n not in kept:  # d^n depends only on the algebra: keep it
+        kept[n] = ([tflat for tflat, t in enumerate(iter_product(range(d), repeat=n)) if units.isdisjoint(t)],
+                   [_coboundary_rows(index, d, n, units) for index in parts])
+    tflats, sources = kept[n]
     pad = 2 - len(sources)  # a real row's imaginary part is zero
-    flats = [flat for tflat, t in enumerate(iter_product(range(d), repeat=n)) if units.isdisjoint(t)
-             for flat in range(tflat * d, tflat * d + d) if flat not in skip]
+    flats = [flat for tflat in tflats for flat in range(tflat * d, tflat * d + d) if flat not in skip]
     red = RowReducer()
     if not pad:  # feed every row as halves, never realifying stored rows
         red._realify()

@@ -28,16 +28,16 @@ is read in one of two ways:
   preimage lists of N1 and N2. :func:`first_witness` returns the
   sum's lexicographically smallest failing tuple, with the residual there.
 - :class:`Sweep` returns that same witness without building the table, for
-  checks that only test it. Each table and operator is scaled once to
-  integers by its common denominator, and the terms to one common scale; a
-  nonzero scale cannot change a zero test. The first slot is swept in
-  ascending order and only its rows are accumulated, in plain ints with the
-  real and the imaginary parts apart; the first nonzero row is the witness,
-  and only its residual is divided back into Scalars. Swept to the end
-  (:meth:`Sweep.kept_sum`), a sum of compose terms is kept as an integer
-  form instead, which later terms of the same sweep take in place of a
-  table; ``deform.associativity_criterion`` keeps its deformed product and
-  torsion so, with no Scalar table.
+  checks that only test it. Each table and operator is read once into flat
+  integer entries over its common denominator, and indexed once per role it
+  plays; the terms go to one common scale, which cannot change a zero test.
+  The first slot is swept in ascending order and only its rows are summed,
+  in plain ints with the real and the imaginary parts apart; the first
+  nonzero row is the witness, and only its residual is divided back into
+  Scalars. Swept to the end (:meth:`Sweep.kept_sum`), a sum of compose terms
+  is kept as an integer form instead, which later terms of the same sweep
+  take in place of a table; ``deform.associativity_criterion`` keeps its
+  deformed product and torsion so, with no Scalar table.
 
 Both are flat and dict-based: their cost scales with the number of nonzero
 entries, never with dim**n, and a sweep holds one first-slot row block at a
@@ -47,7 +47,7 @@ time.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
@@ -339,44 +339,53 @@ def first_witness(table: Table) -> tuple[tuple[int, ...], Vec] | None:
 #
 # A form is a table, or an operator's columns, scaled to integers by the
 # common denominator d of its entries and split into its real and imaginary
-# parts: (d, [(phase, [(key, [(k, v), ...]), ...], {role: index}), ...]). A
-# part of phase p stands for i**p times its integers; each role of a part in
-# a sweep (rows by first slot, by output, ...) is indexed once.
+# parts: (d, [(phase, [(key, k, v), ...]), ...], {role: [(phase, index), ...]}).
+# A part of phase p stands for i**p times its integers, one flat entry per
+# nonzero (key the table row or operator column, k the output), those of one
+# key contiguous. Each role of a form in a sweep is indexed once, in one pass.
 
-_PHASE = ((0, 1), (1, 1), (0, -1), (1, -1))  # i**p = sign * (1, i)[target]
 _ROWS, _FLAT, _OUT, _COLS, _PRE = range(5)
-_IDENTITY = (1, [(0, None, {})])  # a slot left alone; its index is None
+_IDENTITY = (1, [(0, None)])  # a slot left alone: scale 1, one real part, no index
 
 
 def _int_form(items) -> tuple:
-    items = list(items)
-    values = [v for _, vec in items for v in vec.values()]
-    d = lcm(*{v.d for v in values})
-    re = [(t, es) for t, vec in items if (es := [(k, v.a * (d // v.d)) for k, v in vec.items() if v.a])]
-    im = []
-    if any(v.b for v in values):
-        im = [(t, es) for t, vec in items if (es := [(k, v.b * (d // v.d)) for k, v in vec.items() if v.b])]
-    return d, [(phase, part, {}) for phase, part in ((0, re), (1, im)) if part]
+    """The form of ``items``, (key, {k: Scalar}) pairs: their entries are read
+    once into a flat list, and each part is one pass over that list."""
+    flat = [(t, k, v) for t, vec in items for k, v in vec.items()]
+    d = lcm(*{v.d for _, _, v in flat})
+    if d == 1:  # integer entries, the common case: nothing to scale
+        re = [(t, k, v.a) for t, k, v in flat if v.a]
+        im = [(t, k, v.b) for t, k, v in flat if v.b]
+    else:
+        re = [(t, k, v.a * (d // v.d)) for t, k, v in flat if v.a]
+        im = [(t, k, v.b * (d // v.d)) for t, k, v in flat if v.b]
+    return d, [(phase, part) for phase, part in ((0, re), (1, im)) if part], {}
 
 
 def _index(role: int, part: list, dim: int):
     """One part of a table or operator, indexed for its role in a sweep."""
-    if role == _COLS:  # column a of an operator
-        cols: list = [()] * dim
-        for a, entries in part:
-            cols[a] = entries
+    if role == _COLS:  # column a of an operator: [(k, v)]
+        cols: list = [[] for _ in range(dim)]
+        for a, k, v in part:
+            cols[a].append((k, v))
         return cols
     idx: dict = {}
-    for t, entries in part:
-        if role == _ROWS:  # (a, m) -> a: [(m, entries)]
-            idx.setdefault(t[0], []).append((t[1], entries))
-        elif role == _FLAT:  # (m, c) -> m: [(c*dim + k, v)]
-            base = t[1] * dim
-            idx.setdefault(t[0], []).extend([(base + k, v) for k, v in entries])
-        else:  # _OUT: (b, c) -> m: [((b*dim + c)*dim, v)]; _PRE: column a -> m: [(a*dim, v)]
-            base = (t[0] * dim + t[1]) * dim if role == _OUT else t * dim
-            for m, v in entries:
-                idx.setdefault(m, []).append((base, v))
+    if role == _ROWS:  # (a, m) -> a: [(m, [(k, v), ...])], one list per row
+        last = None
+        for t, k, v in part:
+            if t != last:
+                last, entries = t, []
+                idx.setdefault(t[0], []).append((t[1], entries))
+            entries.append((k, v))
+    elif role == _FLAT:  # (m, c) -> m: [(c*dim + k, v)]
+        for (m, c), k, v in part:
+            idx.setdefault(m, []).append((c * dim + k, v))
+    elif role == _OUT:  # (b, c) -> output m: [((b*dim + c)*dim, v)]
+        for (b, c), m, v in part:
+            idx.setdefault(m, []).append(((b * dim + c) * dim, v))
+    else:  # _PRE: column a -> output m: [(a*dim, v)]
+        for a, m, v in part:
+            idx.setdefault(m, []).append((a * dim, v))
     return idx
 
 
@@ -384,11 +393,11 @@ class Sweep:
     """The witness engine for basis indices below ``dim``.
 
     :meth:`witness` returns ``first_witness(table_of(terms))`` without
-    building the table. Every table and operator is scaled once to integers
-    and indexed by first slot and by output coordinate. These forms are kept
-    for the life of the sweep, so one sweep serves many sums over the same
-    tables, which must not change meanwhile; :meth:`kept_sum` adds a whole
-    sum as one more such form.
+    building the table. Every table and operator is scaled once to integers,
+    listed flat, and indexed once for each role it plays (by first slot, by
+    output coordinate, ...). These forms are kept for the life of the sweep,
+    so one sweep serves many sums over the same tables, which must not change
+    meanwhile; :meth:`kept_sum` adds a whole sum as one more such form.
     """
 
     def __init__(self, dim: int):
@@ -396,14 +405,22 @@ class Sweep:
         self._forms: dict = {}  # id -> (the object, keeping its id taken; its form)
 
     def _form(self, obj) -> tuple:
-        """The form of a table or of operator columns; None is the identity."""
-        if obj is None:
-            return _IDENTITY
+        """The form of a table or of operator columns."""
         hit = self._forms.get(id(obj))
         if hit is None:
             form = _int_form(obj.items() if isinstance(obj, dict) else enumerate(obj))
             hit = self._forms[id(obj)] = (obj, form)
         return hit[1]
+
+    def _indexed(self, obj, role: int) -> tuple:
+        """(scale, [(phase, index), ...]) of ``obj``'s form in ``role``; None is the identity."""
+        if obj is None:
+            return _IDENTITY
+        hit = self._forms.get(id(obj))
+        d, parts, indexes = self._form(obj) if hit is None else hit[1]
+        if role not in indexes:
+            indexes[role] = [(phase, _index(role, part, self.dim)) for phase, part in parts]
+        return d, indexes[role]
 
     def witness(self, terms: Sequence[Insert | Compose]) -> tuple[tuple[int, ...], Vec] | None:
         """The smallest failing tuple of the sum of ``terms`` and its residual.
@@ -432,74 +449,56 @@ class Sweep:
         """Sweep the sum of compose ``terms`` to the end and keep it as a form.
 
         Returns a handle that later terms of this sweep take in place of a
-        table: the sum is never divided back into Scalars. The common scale
-        is divided by its gcd with every entry, so the form holds the same
-        integers as that of the built table.
+        table: the sum is never divided back into Scalars. Its rows are listed
+        in ascending order, and the common scale is divided by its gcd with
+        every entry, so the form holds the same integers as that of the built
+        table.
         """
         kind, scale, jobs = self._jobs(terms)
         if kind != 2:
             raise ValueError("only a sum of compose terms is kept")
-        dim, parts, entries = self.dim, ({}, {}), []
+        dim, parts = self.dim, ([], [])
         for a, *accs in self._blocks(jobs):
-            for rows, acc in zip(parts, accs):
-                for key, v in acc.items():
-                    if v:
-                        b, k = divmod(key, dim)
-                        rows.setdefault((a, b), []).append((k, v))
-                        entries.append(v)
-        g = gcd(scale, *entries)
-        if g != 1:
-            for rows in parts:
-                for es in rows.values():
-                    es[:] = [(k, v // g) for k, v in es]
-        form = (scale // g, [(phase, list(rows.items()), {}) for phase, rows in enumerate(parts) if rows])
+            for part, acc in zip(parts, accs):
+                part += [((a, key // dim), key % dim, v) for key, v in sorted(acc.items()) if v]
+        g = gcd(scale, *(v for part in parts for _, _, v in part))
+        parts = [(phase, part if g == 1 else [(t, k, v // g) for t, k, v in part])
+                 for phase, part in enumerate(parts) if part]
         handle = object()
-        self._forms[id(handle)] = (handle, form)
+        self._forms[id(handle)] = (handle, (scale // g, parts, {}))
         return handle
 
     def _jobs(self, terms) -> tuple:
         """(kind, common scale, jobs) of a sum: kind 0 or 1 for insertions in
         that slot, 2 for compositions; a job is (kind, integer factor, 0 real /
-        1 imaginary, indexes)."""
-        if len({type(term) for term in terms}) > 1:
-            raise ValueError("insert terms have arity 3, compose terms arity 2")
-        dim, form = self.dim, self._form
-        specs = []  # (kind, denominator, coef, ((role, form), ...))
+        1 imaginary, indexes), one per choice of a part in each slot."""
+        ix, scale, specs = self._indexed, 1, []
+        compose = not terms or type(terms[0]) is Compose
         for term in terms:
-            if type(term) is Insert:
-                fp, fq = form(term.p), form(term.q)
-                if term.pos == 0:
-                    roles = ((_ROWS, fq), (_FLAT, fp))
-                elif term.pos == 1:
-                    roles = ((_ROWS, fp), (_OUT, fq))
+            if type(term) is not (Compose if compose else Insert):
+                raise ValueError("insert terms have arity 3, compose terms arity 2")
+            if compose:
+                n1, n2 = term.inner or (None, None)
+                (d1, c1), (dt, rows), (d2, pre), (do, outer) = (
+                    ix(n1, _COLS), ix(term.table, _ROWS), ix(n2, _PRE), ix(term.outer, _COLS))
+                den, combos = d1 * dt * d2 * do, [(p + q + r + s, (w, x, y, z)) for p, w in c1
+                                                  for q, x in rows for r, y in pre for s, z in outer]
+            else:
+                if term.pos == 0:  # P(Q(a, b), c): Q rows (a, b), P rows (m, c)
+                    (dr, rows), (dx, other) = ix(term.q, _ROWS), ix(term.p, _FLAT)
+                elif term.pos == 1:  # P(a, Q(b, c)): P rows (a, m), Q rows (b, c) by output m
+                    (dr, rows), (dx, other) = ix(term.p, _ROWS), ix(term.q, _OUT)
                 else:
                     raise ValueError(f"slot {term.pos} out of range for arity 2")
-                specs.append((term.pos, fp[0] * fq[0], term.coef, roles))
-                continue
-            ft, fo = form(term.table), form(term.outer)
-            n1, n2 = [form(op) for op in term.inner or (None, None)]
-            roles = ((_COLS, n1), (_ROWS, ft), (_PRE, n2), (_COLS, fo))
-            specs.append((2, ft[0] * n1[0] * n2[0] * fo[0], term.coef, roles))
-        if not specs:
-            return 2, 1, []
-        scale = lcm(*(den * coef.d for _, den, coef, _ in specs))
-
-        jobs = []
-        for kind, den, coef, roles in specs:
-            s = scale // (den * coef.d)
-            mults = [(phase, m * s) for phase, m in ((0, coef.a), (1, coef.b)) if m]
-            for combo in product(*(f[1] for _, f in roles)):
-                idx = []
-                for (role, _), (_, part, indexes) in zip(roles, combo):
-                    ix = indexes.get(role)
-                    if ix is None and part is not None:
-                        ix = indexes[role] = _index(role, part, dim)
-                    idx.append(ix)
-                phase = sum(p for p, _, _ in combo)
-                for p, m in mults:
-                    target, sign = _PHASE[(phase + p) % 4]
-                    jobs.append((kind, sign * m, target, idx))
-        return specs[0][0], scale, jobs
+                den, combos = dr * dx, [(p + q, (x, y)) for p, x in rows for q, y in other]
+            den *= term.coef.d
+            scale = lcm(scale, den)
+            specs.append((2 if compose else term.pos, den, term.coef, combos))
+        # i**p is 1, i, -1, -i: part p % 2, negated when p % 4 > 1
+        jobs = [(kind, (m if p % 4 < 2 else -m) * (scale // den), p % 2, idx)
+                for kind, den, coef, combos in specs for phase, idx in combos
+                for p, m in ((phase, coef.a), (phase + 1, coef.b)) if m]
+        return (specs[0][0] if specs else 2), scale, jobs
 
     def _blocks(self, jobs: list):
         """Yield (a, real, imaginary) for each first slot ``a``, ascending,

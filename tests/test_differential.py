@@ -969,6 +969,29 @@ def test_torsion_of_a_polynomial_in_n_reduces_to_t_n(data):
         assert table_row(engine_shifted, (x, y), d) == [b * b * v for v in t_n[x][y]]
 
 
+@pytest.mark.parametrize("alg", TORSION_ALGEBRAS, ids=lambda alg: alg.name)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_the_deformation_by_an_affine_shift_is_the_affine_combination(alg, data):
+    """D_{a+bN} mu = a mu + b mu_N for an operator N with torsion or none and
+    Gaussian scalars a and b, on the dense definitions and on the engine's
+    deformed tables: D_X mu(x, y) = mu(Xx, y) + mu(x, Xy) - X mu(x, y) is
+    linear in X, and D_1 mu = mu."""
+    dense, d = Dense(alg), alg.dim
+    rows = data.draw(fractional_operator_rows(dense))
+    with_torsion(data, dense, rows)
+    a, b = data.draw(scalars(True)), data.draw(scalars(True))
+    event(f"a {'zero' if not a else 'nonzero'}, b {'zero' if not b else 'nonzero'}")
+    shifted = combined((a, b), ([dense.e(i) for i in range(d)], rows))
+    expected = cube_sum((a, dense.c), (b, deformed_cube(dense.c, rows)))
+    assert deformed_cube(dense.c, shifted) == expected
+    op = Operator.from_matrix_rows(alg, rows)
+    engine_shifted = deform(Operator.from_matrix_rows(alg, shifted), compute_flags=False).table
+    engine_sum = table_of([Compose(a, alg.structure), *deform_terms(b, alg.structure, op.columns)])
+    for x, y in dense.pairs():
+        assert table_row(engine_shifted, (x, y), d) == expected[x][y] == table_row(engine_sum, (x, y), d)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_composition_law_is_minus_the_polar_torsion(data):

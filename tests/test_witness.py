@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from algdeform import tables
 from algdeform.algebra import full_matrix_algebra, upper_triangular_algebra
 from algdeform.scalar import MINUS_ONE, ONE, Scalar
 from algdeform.tables import (
@@ -32,6 +33,11 @@ from algdeform.tables import (
 SETTINGS = settings(max_examples=80, deadline=None)
 
 REALS = [Fraction(n, d) for n in (-3, -1, 1, 2, 5) for d in (1, 2, 3)]
+# Real and Gaussian integers, read by the sweep unscaled; Gaussian entries
+# whose parts have denominators 1, 2 and 3, mixed within one table.
+INTEGER_ENTRIES = st.one_of(st.sampled_from([-3, -1, 1, 2, 5]).map(Scalar),
+                            st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda t: Scalar(*t)))
+MIXED_ENTRIES = st.tuples(st.sampled_from(REALS), st.sampled_from(REALS)).map(lambda t: Scalar(*t))
 
 
 def scalars(gaussian):
@@ -43,12 +49,15 @@ def scalars(gaussian):
 
 
 @st.composite
-def problems(draw):
-    """(dim, two tables, two operators' columns, a coefficient) on one field."""
+def problems(draw, entries=None):
+    """(dim, two tables, two operators' columns, a coefficient) on one field,
+    or with every entry drawn from ``entries``."""
     dim = draw(st.integers(1, 4))
-    gaussian = draw(st.booleans())
-    event("Gaussian" if gaussian else "real")
-    sc = scalars(gaussian)
+    sc = entries
+    if sc is None:
+        gaussian = draw(st.booleans())
+        event("Gaussian" if gaussian else "real")
+        sc = scalars(gaussian)
 
     def vec():
         return {k: draw(sc) for k in range(dim) if draw(st.booleans())}
@@ -114,8 +123,8 @@ def test_one_sweep_serves_many_sums(prob):
 
 def form_entries(form):
     """A form's scale and its integers, keyed by (phase, row, output)."""
-    d, parts = form
-    return d, {(phase, t, k): v for phase, part, _ in parts for t, es in part for k, v in es}
+    d, parts, _ = form
+    return d, {(phase, t, k): v for phase, part in parts for t, k, v in part}
 
 
 @SETTINGS
@@ -166,3 +175,68 @@ def test_terms_must_share_one_arity_and_slot():
         Sweep(1).witness([Insert(ONE, t, t, 0), Compose(ONE, t)])
     with pytest.raises(ValueError):
         Sweep(1).witness([Insert(ONE, t, t, 2)])
+
+
+def assert_rows_listed_once(sweep, table):
+    """The first-slot index that the kernel reads lists each row (a, m) of
+    each part of the form once, with all the entries of that row."""
+    _, parts = sweep._indexed(table, tables._ROWS)
+    rows = [((phase, (a, m)), entries) for phase, index in parts
+            for a, listed in index.items() for m, entries in listed]
+    assert len({key for key, _ in rows}) == len(rows)
+    assert {(*key, k): v for key, entries in rows for k, v in entries} == form_entries(sweep._form(table))[1]
+
+
+@SETTINGS
+@given(st.sampled_from([INTEGER_ENTRIES, MIXED_ENTRIES]).flatmap(problems))
+def test_integer_and_mixed_denominator_sums_witness_as_their_tables(prob):
+    """The forms of integer tables and operators are read unscaled, those with
+    mixed denominators over their lcm; either way a form holds only nonzero
+    ints, and every kind of sum, kept or not, gives its built table's witness."""
+    dim, t1, t2, n1, n2, coef = prob
+    sweep, objects = Sweep(dim), (t1, t2, n1, n2)
+    forms = [sweep._form(obj) for obj in objects]
+    assert all(type(v) is int and v for _, parts, _ in forms for _, part in parts for _, _, v in part)
+    dens = {v.d for obj in objects for vec in (obj.values() if isinstance(obj, dict) else obj)
+            for v in vec.values()}
+    event("every denominator 1" if dens <= {1} else "mixed denominators" if len(dens) > 1
+          else "one denominator above 1")
+    for terms in (associator_terms(t1), mixed_associator_terms(t1, t2),
+                  deform_terms(coef, t1, n1) + [Compose(MINUS_ONE, t2, outer=n2, inner=(n2, None))]):
+        assert sweep.witness(terms) == first_witness(table_of(terms))
+    kept = deform_terms(coef, t1, n1) + [Compose(MINUS_ONE, t2, inner=(n2, n1))]
+    handle = sweep.kept_sum(kept)
+    assert form_entries(sweep._form(handle)) == form_entries(Sweep(dim)._form(table_of(kept)))
+    assert sweep.witness(associator_terms(handle)) == first_witness(associator_table(table_of(kept)))
+    for table in (t1, t2, handle):
+        assert_rows_listed_once(sweep, table)
+
+
+def test_a_kept_sum_divides_its_scale_by_the_gcd_of_its_entries():
+    """A sixth of a table whose integers are all even is summed at scale 6 and
+    kept over 3, as the built table's form is."""
+    t = {(0, 0): {0: Scalar(6)}, (0, 1): {1: Scalar(0, 4)}, (1, 1): {0: Scalar(2, 8)}}
+    terms = [Compose(Scalar(Fraction(1, 6)), t)]
+    sweep, table = Sweep(2), table_of(terms)
+    handle = sweep.kept_sum(terms)
+    assert form_entries(sweep._form(handle)) == form_entries(Sweep(2)._form(table)) == (
+        3, {(0, (0, 0), 0): 3, (0, (1, 1), 0): 1, (1, (0, 1), 1): 2, (1, (1, 1), 0): 4})
+    assert sweep.witness(associator_terms(handle)) == first_witness(associator_table(table))
+
+
+def test_each_form_is_built_once_per_sweep(monkeypatch):
+    """Terms that name one table or operator several times, later sums on the
+    same sweep and a kept sum share the forms: one build per object."""
+    mu, built, build = full_matrix_algebra(2).structure, [], tables._int_form
+    monkeypatch.setattr(tables, "_int_form", lambda items: built.append(1) or build(items))
+    n = [{0: ONE, 1: Scalar(0, 1)}, {1: Scalar(Fraction(1, 2))}, {}, {3: MINUS_ONE}]
+    sweep = Sweep(4)
+    sweep.witness(associator_terms(mu))
+    assert len(built) == 1
+    sweep.witness([Compose(ONE, mu, n, (n, None)), Compose(ONE, mu, n, (None, n)),
+                   Compose(MINUS_ONE, mu, inner=(n, n))])
+    assert len(built) == 2
+    sweep.witness(mixed_associator_terms(mu, mu))
+    handle = sweep.kept_sum(deform_terms(ONE, mu, n))
+    sweep.witness(associator_terms(handle) + mixed_associator_terms(handle, mu))
+    assert len(built) == 2
